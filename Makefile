@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzParseMask$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzEffectiveAffinity$$' -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzAppendSince$$' -fuzztime 5s
 
 # figures regenerates the full evaluation artifact directory.
 figures:

@@ -11,10 +11,12 @@ import (
 )
 
 // attribTraceCapacity sizes the per-CPU trace rings behind an attributed
-// run. Between two response samples (one RCIM period) the stress loads
-// emit at most a few hundred records per CPU, so 32k slots keeps
-// LostRecords at zero while bounding memory per replication shard.
-const attribTraceCapacity = 1 << 15
+// run. Each sample reads only the records emitted since the previous
+// one; the largest such read, summed over all rings, is 770 records at
+// scale 0.05, 1,254 at 0.5 and 1,533 at 1.0 (attrib-causes, seeds 1-3).
+// 4k slots per ring keep LostRecords at zero with headroom, at
+// 3 × 4,096 × 48 B ≈ 0.6 MB per replication.
+const attribTraceCapacity = 1 << 12
 
 // AttributionResult pairs the stock and shielded runs of the
 // "causes of delay" figure: the same RCIM response measurement, once on

@@ -90,6 +90,11 @@ func (b *Buffer) Restore(r *snapshot.Reader) error {
 		rg.next = int(r.U64(9))
 		rg.wrapped = r.Bool(10)
 		rg.dropped = r.U64(11)
+		// Readers rely on logical order (oldest at next): only a full
+		// ring may have a non-zero write position, and it must be in range.
+		if nRecs < 0 || nRecs > b.perCPU || rg.next < 0 || (rg.next != 0 && (nRecs != b.perCPU || rg.next >= nRecs)) {
+			return fmt.Errorf("trace: restore: ring %d holds %d records with write position %d (capacity %d)", i, nRecs, rg.next, b.perCPU)
+		}
 		if nRecs > 0 {
 			rg.recs = make([]Record, 0, b.perCPU)
 		}

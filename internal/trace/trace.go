@@ -18,7 +18,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -127,6 +126,31 @@ func (rg *ring) put(r Record, capacity int) {
 	rg.next = (rg.next + 1) % len(rg.recs)
 	rg.wrapped = true
 	rg.dropped++
+}
+
+// at returns the i-th record in logical order, oldest first. Until the
+// ring wraps next is 0, so logical and physical order coincide.
+func (rg *ring) at(i int) *Record {
+	i += rg.next
+	if i >= len(rg.recs) {
+		i -= len(rg.recs)
+	}
+	return &rg.recs[i]
+}
+
+// firstAfter returns the logical index of the oldest record with
+// Seq > since, or len(rg.recs) if there is none.
+func (rg *ring) firstAfter(since uint64) int {
+	lo, hi := 0, len(rg.recs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rg.at(mid).Seq > since {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Buffer holds per-CPU rings of typed Records plus the name-interning
@@ -505,23 +529,55 @@ func (b *Buffer) DroppedOn(cpu int) uint64 {
 // that were already overwritten. Passing the previous call's last Seq
 // makes this a cursor over the stream; with a caller-reused dst it is
 // allocation-free in steady state.
+//
+// Seq strictly increases along each ring's logical order, so a ring's
+// matching records are a suffix: a binary search finds where it starts,
+// and each suffix is merged into the records already collected from the
+// back. The cost is O(r·log capacity + r·k) for r rings and k returned
+// records, independent of how full the rings are.
+//
+//simlint:hotpath
 func (b *Buffer) AppendSince(dst []Record, since uint64) ([]Record, uint64) {
 	if b == nil {
 		return dst, 0
 	}
 	start := len(dst)
 	for i := range b.rings {
-		for _, r := range b.rings[i].recs {
-			if r.Seq > since {
-				dst = append(dst, r)
+		rg := &b.rings[i]
+		first := rg.firstAfter(since)
+		if first == len(rg.recs) {
+			continue
+		}
+		mid := len(dst)
+		// Copy the suffix in, in at most two contiguous runs.
+		lo := rg.next + first
+		if lo < len(rg.recs) {
+			dst = append(dst, rg.recs[lo:]...)
+			lo = 0
+		} else {
+			lo -= len(rg.recs)
+		}
+		dst = append(dst, rg.recs[lo:rg.next]...)
+		if mid == start || dst[mid-1].Seq < dst[mid].Seq {
+			continue
+		}
+		// Interleaved with earlier rings: merge from the back, reading
+		// the suffix from the ring since its copy in dst is overwritten.
+		a, w := mid-1, len(dst)-1
+		for j := len(rg.recs) - 1; j >= first; j-- {
+			r := rg.at(j)
+			for a >= start && dst[a].Seq > r.Seq {
+				dst[w] = dst[a]
+				a--
+				w--
 			}
+			dst[w] = *r
+			w--
 		}
 	}
-	got := dst[start:]
-	sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
 	var lost uint64
 	if b.seq > since {
-		lost = b.seq - since - uint64(len(got))
+		lost = b.seq - since - uint64(len(dst)-start)
 	}
 	return dst, lost
 }
