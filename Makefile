@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fmt vet simlint analyze sarif bounds bounds-check sanitize perturb test race sharded bench bench-json fuzz figures trace snapshot simd soak clean
+.PHONY: all build lint fmt vet simlint analyze sarif bounds bounds-check sanitize perturb test race bench bench-json fuzz figures trace snapshot simd soak clean
 
 all: lint test build
 
@@ -12,7 +12,7 @@ build:
 
 # lint = the CI lint job: formatting gate, go vet, the full analyzer
 # suite (floatmerge, globalstate, hotalloc, latbound, maporder,
-# nondeterminism, purity, seedderive, shardsafe, tracefmt, unitsafe)
+# nondeterminism, purity, seedderive, tracefmt, unitsafe)
 # gated on the checked-in baseline, and the static bounds report gate.
 lint: fmt vet analyze bounds-check
 
@@ -28,7 +28,7 @@ simlint:
 
 # analyze = the CI analyzer gate: the full suite module-wide (cmd/
 # included), failing only on findings not recorded in
-# lint/simlint.baseline — so a new shardsafe or hotalloc finding breaks
+# lint/simlint.baseline — so a new purity or hotalloc finding breaks
 # the build while audited history stays quiet — then the merged SARIF
 # artifact covering every analyzer.
 analyze:
@@ -74,23 +74,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# sharded = the CI sharded matrix leg at one shard count (default 2):
-# the whole suite with the process-default engine flipped to sharded via
-# ldflags — every golden hash and trace byte now audits the sharded
-# engine — then the perturbation sweep on the shipped binary.
-SHARDS ?= 2
-sharded:
-	$(GO) test -race -ldflags "-X repro/internal/sim.defaultEngineMode=sharded:$(SHARDS)" ./...
-	$(GO) run ./cmd/reprocheck -scale 0.15 -perturb 4 -engine=sharded -shards=$(SHARDS)
-
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-json regenerates the engine performance baseline
-# (BENCH_engine.json): the {ladder,heap} x {pooled,alloc} churn matrix,
-# serial and parallel full-system throughput, and the serial-vs-sharded
-# shard-tick entry, as one JSON document. Run it when the engine hot
-# path changes; EXPERIMENTS.md explains how to read the ratios.
+# (BENCH_engine.json): pooled-ladder churn, serial and parallel
+# full-system throughput, the snapshot codec and simd request latency,
+# as one JSON document. Run it when the engine hot path changes;
+# EXPERIMENTS.md explains how to read it. The ladder-vs-heap and
+# pooled-vs-alloc comparison is `go test -bench EngineChurn ./internal/sim`.
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_engine.json
 
@@ -98,7 +90,6 @@ bench-json:
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOps -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDiffQueue$$' -fuzztime 5s
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzShardedSchedule$$' -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzParseMask$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzEffectiveAffinity$$' -fuzztime 5s

@@ -12,7 +12,6 @@
 package shieldsim
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -326,22 +325,10 @@ func BenchmarkTracingEnabled(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures raw simulator event throughput, the
-// cost driver for everything above, on the default (ladder) queue.
+// cost driver for everything above. The queue/pool churn matrix lives
+// with the engine (internal/sim BenchmarkEngineChurn).
 func BenchmarkEngineThroughput(b *testing.B) {
-	benchSystemThroughput(b, "")
-}
-
-// The _Heap/_Ladder pair is the full-system A/B of the event-queue
-// implementations: identical machine, identical load, only the queue
-// differs (and, by the differential-harness contract, only speed can
-// differ). cmd/benchjson runs the same pair to record BENCH_engine.json.
-func BenchmarkEngineThroughput_Heap(b *testing.B)   { benchSystemThroughput(b, sim.QueueHeap) }
-func BenchmarkEngineThroughput_Ladder(b *testing.B) { benchSystemThroughput(b, sim.QueueLadder) }
-
-func benchSystemThroughput(b *testing.B, kind sim.QueueKind) {
-	cfg := kernel.RedHawk14(2, 1.0)
-	cfg.EventQueue = kind
-	s := NewSystem(cfg, 1, SystemOptions{
+	s := NewSystem(kernel.RedHawk14(2, 1.0), 1, SystemOptions{
 		RTCHz: 2048,
 		Loads: []string{LoadStressKernel},
 	})
@@ -352,44 +339,4 @@ func benchSystemThroughput(b *testing.B, kind sim.QueueKind) {
 		s.K.Eng.Run(s.K.Now() + sim.Time(sim.Millisecond))
 	}
 	b.ReportMetric(float64(s.K.Eng.Fired())/float64(b.N), "events/op")
-}
-
-// BenchmarkEngineChurn is the queue/pool microbenchmark matrix:
-// {ladder, heap} × {pooled, alloc} at shallow and deep steady-state
-// queue depths. Each iteration schedules one event and dispatches one,
-// so the depth stays fixed; ns/op is the per-event engine overhead and
-// allocs/op is the pooling contract (0 for pooled modes after warm-up,
-// ≥1 for the alloc reference).
-func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []sim.QueueKind{sim.QueueLadder, sim.QueueHeap} {
-		for _, mode := range []struct {
-			name   string
-			noPool bool
-		}{{"pooled", false}, {"alloc", true}} {
-			for _, depth := range []int{16, 1024, 16384} {
-				kind, mode, depth := kind, mode, depth
-				name := fmt.Sprintf("%s/%s/depth=%d", kind, mode.name, depth)
-				b.Run(name, func(b *testing.B) {
-					benchEngineChurn(b, sim.EngineOptions{Queue: kind, NoPool: mode.noPool}, depth)
-				})
-			}
-		}
-	}
-}
-
-func benchEngineChurn(b *testing.B, opts sim.EngineOptions, depth int) {
-	e := sim.NewEngineOpts(1, opts)
-	fn := func() {}
-	// Spread the pending set over ~1 µs per event, the density the
-	// kernel cadence produces; depth then controls queue length without
-	// collapsing the calendar into a handful of over-full slots.
-	for i := 0; i < depth; i++ {
-		e.After(sim.Duration(i%depth)*sim.Microsecond, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(sim.Duration(i%depth)*sim.Microsecond, fn)
-		e.Step()
-	}
 }

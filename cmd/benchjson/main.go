@@ -5,26 +5,13 @@
 //
 //	benchjson [-o BENCH_engine.json] [-quick]
 //
-// It runs the engine benchmark matrix through testing.Benchmark —
-// {ladder, heap} × {pooled, alloc} schedule/dispatch churn at several
-// steady-state queue depths, plus full-system serial and parallel
-// replication throughput on both queue implementations — and writes one
-// JSON document with ns/op, allocs/op and events/sec per benchmark and
-// the headline ratios against the reference configuration (binary heap,
-// one allocation per event: the engine before the ladder/pool overhaul).
-//
-// It also records the serial-vs-sharded entry for the conservative
-// parallel engine: merge-pop churn on the sharded queue (the hot path
-// `rtsim -engine=sharded` adds, which must stay alloc-free) and the
-// shard-tick scenario — 8 simulated CPUs with ring IPIs at exactly the
-// lookahead — run through runner.RunSharded at 1, 2 and 4 shards with
-// one worker per shard. The sharded_acceptance block restates the
-// criterion honestly for the machine that produced the file: >=1.5x
-// events/sec at 4 shards needs >=4 cores; on a smaller host the window
-// protocol cannot speed anything up, so the block records GOMAXPROCS,
-// flips multi_core off, and degrades the bar to bounded overhead
-// (>=0.5x serial throughput). CI's multi-core runner regenerates the
-// artifact with the real speedup.
+// It runs the engine benchmarks through testing.Benchmark — pooled
+// ladder schedule/dispatch churn at two steady-state queue depths, plus
+// full-system serial and parallel replication throughput — and writes
+// one JSON document with ns/op, allocs/op and events/sec per benchmark.
+// The comparison against the reference heap and alloc-per-event pool
+// lives with those test-only oracles in internal/sim
+// (BenchmarkEngineChurn, TestChurnAllocsVsReference).
 //
 // Since bench-engine/v3 the document also carries a `snapshot` block:
 // full-machine checkpoint encode/decode throughput on the post-boot
@@ -40,12 +27,14 @@
 // cached boot image, and the hit-vs-cold ratio — what the cache buys
 // per duplicate request.
 //
+// Since bench-engine/v5 the document carries ladder rows only: the
+// heap/alloc reference rows, their ratios and the sharded-engine block
+// are gone with the mechanisms they measured.
+//
 // The file is a recorded baseline, not a gate: regenerate it with
-// `make bench-json` when the engine changes, and read the `ratios`
-// block to see what the ladder queue and the event pool buy on the
-// machine that produced it. The tool always exits 0 unless it cannot
-// run the benchmarks or write the file; CI uploads the JSON as an
-// artifact and fails only on build errors.
+// `make bench-json` when the engine changes. The tool always exits 0
+// unless it cannot run the benchmarks or write the file; CI uploads the
+// JSON as an artifact and fails only on build errors.
 package main
 
 import (
@@ -82,35 +71,12 @@ type benchResult struct {
 
 // baseline is the whole BENCH_engine.json document.
 type baseline struct {
-	Schema     string `json:"schema"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Benchmarks is the full matrix; Ratios the derived headlines.
-	Benchmarks []benchResult      `json:"benchmarks"`
-	Ratios     map[string]float64 `json:"ratios"`
-	// Acceptance restates the PR's perf criterion against the reference
-	// heap+alloc configuration: >=1.5x events/sec OR <=0.5x allocs/op.
-	Acceptance struct {
-		EventsPerSecRatio float64 `json:"events_per_sec_ratio"`
-		AllocsPerOpRatio  float64 `json:"allocs_per_op_ratio"`
-		Pass              bool    `json:"pass"`
-	} `json:"acceptance"`
-	// ShardedAcceptance restates the sharded-engine criterion — >=1.5x
-	// events/sec at 4 shards over serial with an alloc-free merge-pop hot
-	// path — keyed on the cores of the machine that produced the file:
-	// the speedup is physically unobtainable below 4 cores, so on a
-	// small host MultiCore is false and the bar degrades to bounded
-	// overhead (>=0.5x serial). The JSON stays honest either way; the
-	// multi-core CI runner's artifact carries the real ratio.
-	ShardedAcceptance struct {
-		GOMAXPROCS         int     `json:"gomaxprocs"`
-		MultiCore          bool    `json:"multi_core"`
-		EventsPerSecRatio  float64 `json:"events_per_sec_ratio"`
-		HotPathAllocsPerOp float64 `json:"hot_path_allocs_per_op"`
-		Pass               bool    `json:"pass"`
-	} `json:"sharded_acceptance"`
+	Schema     string        `json:"schema"`
+	GoVersion  string        `json:"go_version"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Benchmarks []benchResult `json:"benchmarks"`
 	// Service records the simd serving layer's end-to-end request
 	// latency (bench-engine/v4): a cache hit (admission + store lookup,
 	// no simulation), a cold miss (full continuation boot + run) and a
@@ -142,38 +108,27 @@ type baseline struct {
 
 func main() {
 	out := flag.String("o", "BENCH_engine.json", "output path for the baseline JSON")
-	quick := flag.Bool("quick", false, "smaller system/parallel runs (smoke mode; ratios are noisier)")
+	quick := flag.Bool("quick", false, "smaller system/parallel runs (smoke mode; numbers are noisier)")
 	flag.Parse()
 
 	b := baseline{
-		Schema:     "bench-engine/v4",
+		Schema:     "bench-engine/v5",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Ratios:     map[string]float64{},
 	}
 
-	byName := map[string]benchResult{}
 	add := func(r benchResult) {
 		b.Benchmarks = append(b.Benchmarks, r)
-		byName[r.Name] = r
 		fmt.Fprintf(os.Stderr, "%-40s %12.1f ns/op %8.2f allocs/op %14.0f events/sec\n",
 			r.Name, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec)
 	}
 
-	// --- churn matrix: per-event engine overhead at fixed depth ---
-	for _, kind := range []sim.QueueKind{sim.QueueLadder, sim.QueueHeap} {
-		for _, mode := range []struct {
-			name   string
-			noPool bool
-		}{{"pooled", false}, {"alloc", true}} {
-			for _, depth := range []int{1024, 16384} {
-				name := fmt.Sprintf("churn/%s/%s/depth=%d", kind, mode.name, depth)
-				r := testing.Benchmark(churnBench(kind, mode.noPool, depth))
-				add(record(name, r, 1))
-			}
-		}
+	// --- churn: per-event engine overhead at fixed depth ---
+	for _, depth := range []int{1024, 16384} {
+		r := testing.Benchmark(churnBench(depth))
+		add(record(fmt.Sprintf("churn/ladder/pooled/depth=%d", depth), r, 1))
 	}
 
 	// --- full system, serial: one machine under stress load ---
@@ -182,79 +137,13 @@ func main() {
 	if *quick {
 		slices, machines, horizon = 50, 4, 10
 	}
-	for _, kind := range []sim.QueueKind{sim.QueueLadder, sim.QueueHeap} {
-		var evPerOp float64
-		r := testing.Benchmark(systemBench(kind, slices, &evPerOp))
-		add(record(fmt.Sprintf("system/serial/%s", kind), r, evPerOp))
-	}
+	var evPerOp float64
+	r := testing.Benchmark(systemBench(slices, &evPerOp))
+	add(record("system/serial/ladder", r, evPerOp))
 
 	// --- full system, parallel: replication fan-out, per-worker pools ---
-	for _, kind := range []sim.QueueKind{sim.QueueLadder, sim.QueueHeap} {
-		var evPerOp float64
-		r := testing.Benchmark(parallelBench(kind, 0, machines, horizon, &evPerOp))
-		add(record(fmt.Sprintf("system/parallel/%s", kind), r, evPerOp))
-	}
-
-	// --- sharded engine churn: merge-pop overhead over the raw ladder ---
-	for _, depth := range []int{1024, 16384} {
-		name := fmt.Sprintf("churn/sharded4/pooled/depth=%d", depth)
-		r := testing.Benchmark(shardedChurnBench(4, depth))
-		add(record(name, r, 1))
-	}
-
-	// --- serial vs sharded: the shard-tick scenario under the window
-	// protocol, one worker per shard (1 shard = the serial executor) ---
-	sliceMs := 2
-	if *quick {
-		sliceMs = 1
-	}
-	for _, shards := range []int{1, 2, 4} {
-		name := "system/shardtick/serial"
-		if shards > 1 {
-			name = fmt.Sprintf("system/shardtick/shards=%d", shards)
-		}
-		var evPerOp float64
-		r := testing.Benchmark(shardTickBench(shards, sliceMs, &evPerOp))
-		add(record(name, r, evPerOp))
-	}
-
-	ratio := func(name, num, den, metric string) {
-		a, b1 := byName[num], byName[den]
-		var x float64
-		switch metric {
-		case "events_per_sec":
-			if b1.EventsPerSec > 0 {
-				x = a.EventsPerSec / b1.EventsPerSec
-			}
-		case "allocs_per_op":
-			if b1.AllocsPerOp > 0 {
-				x = a.AllocsPerOp / b1.AllocsPerOp
-			}
-		}
-		b.Ratios[name] = x
-	}
-	ratio("churn_new_vs_reference_events_per_sec",
-		"churn/ladder/pooled/depth=16384", "churn/heap/alloc/depth=16384", "events_per_sec")
-	ratio("churn_new_vs_reference_allocs_per_op",
-		"churn/ladder/pooled/depth=16384", "churn/heap/alloc/depth=16384", "allocs_per_op")
-	ratio("churn_pooled_vs_alloc_allocs_per_op",
-		"churn/ladder/pooled/depth=1024", "churn/ladder/alloc/depth=1024", "allocs_per_op")
-	ratio("churn_ladder_vs_heap_events_per_sec",
-		"churn/ladder/pooled/depth=16384", "churn/heap/pooled/depth=16384", "events_per_sec")
-	ratio("system_serial_ladder_vs_heap_events_per_sec",
-		"system/serial/ladder", "system/serial/heap", "events_per_sec")
-	ratio("system_parallel_ladder_vs_heap_events_per_sec",
-		"system/parallel/ladder", "system/parallel/heap", "events_per_sec")
-	ratio("churn_sharded_vs_ladder_events_per_sec",
-		"churn/sharded4/pooled/depth=16384", "churn/ladder/pooled/depth=16384", "events_per_sec")
-	ratio("system_sharded2_vs_serial_events_per_sec",
-		"system/shardtick/shards=2", "system/shardtick/serial", "events_per_sec")
-	ratio("system_sharded4_vs_serial_events_per_sec",
-		"system/shardtick/shards=4", "system/shardtick/serial", "events_per_sec")
-
-	b.Acceptance.EventsPerSecRatio = b.Ratios["churn_new_vs_reference_events_per_sec"]
-	b.Acceptance.AllocsPerOpRatio = b.Ratios["churn_new_vs_reference_allocs_per_op"]
-	b.Acceptance.Pass = b.Acceptance.EventsPerSecRatio >= 1.5 || b.Acceptance.AllocsPerOpRatio <= 0.5
+	r = testing.Benchmark(parallelBench(0, machines, horizon, &evPerOp))
+	add(record("system/parallel/ladder", r, evPerOp))
 
 	// --- snapshot codec: full-machine encode/decode throughput ---
 	var imgBytes int
@@ -295,17 +184,6 @@ func main() {
 		sv.WarmVsColdRatio = sv.ColdMissNsPerOp / sv.WarmMissNsPerOp
 	}
 
-	sa := &b.ShardedAcceptance
-	sa.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	sa.MultiCore = sa.GOMAXPROCS >= 4
-	sa.EventsPerSecRatio = b.Ratios["system_sharded4_vs_serial_events_per_sec"]
-	sa.HotPathAllocsPerOp = byName["churn/sharded4/pooled/depth=16384"].AllocsPerOp
-	bar := 1.5
-	if !sa.MultiCore {
-		bar = 0.5
-	}
-	sa.Pass = sa.EventsPerSecRatio >= bar && sa.HotPathAllocsPerOp < 0.01
-
 	data, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -315,10 +193,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (acceptance: %.2fx events/sec, %.2fx allocs/op, pass=%v)\n",
-		*out, b.Acceptance.EventsPerSecRatio, b.Acceptance.AllocsPerOpRatio, b.Acceptance.Pass)
-	fmt.Fprintf(os.Stderr, "  sharded: %.2fx events/sec at 4 shards on %d core(s), %.4f hot-path allocs/op, pass=%v\n",
-		sa.EventsPerSecRatio, sa.GOMAXPROCS, sa.HotPathAllocsPerOp, sa.Pass)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	fmt.Fprintf(os.Stderr, "  snapshot: %d-byte image, encode %.1f MB/s, decode %.1f MB/s, %.0f bytes/virtual-second\n",
 		sn.ImageBytes, sn.EncodeMBPerSec, sn.DecodeMBPerSec, sn.BytesPerVirtualSecond)
 	fmt.Fprintf(os.Stderr, "  service: %.0f cached requests/sec, hit %.0fx and warm start %.1fx cheaper than cold miss (cold %.2f ms, warm %.2f ms)\n",
@@ -340,11 +215,12 @@ func record(name string, r testing.BenchmarkResult, eventsPerOp float64) benchRe
 	return res
 }
 
-// churnBench mirrors BenchmarkEngineChurn in the root package: one
-// schedule plus one dispatch per iteration at a fixed queue depth.
-func churnBench(kind sim.QueueKind, noPool bool, depth int) func(*testing.B) {
+// churnBench mirrors the pooled-ladder rows of BenchmarkEngineChurn in
+// internal/sim: one schedule plus one dispatch per iteration at a fixed
+// queue depth.
+func churnBench(depth int) func(*testing.B) {
 	return func(b *testing.B) {
-		e := sim.NewEngineOpts(1, sim.EngineOptions{Queue: kind, NoPool: noPool})
+		e := sim.NewEngine(1)
 		fn := func() {}
 		// ~1 µs per pending event, the density the kernel cadence
 		// produces; depth controls queue length, not slot occupancy.
@@ -360,71 +236,12 @@ func churnBench(kind sim.QueueKind, noPool bool, depth int) func(*testing.B) {
 	}
 }
 
-// shardedChurnBench is churnBench on the sharded queue with events
-// spread round-robin over the shards by hint, so every Step exercises
-// the merge-pop (global-min scan plus cached-min maintenance) — the
-// exact overhead -engine=sharded adds to every dispatch. It must stay
-// alloc-free: the shards are plain ladders and the hint only routes
-// storage.
-func shardedChurnBench(shards, depth int) func(*testing.B) {
-	return func(b *testing.B) {
-		e := sim.NewEngineOpts(1, sim.EngineOptions{
-			Queue:          sim.QueueSharded,
-			Shards:         shards,
-			ShardLookahead: 50 * sim.Microsecond,
-		})
-		fn := func() {}
-		for i := 0; i < depth; i++ {
-			e.SetShardHint(i % shards)
-			e.After(sim.Duration(i%depth)*sim.Microsecond, fn)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.SetShardHint(i % shards)
-			e.After(sim.Duration(i%depth)*sim.Microsecond, fn)
-			e.Step()
-		}
-	}
-}
-
-// shardTickBench advances one long-lived shard-tick system (8 simulated
-// CPUs, ring IPIs at exactly the lookahead) by sliceMs of virtual time
-// per iteration through runner.RunSharded with one worker per shard.
-// The set is built and warmed before the timer so the measurement sees
-// the steady state of the window protocol, not pool growth; 1 shard
-// runs the serial executor and is the ratio denominator.
-func shardTickBench(shards, sliceMs int, eventsPerOp *float64) func(*testing.B) {
-	return func(b *testing.B) {
-		set, collect := sim.NewShardTick(sim.ShardTickConfig{
-			CPUs:      8,
-			Shards:    shards,
-			Lookahead: 50 * sim.Microsecond,
-			Period:    2 * sim.Microsecond,
-			IPIEvery:  4,
-			Seed:      0x7e57,
-		})
-		slice := sim.Duration(sliceMs) * sim.Millisecond
-		now := sim.Time(0).Add(slice)
-		runner.RunSharded(set, now, shards)
-		warmed := collect().Events
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now = now.Add(slice)
-			runner.RunSharded(set, now, shards)
-		}
-		b.StopTimer()
-		*eventsPerOp = float64(collect().Events-warmed) / float64(b.N)
-	}
-}
-
 // snapshotEncodeBench serialises the post-boot shielded reference
 // machine (full load mix, 40 ms of virtual time) once per iteration;
 // imgBytes receives the image size.
 func snapshotEncodeBench(imgBytes *int) func(*testing.B) {
 	return func(b *testing.B) {
-		s, err := core.BootReference(core.RefShielded, 1, "", 0, 0)
+		s, err := core.BootReference(core.RefShielded, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,7 +265,7 @@ func snapshotEncodeBench(imgBytes *int) func(*testing.B) {
 // overwrite every component, re-push every pending event.
 func snapshotDecodeBench() func(*testing.B) {
 	return func(b *testing.B) {
-		src, err := core.BootReference(core.RefShielded, 1, "", 0, 0)
+		src, err := core.BootReference(core.RefShielded, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,7 +273,7 @@ func snapshotDecodeBench() func(*testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dst, err := core.BootReference(core.RefShielded, 1, "", 0, 0)
+		dst, err := core.BootReference(core.RefShielded, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -473,11 +290,9 @@ func snapshotDecodeBench() func(*testing.B) {
 // systemBench runs one stress-loaded machine, advancing virtual time in
 // 1 ms slices; eventsPerOp receives the measured events per slice. The
 // slice count bounds each iteration so testing.Benchmark converges.
-func systemBench(kind sim.QueueKind, slices int, eventsPerOp *float64) func(*testing.B) {
+func systemBench(slices int, eventsPerOp *float64) func(*testing.B) {
 	return func(b *testing.B) {
-		cfg := kernel.RedHawk14(2, 1.0)
-		cfg.EventQueue = kind
-		s := shieldsim.NewSystem(cfg, 1, shieldsim.SystemOptions{
+		s := shieldsim.NewSystem(kernel.RedHawk14(2, 1.0), 1, shieldsim.SystemOptions{
 			RTCHz: 2048,
 			Loads: []string{shieldsim.LoadStressKernel},
 		})
@@ -495,7 +310,7 @@ func systemBench(kind sim.QueueKind, slices int, eventsPerOp *float64) func(*tes
 // parallelBench fans `machines` independent stress machines out across
 // the replication runner with one event pool per worker (the
 // MapSeededPooled ownership pattern) and counts total events fired.
-func parallelBench(kind sim.QueueKind, workers, machines, horizonMs int, eventsPerOp *float64) func(*testing.B) {
+func parallelBench(workers, machines, horizonMs int, eventsPerOp *float64) func(*testing.B) {
 	return func(b *testing.B) {
 		var total uint64
 		b.ResetTimer()
@@ -503,7 +318,6 @@ func parallelBench(kind sim.QueueKind, workers, machines, horizonMs int, eventsP
 			fired := runner.MapSeededPooled(workers, 99, machines,
 				func(j int, seed uint64, pool *sim.EventPool) uint64 {
 					cfg := kernel.RedHawk14(2, 1.0)
-					cfg.EventQueue = kind
 					cfg.EventPool = pool
 					s := shieldsim.NewSystem(cfg, seed, shieldsim.SystemOptions{
 						RTCHz: 2048,

@@ -7,7 +7,6 @@
 //
 //	reprocheck [-scale 1.0] [-seed 1] [-parallel N] [-perturb N] [-checkinv]
 //	           [-bounds lint/bounds.json] [-bisect]
-//	           [-queue ladder|heap] [-engine serial|sharded -shards N]
 //
 // -parallel caps the worker pool the independent experiment runs fan
 // out on (0 = all cores); it never changes the verdicts, only the
@@ -36,13 +35,6 @@
 // (kernel.CheckInvariants) on every machine the checks build, so state
 // corruption panics at the first sampling instant after it appears
 // instead of surfacing as a wrong verdict at the end.
-//
-// -queue and -engine/-shards select the event-queue implementation and
-// the execution engine (serial or sharded), exactly as in rtsim. They
-// can never change a verdict — every mode realises the identical
-// dispatch order — so running the conformance pass under
-// `-engine=sharded -shards=N -perturb K` is itself a differential
-// check, and CI's sharded matrix leg does exactly that.
 package main
 
 import (
@@ -65,41 +57,7 @@ func main() {
 	bisect := flag.Bool("bisect", false, "demonstrate time-travel divergence bisection on the built-in race fixtures and the shielded reference machine")
 	checkinv := flag.Bool("checkinv", false, "periodically sample kernel.CheckInvariants on every machine (panic on corruption)")
 	bounds := flag.String("bounds", "", "static bounds report from 'simlint -bounds' to cross-check against dynamic attribution (empty = skip)")
-	queue := flag.String("queue", "", "event-queue implementation: 'ladder' (default) or 'heap' (reference); never changes verdicts")
-	engine := flag.String("engine", "serial", "execution engine: 'serial' (default) or 'sharded' (see -shards); never changes verdicts")
-	shards := flag.Int("shards", 4, "shard count for -engine=sharded (must be >= 1)")
 	flag.Parse()
-
-	switch sim.QueueKind(*queue) {
-	case "", sim.QueueLadder, sim.QueueHeap:
-	default:
-		fmt.Fprintf(os.Stderr, "reprocheck: -queue must be one of 'ladder', 'heap', got %q\n", *queue)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "reprocheck: -shards must be >= 1, got %d\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch *engine {
-	case "serial":
-		if *queue != "" {
-			sim.SetDefaultQueueKind(sim.QueueKind(*queue))
-		}
-	case "sharded":
-		if *queue != "" {
-			fmt.Fprintf(os.Stderr, "reprocheck: -queue %q conflicts with -engine=sharded (the sharded engine owns its per-shard queues)\n", *queue)
-			flag.Usage()
-			os.Exit(2)
-		}
-		sim.SetDefaultShardCount(*shards)
-		sim.SetDefaultQueueKind(sim.QueueSharded)
-	default:
-		fmt.Fprintf(os.Stderr, "reprocheck: -engine must be one of 'serial', 'sharded', got %q\n", *engine)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "reprocheck: -parallel must be >= 0 (0 = all cores), got %d\n", *parallel)

@@ -30,20 +30,6 @@
 // are bit-identical for every worker count — replications are seeded
 // independently via splitmix64 and merged in replication-index order —
 // so -parallel only changes wall-clock time.
-//
-// -queue selects the engine's event-queue implementation: 'ladder' (the
-// two-level calendar queue, default) or 'heap' (the reference binary
-// heap). Like -parallel it can never change results — both realise the
-// identical dispatch order — so it exists for A/B performance runs and
-// for demonstrating that equivalence on any experiment.
-//
-// -engine selects the execution engine: 'serial' (default) or
-// 'sharded', the conservative-parallel mode in which each simulated
-// CPU's events live on their own ladder shard (-shards N), merged at
-// dispatch under the identical total order. Results are bit-identical
-// to serial for every shard count — the serial-vs-sharded differential
-// oracle in internal/sim and internal/core enforces byte-for-byte
-// equality of figures and trace streams.
 package main
 
 import (
@@ -73,41 +59,7 @@ func main() {
 	ref := flag.String("ref", "shielded", "reference machine for -checkpoint/-restore: 'stock' or 'shielded'")
 	runFor := flag.Float64("run-for", 0.03, "virtual seconds to run past the checkpoint/restore point for -checkpoint/-restore")
 	warmSalt := flag.Uint64("warm-salt", 0, "warm-start tie-break salt for -restore (0 = exact cold resume); same (image, salt) always reproduces the same bytes")
-	queue := flag.String("queue", "", "event-queue implementation: 'ladder' (default) or 'heap' (reference); A/B knob — results are bit-identical either way, only speed differs")
-	engine := flag.String("engine", "serial", "execution engine: 'serial' (default) or 'sharded' (per-CPU ladder shards merged under the identical dispatch order; see -shards); results are bit-identical either way")
-	shards := flag.Int("shards", 4, "shard count for -engine=sharded (must be >= 1; one per simulated CPU is the natural grain)")
 	flag.Parse()
-
-	switch sim.QueueKind(*queue) {
-	case "", sim.QueueLadder, sim.QueueHeap:
-	default:
-		fmt.Fprintf(os.Stderr, "rtsim: -queue must be one of 'ladder', 'heap', got %q\n", *queue)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "rtsim: -shards must be >= 1, got %d\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch *engine {
-	case "serial":
-		if *queue != "" {
-			sim.SetDefaultQueueKind(sim.QueueKind(*queue))
-		}
-	case "sharded":
-		if *queue != "" {
-			fmt.Fprintf(os.Stderr, "rtsim: -queue %q conflicts with -engine=sharded (the sharded engine owns its per-shard queues)\n", *queue)
-			flag.Usage()
-			os.Exit(2)
-		}
-		sim.SetDefaultShardCount(*shards)
-		sim.SetDefaultQueueKind(sim.QueueSharded)
-	default:
-		fmt.Fprintf(os.Stderr, "rtsim: -engine must be one of 'serial', 'sharded', got %q\n", *engine)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "rtsim: -parallel must be >= 0 (0 = all cores), got %d\n", *parallel)
@@ -228,7 +180,7 @@ func main() {
 // its snapshot image. The image is the warm-start seed for -restore,
 // the CI two-stage soak, and warm-started placement sweeps.
 func writeCheckpoint(path string, ref core.ReferenceMachine, seed uint64, runFor float64) error {
-	s, err := core.BootReference(ref, seed, "", 0, 0)
+	s, err := core.BootReference(ref, seed, 0)
 	if err != nil {
 		return err
 	}
@@ -256,7 +208,7 @@ func restoreCheckpoint(path string, ref core.ReferenceMachine, seed uint64, runF
 	if err != nil {
 		return err
 	}
-	s, err := core.BootReference(ref, seed, "", 0, 0)
+	s, err := core.BootReference(ref, seed, 0)
 	if err != nil {
 		return err
 	}

@@ -35,10 +35,9 @@ func runBin(t *testing.T, bin string, args ...string) (stdout, stderr string, ex
 	return out.String(), errBuf.String(), exit
 }
 
-// TestRtsimFlagValidation pins the e2e flag contract: unknown -queue or
-// -engine values and non-positive -shards exit 2 with an error that
-// names the valid options, and contradictory combinations are refused
-// rather than silently resolved.
+// TestRtsimFlagValidation pins the e2e flag contract: out-of-range
+// -parallel and -scale values, and flags the binary does not define,
+// exit 2 with an error that names the problem.
 func TestRtsimFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")
@@ -49,11 +48,9 @@ func TestRtsimFlagValidation(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{"unknown_queue", []string{"-queue", "wheel", "-list"}, "'ladder', 'heap'"},
-		{"unknown_engine", []string{"-engine", "turbo", "-list"}, "'serial', 'sharded'"},
-		{"zero_shards", []string{"-engine", "sharded", "-shards", "0", "-list"}, "-shards must be >= 1"},
-		{"negative_shards", []string{"-shards", "-2", "-list"}, "-shards must be >= 1"},
-		{"queue_vs_sharded", []string{"-engine", "sharded", "-queue", "heap", "-list"}, "conflicts with -engine=sharded"},
+		{"negative_parallel", []string{"-parallel", "-1", "-list"}, "-parallel must be >= 0"},
+		{"zero_scale", []string{"-scale", "0", "-list"}, "-scale must be > 0"},
+		{"undefined_flag", []string{"-engine", "serial", "-list"}, "flag provided but not defined: -engine"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -66,33 +63,5 @@ func TestRtsimFlagValidation(t *testing.T) {
 				t.Fatalf("stderr does not name the problem (want %q):\n%s", tc.wantErr, stderr)
 			}
 		})
-	}
-}
-
-// TestRtsimShardedCSVBitIdentical is the end-user form of the
-// serial-vs-sharded oracle: the actual shipped binary regenerating a
-// figure's CSV must emit byte-identical output for -engine=serial and
-// -engine=sharded at shard counts 1, 2, 4.
-func TestRtsimShardedCSVBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration (builds binary)")
-	}
-	bin := buildRtsim(t)
-	base := []string{"-csv", "-exp", "fig2", "-scale", "0.05", "-seed", "7"}
-	want, stderr, exit := runBin(t, bin, base...)
-	if exit != 0 {
-		t.Fatalf("serial run exited %d:\n%s", exit, stderr)
-	}
-	if !strings.Contains(want, "bin_upper_ms") {
-		t.Fatalf("serial run emitted no CSV:\n%s", want)
-	}
-	for _, shards := range []string{"1", "2", "4"} {
-		got, stderr, exit := runBin(t, bin, append([]string{"-engine", "sharded", "-shards", shards}, base...)...)
-		if exit != 0 {
-			t.Fatalf("sharded/%s run exited %d:\n%s", shards, exit, stderr)
-		}
-		if got != want {
-			t.Errorf("-engine=sharded -shards=%s CSV diverged from serial", shards)
-		}
 	}
 }

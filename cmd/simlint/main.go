@@ -45,7 +45,6 @@ import (
 	"repro/internal/analysis/nondeterminism"
 	"repro/internal/analysis/purity"
 	"repro/internal/analysis/seedderive"
-	"repro/internal/analysis/shardsafe"
 	"repro/internal/analysis/tracefmt"
 	"repro/internal/analysis/unitsafe"
 )
@@ -63,7 +62,6 @@ var analyzers = framework.Normalize([]*framework.Analyzer{
 	globalstate.Analyzer,
 	tracefmt.Analyzer,
 	hotalloc.Analyzer,
-	shardsafe.Analyzer,
 	latbound.Analyzer,
 	unitsafe.Analyzer,
 })

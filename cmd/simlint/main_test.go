@@ -161,7 +161,7 @@ func TestStandaloneCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simlint -list: %v\n%s", err, out)
 	}
-	names := []string{"floatmerge", "globalstate", "hotalloc", "latbound", "maporder", "nondeterminism", "purity", "seedderive", "shardsafe", "tracefmt", "unitsafe"}
+	names := []string{"floatmerge", "globalstate", "hotalloc", "latbound", "maporder", "nondeterminism", "purity", "seedderive", "tracefmt", "unitsafe"}
 	last := -1
 	for _, name := range names {
 		i := strings.Index(string(out), name+":")
@@ -271,7 +271,7 @@ func TestSARIF(t *testing.T) {
 			t.Errorf("rule %s has empty shortDescription", r.ID)
 		}
 	}
-	for _, name := range []string{"floatmerge", "globalstate", "hotalloc", "latbound", "maporder", "nondeterminism", "purity", "seedderive", "shardsafe", "tracefmt", "unitsafe"} {
+	for _, name := range []string{"floatmerge", "globalstate", "hotalloc", "latbound", "maporder", "nondeterminism", "purity", "seedderive", "tracefmt", "unitsafe"} {
 		found := false
 		for _, id := range ruleIDs {
 			found = found || id == name

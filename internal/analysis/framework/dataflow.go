@@ -9,12 +9,11 @@ import (
 
 // This file is the framework's lightweight intraprocedural dataflow
 // layer: per-function def/use chains, escape-of-reference tracking, and
-// composable summaries over the module call graph. It is deliberately
+// write sets, one summary per module call-graph node. It is deliberately
 // flow-insensitive (sets, not paths) — precise enough to prove the
-// engine hot path allocation-free and lane callbacks confined, cheap
-// enough to run on every lint. Module analyzers (hotalloc, shardsafe)
-// build on it; the per-function summaries are computed once per
-// DataFlow and shared.
+// engine hot path allocation-free, cheap enough to run on every lint.
+// The hotalloc module analyzer builds on it; the per-function summaries
+// are computed once per DataFlow and shared.
 
 // EscapeReason classifies why a local variable's storage or value may
 // outlive (or leave) its frame. Reasons are ordered by severity for
@@ -58,11 +57,10 @@ func (r EscapeReason) String() string {
 
 // A FuncSummary is the intraprocedural dataflow summary of one
 // call-graph node: def/use chains for its variables, which locals
-// escape and why, which struct fields / package variables / captured
-// variables it writes, and which parameters it writes *through*
-// (mutating memory the caller handed it). Nested function literals are
-// not part of their encloser's summary — they have their own nodes —
-// except that capturing an encloser local marks that local EscCaptured.
+// escape and why, and which struct fields / package variables /
+// captured variables it writes. Nested function literals are not part
+// of their encloser's summary — they have their own nodes — except that
+// capturing an encloser local marks that local EscCaptured.
 type FuncSummary struct {
 	Node *CGNode
 
@@ -80,8 +78,7 @@ type FuncSummary struct {
 	// enclosing function — in first-use order.
 	Free []*types.Var
 	// FreeWrites are captured variables this function writes, directly
-	// or through (first write site). Transitive: passing a captured
-	// variable to a callee that writes through that parameter counts.
+	// or through (first write site).
 	FreeWrites map[*types.Var]token.Pos
 
 	// FieldWrites are struct fields assigned anywhere in the function
@@ -92,46 +89,6 @@ type FuncSummary struct {
 	// (directly or through) and read.
 	PkgWrites map[*types.Var]token.Pos
 	PkgReads  map[*types.Var]token.Pos
-
-	// paramWrites are receiver/parameters written through (p.f = x,
-	// *p = x, p[i] = x — not plain reassignment of the parameter).
-	// Query via DataFlow.ParamWritten, which composes transitively.
-	paramWrites map[*types.Var]token.Pos
-
-	// calls records resolvable call sites whose arguments are rooted at
-	// this function's parameters or captures, for transitive
-	// composition (DataFlow.compose).
-	calls []summaryCall
-}
-
-// summaryCall is one resolvable call site: the candidate callees and,
-// for each callee parameter index, the caller variable the argument is
-// rooted at (parameters and captures only).
-type summaryCall struct {
-	callees  []*CGNode
-	argRoots map[int]*types.Var
-	pos      token.Pos
-}
-
-// Params returns the function's receiver (if any) followed by its
-// parameters — the index space used by ParamWritten.
-func (s *FuncSummary) Params() []*types.Var {
-	return paramsOf(s.Node)
-}
-
-func paramsOf(n *CGNode) []*types.Var {
-	sig := signatureOf(n)
-	if sig == nil {
-		return nil
-	}
-	var out []*types.Var
-	if r := sig.Recv(); r != nil {
-		out = append(out, r)
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
 }
 
 // Signature returns the node's function signature (nil only when type
@@ -150,102 +107,27 @@ func signatureOf(n *CGNode) *types.Signature {
 	return nil
 }
 
-// A DataFlow holds the per-function summaries for one call graph and
-// the transitive facts composed over it. Build once per module pass.
+// A DataFlow holds the per-function summaries for one call graph.
+// Build once per module pass.
 type DataFlow struct {
 	Graph *CallGraph
 	Sums  map[*CGNode]*FuncSummary
 }
 
-// NewDataFlow summarizes every node in the graph and composes the
-// transitive parameter-write and capture-write facts to a fixpoint.
+// NewDataFlow summarizes every node in the graph.
 func NewDataFlow(g *CallGraph) *DataFlow {
 	df := &DataFlow{Graph: g, Sums: make(map[*CGNode]*FuncSummary)}
 	for _, n := range g.Funcs {
-		df.Sums[n] = summarize(g, n)
+		df.Sums[n] = summarize(n)
 	}
 	for _, n := range g.Lits {
-		df.Sums[n] = summarize(g, n)
+		df.Sums[n] = summarize(n)
 	}
-	df.compose()
 	return df
 }
 
 // Summary returns the summary for a node (nil for unknown nodes).
 func (d *DataFlow) Summary(n *CGNode) *FuncSummary { return d.Sums[n] }
-
-// ParamWritten reports whether the function writes through its i-th
-// parameter (receiver first), directly or via any callee it forwards
-// the parameter to.
-func (d *DataFlow) ParamWritten(n *CGNode, i int) bool {
-	s := d.Sums[n]
-	if s == nil {
-		return false
-	}
-	ps := paramsOf(n)
-	if i < 0 || i >= len(ps) {
-		return false
-	}
-	_, ok := s.paramWrites[ps[i]]
-	return ok
-}
-
-// compose propagates writes-through facts across calls to a fixpoint:
-// if f passes parameter p (or capture c) as callee argument k and the
-// callee writes through its k-th parameter, then f writes through p
-// (or writes c).
-func (d *DataFlow) compose() {
-	for changed := true; changed; {
-		changed = false
-		for _, s := range d.Sums {
-			params := make(map[*types.Var]bool)
-			for _, p := range paramsOf(s.Node) {
-				params[p] = true
-			}
-			for _, c := range s.calls {
-				for _, callee := range c.callees {
-					cs := d.Sums[callee]
-					if cs == nil {
-						continue
-					}
-					cps := paramsOf(callee)
-					for k, root := range c.argRoots {
-						if k >= len(cps) {
-							k = len(cps) - 1 // variadic tail
-						}
-						if k < 0 {
-							continue
-						}
-						if _, ok := cs.paramWrites[cps[k]]; !ok {
-							continue
-						}
-						switch {
-						case params[root]:
-							if _, ok := s.paramWrites[root]; !ok {
-								s.paramWrites[root] = c.pos
-								changed = true
-							}
-						default:
-							if _, ok := s.FreeWrites[root]; !ok && containsVar(s.Free, root) {
-								s.FreeWrites[root] = c.pos
-								changed = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func containsVar(vs []*types.Var, v *types.Var) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
 
 // VarKind classifies a variable relative to a node.
 type VarKind int
@@ -322,7 +204,7 @@ func RootOf(info *types.Info, e ast.Expr) (root *types.Var, through bool, field 
 // summarize computes the intraprocedural summary of one node. Nested
 // literal bodies are excluded (they have their own nodes) except for a
 // capture scan that marks encloser locals EscCaptured.
-func summarize(g *CallGraph, n *CGNode) *FuncSummary {
+func summarize(n *CGNode) *FuncSummary {
 	info := n.Pkg.TypesInfo
 	s := &FuncSummary{
 		Node:        n,
@@ -333,7 +215,6 @@ func summarize(g *CallGraph, n *CGNode) *FuncSummary {
 		FieldWrites: make(map[*types.Var]token.Pos),
 		PkgWrites:   make(map[*types.Var]token.Pos),
 		PkgReads:    make(map[*types.Var]token.Pos),
-		paramWrites: make(map[*types.Var]token.Pos),
 	}
 	body := n.Body()
 	if body == nil {
@@ -373,11 +254,7 @@ func summarize(g *CallGraph, n *CGNode) *FuncSummary {
 				s.FreeWrites[root] = pos
 			}
 		case VarLocal:
-			if through {
-				if _, ok := s.paramWrites[root]; !ok && containsVar(paramsOf(n), root) {
-					s.paramWrites[root] = pos
-				}
-			} else {
+			if !through {
 				s.Defs[root] = append(s.Defs[root], pos)
 			}
 		}
@@ -404,7 +281,7 @@ func summarize(g *CallGraph, n *CGNode) *FuncSummary {
 		return true
 	})
 
-	// Pass 1: defs, writes, escapes, calls — skipping nested literals.
+	// Pass 1: defs, writes, escapes — skipping nested literals.
 	var walk func(node ast.Node) bool
 	walk = func(node ast.Node) bool {
 		switch x := node.(type) {
@@ -459,7 +336,6 @@ func summarize(g *CallGraph, n *CGNode) *FuncSummary {
 				}
 			}
 		case *ast.CallExpr:
-			s.recordCall(g, info, n, x)
 			// Boxing through a call: concrete argument, interface param.
 			ForEachBoxedArg(info, x, func(arg ast.Expr, _ types.Type) {
 				if v, _, _ := RootOf(info, arg); v != nil && ClassifyVar(n, v) == VarLocal {
@@ -522,58 +398,6 @@ func summarize(g *CallGraph, n *CGNode) *FuncSummary {
 
 func sortPosList(ps []token.Pos) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-}
-
-// recordCall notes a resolvable call whose arguments are rooted at
-// parameters or captures, for transitive composition.
-func (s *FuncSummary) recordCall(g *CallGraph, info *types.Info, n *CGNode, call *ast.CallExpr) {
-	callees := g.NodesForValue(info, call.Fun)
-	if len(callees) == 0 {
-		return
-	}
-	params := make(map[*types.Var]bool)
-	for _, p := range paramsOf(n) {
-		params[p] = true
-	}
-	interesting := func(v *types.Var) bool {
-		if v == nil {
-			return false
-		}
-		return params[v] || ClassifyVar(n, v) == VarFree
-	}
-	roots := make(map[int]*types.Var)
-	base := 0
-	// A method call forwards its receiver as parameter 0.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s2, ok := info.Selections[sel]; ok && s2.Kind() == types.MethodVal {
-			base = 1
-			if v, _, _ := RootOf(info, sel.X); interesting(v) {
-				roots[0] = v
-			}
-		}
-	}
-	for i, arg := range call.Args {
-		if v, _, _ := RootOf(info, arg); interesting(v) {
-			roots[base+i] = v
-		}
-	}
-	if len(roots) == 0 {
-		return
-	}
-	idxs := make([]int, 0, len(roots))
-	for k := range roots {
-		idxs = append(idxs, k)
-	}
-	sort.Ints(idxs)
-	for _, k := range idxs {
-		if v := roots[k]; v != nil && !params[v] {
-			// Ensure captures passed onward appear in Free.
-			if !containsVar(s.Free, v) {
-				s.Free = append(s.Free, v)
-			}
-		}
-	}
-	s.calls = append(s.calls, summaryCall{callees: callees, argRoots: roots, pos: call.Pos()})
 }
 
 // boxes reports whether assigning a value of type `from` to a location
@@ -643,43 +467,4 @@ func ForEachBoxedArg(info *types.Info, call *ast.CallExpr, f func(arg ast.Expr, 
 			f(arg, pt)
 		}
 	}
-}
-
-// CollectMutatedPkgVars returns every package-level variable some
-// non-test file in the analyzed set assigns, increments, or takes the
-// address of. Package-level initializers are declarations, not
-// mutations, and do not count. Shared by the purity and shardsafe
-// analyzers' mutated-read rules.
-func CollectMutatedPkgVars(fset *token.FileSet, pkgs []*Package) map[*types.Var]bool {
-	mutated := make(map[*types.Var]bool)
-	for _, pkg := range pkgs {
-		info := pkg.TypesInfo
-		for _, f := range pkg.Files {
-			if IsTestFileName(fset, f) {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if _, v := RootPkgVar(info, lhs); v != nil {
-							mutated[v] = true
-						}
-					}
-				case *ast.IncDecStmt:
-					if _, v := RootPkgVar(info, n.X); v != nil {
-						mutated[v] = true
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						if _, v := RootPkgVar(info, n.X); v != nil {
-							mutated[v] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return mutated
 }

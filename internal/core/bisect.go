@@ -430,7 +430,7 @@ func RunBisectDemo(seed uint64) []BisectDemo {
 	})
 
 	machRes, machErr := RunBisect(func(salt uint64) (BisectReplica, error) {
-		s, err := BootReference(RefShielded, seed, "", 0, salt)
+		s, err := BootReference(RefShielded, seed, salt)
 		if err != nil {
 			return nil, err
 		}

@@ -232,13 +232,11 @@ func RunChecksOpts(scale float64, seed uint64, workers int, opts CheckOptions) [
 	}
 
 	// --- checkpoint/restore (snapshot) claims ---
-	// Resume equivalence per engine mode, engine-mode-invariant golden
-	// image hashes, warm-start reproducibility. Cheap (tens of
-	// milliseconds of virtual time per machine), and always on: the
-	// snapshot subsystem underwrites warm-started sweeps and the
-	// divergence bisector, so a broken codec should fail the same pass
-	// that certifies the figures. The claims pin their own engine modes,
-	// so the verdicts are identical under any -queue/-engine selection.
+	// Resume equivalence, pool-reuse-invariant golden image hashes,
+	// warm-start reproducibility. Cheap (tens of milliseconds of virtual
+	// time per machine), and always on: the snapshot subsystem
+	// underwrites warm-started sweeps and the divergence bisector, so a
+	// broken codec should fail the same pass that certifies the figures.
 	out = append(out, SnapshotChecks(seed)...)
 
 	return out

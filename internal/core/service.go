@@ -18,20 +18,16 @@ import (
 // The cache-key soundness argument (DESIGN.md §11) rests on the repo's
 // standing determinism claims: a figure's bytes are a pure function of
 // (canonical config, seed, figure) — bit-identical across worker
-// counts, queue implementations, engine modes, tie-break salts and
-// processes, which is exactly what the golden-hash, perturbation,
-// sharded-matrix and snapshot CI jobs pin. Every knob that can never
+// counts, event-pool reuse, tie-break salts and processes, which is
+// exactly what the golden-hash, perturbation and snapshot CI jobs pin. Every knob that can never
 // change results is therefore erased from the canonical encoding, so
 // requests that differ only in such a knob share one cache entry.
 
 // CanonicalKernelConfig returns cfg with every non-semantic knob
-// cleared: the event-queue implementation, shard count, event pool,
-// tie-break salt and invariant sampler can never change simulation
-// results (the differential oracles prove it), so they must not change
-// a scenario's content address either.
+// cleared: the event pool, tie-break salt and invariant sampler can
+// never change simulation results (the differential oracles prove it),
+// so they must not change a scenario's content address either.
 func CanonicalKernelConfig(cfg kernel.Config) kernel.Config {
-	cfg.EventQueue = ""
-	cfg.EngineShards = 0
 	cfg.EventPool = nil
 	cfg.TiebreakSalt = 0
 	cfg.InvariantPeriod = 0
@@ -41,7 +37,7 @@ func CanonicalKernelConfig(cfg kernel.Config) kernel.Config {
 // scenarioEncodingVersion prefixes every canonical scenario string.
 // Bump it when the encoding itself (not the model) changes shape, so
 // stale on-disk cache entries miss instead of colliding.
-const scenarioEncodingVersion = "simd/v1"
+const scenarioEncodingVersion = "simd/v2"
 
 // ScenarioKind separates the two request families the service runs.
 type ScenarioKind int
@@ -100,7 +96,7 @@ var goldenFigureIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "
 // attrib-causes; scale > 0 required, runForMS must be 0) or a reference
 // continuation (ref-stock/ref-shielded; runForMS in virtual
 // milliseconds, 0 = default, scale must be 0). Knobs that cannot
-// change results (workers, queue, shards, salts) are deliberately not
+// change results (workers, pools, salts) are deliberately not
 // part of a scenario.
 func ResolveScenario(figure string, scale float64, seed uint64, runForMS int) (Scenario, error) {
 	switch figure {
@@ -290,7 +286,7 @@ func RunContinuationCold(s Scenario, pool *sim.EventPool) (result, bootImg []byt
 	if s.Kind != KindContinuation {
 		return nil, nil, fmt.Errorf("core: scenario %s is not a continuation", s.Figure)
 	}
-	sys, err := buildReference(s.Ref, s.Seed, "", 0, 0, pool, true)
+	sys, err := buildReference(s.Ref, s.Seed, 0, pool, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,15 +12,13 @@ import (
 )
 
 // TestCanonicalKernelConfigErasesNonSemanticKnobs: two configs that
-// differ only in knobs proven not to affect results (queue kind, shard
-// count, tie-break salt, event pool, invariant sampler) must canonicalise
+// differ only in knobs proven not to affect results (tie-break salt,
+// event pool, invariant sampler) must canonicalise
 // identically — that is the soundness condition for sharing one cache
 // entry — while any semantic field must survive canonicalisation.
 func TestCanonicalKernelConfigErasesNonSemanticKnobs(t *testing.T) {
 	base := kernel.StandardLinux24(2, 2.0, false)
 	perturbed := base
-	perturbed.EventQueue = sim.QueueHeap
-	perturbed.EngineShards = 4
 	perturbed.TiebreakSalt = 0x9e3779b97f4a7c15
 	perturbed.EventPool = sim.NewEventPool()
 	perturbed.InvariantPeriod = sim.Millisecond

@@ -164,11 +164,10 @@ func refKernelConfig(ref ReferenceMachine) (kernel.Config, error) {
 }
 
 // BootReference builds a reference machine under the full load mix and
-// runs it to the post-boot instant. queue/shards pick the engine
-// implementation ("" = process default); salt installs a tie-break
+// runs it to the post-boot instant. salt installs a tie-break
 // perturbation at construction.
-func BootReference(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shards int, salt uint64) (*System, error) {
-	return buildReference(ref, seed, queue, shards, salt, nil, true)
+func BootReference(ref ReferenceMachine, seed uint64, salt uint64) (*System, error) {
+	return buildReference(ref, seed, salt, nil, true)
 }
 
 // BuildReference is BootReference without the boot run: the machine is
@@ -177,20 +176,18 @@ func BootReference(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shard
 // reconstruct-then-overwrite contract needs. Warm starts restore a
 // post-boot image into it instead of replaying the boot horizon.
 func BuildReference(ref ReferenceMachine, seed uint64, pool *sim.EventPool) (*System, error) {
-	return buildReference(ref, seed, "", 0, 0, pool, false)
+	return buildReference(ref, seed, 0, pool, false)
 }
 
 // buildReference constructs (and optionally boots) a reference machine.
 // pool, when non-nil, supplies the engine's event-node free list — the
 // per-worker pool discipline of runner.MapSeededPooled carried into the
 // simd service's long-lived workers.
-func buildReference(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shards int, salt uint64, pool *sim.EventPool, boot bool) (*System, error) {
+func buildReference(ref ReferenceMachine, seed uint64, salt uint64, pool *sim.EventPool, boot bool) (*System, error) {
 	cfg, err := refKernelConfig(ref)
 	if err != nil {
 		return nil, err
 	}
-	cfg.EventQueue = queue
-	cfg.EngineShards = shards
 	cfg.TiebreakSalt = salt
 	cfg.EventPool = pool
 	s := NewSystem(cfg, sim.DeriveSeed(seed, streamSnapshot), SystemOptions{
@@ -215,8 +212,14 @@ func buildReference(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shar
 // BootImage is BootReference plus the snapshot: the post-boot image of
 // the reference machine. This is the shared image warm-started sweeps
 // and the two-stage CI soak restore from.
-func BootImage(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shards int) ([]byte, error) {
-	s, err := BootReference(ref, seed, queue, shards, 0)
+func BootImage(ref ReferenceMachine, seed uint64) ([]byte, error) {
+	return bootImage(ref, seed, nil)
+}
+
+// bootImage is BootImage on an engine drawing nodes from pool (nil = a
+// private pool).
+func bootImage(ref ReferenceMachine, seed uint64, pool *sim.EventPool) ([]byte, error) {
+	s, err := buildReference(ref, seed, 0, pool, true)
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +238,13 @@ func ImageHash(img []byte) string {
 // probes run both sides.
 const resumeHorizon = 30 * sim.Millisecond
 
-// resumeEquivalent checks the tentpole oracle on a reference machine
-// under one engine mode: run to T, snapshot, continue to T2 and snapshot
-// again (the uninterrupted result); then rebuild a fresh machine,
-// restore the T image into it, continue it to T2 and snapshot. The two
-// T2 images must be byte-identical.
-func resumeEquivalent(ref ReferenceMachine, seed uint64, queue sim.QueueKind, shards int) (string, error) {
-	a, err := BootReference(ref, seed, queue, shards, 0)
+// resumeEquivalent checks the tentpole oracle on a reference machine:
+// run to T, snapshot, continue to T2 and snapshot again (the
+// uninterrupted result); then rebuild a fresh machine, restore the T
+// image into it, continue it to T2 and snapshot. The two T2 images must
+// be byte-identical.
+func resumeEquivalent(ref ReferenceMachine, seed uint64) (string, error) {
+	a, err := BootReference(ref, seed, 0)
 	if err != nil {
 		return "", err
 	}
@@ -255,7 +258,7 @@ func resumeEquivalent(ref ReferenceMachine, seed uint64, queue sim.QueueKind, sh
 		return "", fmt.Errorf("snapshot at T2: %w", err)
 	}
 
-	b, err := BootReference(ref, seed, queue, shards, 0)
+	b, err := BootReference(ref, seed, 0)
 	if err != nil {
 		return "", err
 	}
@@ -282,7 +285,7 @@ func resumeEquivalent(ref ReferenceMachine, seed uint64, queue sim.QueueKind, sh
 // same-instant dispatch orders (the point of warm-started placement
 // sweeps). The continued machine must pass every state invariant.
 func warmContinuationHash(ref ReferenceMachine, seed uint64, img []byte, salt uint64) (string, error) {
-	s, err := BootReference(ref, seed, "", 0, 0)
+	s, err := BootReference(ref, seed, 0)
 	if err != nil {
 		return "", err
 	}
@@ -300,82 +303,46 @@ func warmContinuationHash(ref ReferenceMachine, seed uint64, img []byte, salt ui
 	return ImageHash(img2), nil
 }
 
-// SnapshotChecks runs the snapshot claim set: resume equivalence per
-// engine mode, golden image-hash stability across engine modes, and
-// warm-start salt invariance. Appended to the reprocheck claim list.
+// SnapshotChecks runs the snapshot claim set: resume equivalence, golden
+// image-hash stability under event-pool reuse, and warm-start salt
+// invariance. Appended to the reprocheck claim list.
 func SnapshotChecks(seed uint64) []CheckResult {
 	var out []CheckResult
 	add := func(id, claim string, pass bool, detail string, args ...interface{}) {
 		out = append(out, CheckResult{ID: id, Claim: claim, Pass: pass, Detail: fmt.Sprintf(detail, args...)})
 	}
 
-	type mode struct {
-		name   string
-		queue  sim.QueueKind
-		shards int
-	}
-	modes := []mode{
-		{"serial/ladder", sim.QueueLadder, 0},
-		{"serial/heap", sim.QueueHeap, 0},
-		{"sharded/2", sim.QueueSharded, 2},
-		{"sharded/4", sim.QueueSharded, 4},
-	}
-
 	for _, ref := range []ReferenceMachine{RefStock, RefShielded} {
-		// Resume equivalence, per engine mode — and since every mode must
-		// realise the identical dispatch order, the T2 hashes must also
-		// agree across modes.
-		hashes := make([]string, 0, len(modes))
-		var firstErr error
-		for _, m := range modes {
-			h, err := resumeEquivalent(ref, seed, m.queue, m.shards)
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", m.name, err)
-			}
-			hashes = append(hashes, h)
-		}
-		same := firstErr == nil
-		for _, h := range hashes[1:] {
-			if h != hashes[0] {
-				same = false
-			}
-		}
-		detail := fmt.Sprintf("T2 hash %s across %d engine modes", hashes[0], len(modes))
+		// Resume equivalence: the resumed run reaches the uninterrupted
+		// run's T2 image byte for byte.
+		t2, firstErr := resumeEquivalent(ref, seed)
+		detail := fmt.Sprintf("T2 hash %s", t2)
 		if firstErr != nil {
 			detail = firstErr.Error()
 		}
 		add("snap-resume-"+string(ref),
-			fmt.Sprintf("snapshot/restore resumes the %s reference machine byte-identically in every engine mode", ref),
-			same, "%s", detail)
+			fmt.Sprintf("snapshot/restore resumes the %s reference machine byte-identically", ref),
+			firstErr == nil, "%s", detail)
 
-		// Golden post-boot image hash: identical for every engine mode
-		// (the image is canonical — queue internals never serialise).
-		imgs := make([]string, 0, len(modes))
-		var imgErr error
-		var sharedImg []byte
-		for _, m := range modes {
-			img, err := BootImage(ref, seed, m.queue, m.shards)
-			if err != nil && imgErr == nil {
-				imgErr = fmt.Errorf("%s: %w", m.name, err)
-			}
-			if sharedImg == nil {
-				sharedImg = img
-			}
-			imgs = append(imgs, ImageHash(img))
+		// Golden post-boot image hash: identical whether the machine
+		// boots on a fresh event pool or on one already warmed by a
+		// previous boot — the per-worker pool reuse of runner and simd.
+		// Node identity and generations never serialise.
+		pool := sim.NewEventPool()
+		sharedImg, imgErr := bootImage(ref, seed, pool)
+		var warmImg []byte
+		if imgErr == nil {
+			warmImg, imgErr = bootImage(ref, seed, pool)
 		}
-		stable := imgErr == nil
-		for _, h := range imgs[1:] {
-			if h != imgs[0] {
-				stable = false
-			}
-		}
-		detail = fmt.Sprintf("post-boot image %s across %d engine modes", imgs[0], len(modes))
+		reused := pool.Stats().Reuses
+		detail = fmt.Sprintf("post-boot image %s on a fresh pool and %s on a warmed one (%d nodes reused)",
+			ImageHash(sharedImg), ImageHash(warmImg), reused)
 		if imgErr != nil {
 			detail = imgErr.Error()
 		}
 		add("snap-golden-"+string(ref),
-			fmt.Sprintf("the %s reference machine's post-boot snapshot hash is engine-mode invariant", ref),
-			stable, "%s", detail)
+			fmt.Sprintf("the %s reference machine's post-boot snapshot is byte-identical on a fresh and a warmed event pool", ref),
+			imgErr == nil && reused > 0 && bytes.Equal(sharedImg, warmImg), "%s", detail)
 
 		// Warm start: restoring the shared image is reproducible — the
 		// same (image, salt) pair continues to identical bytes, salt 0
@@ -390,7 +357,7 @@ func SnapshotChecks(seed uint64) []CheckResult {
 			h1a, err1 := warmContinuationHash(ref, seed, sharedImg, salt)
 			h1b, err2 := warmContinuationHash(ref, seed, sharedImg, salt)
 			pass := err0 == nil && err1 == nil && err2 == nil &&
-				h0 == hashes[0] && h1a == h1b
+				h0 == t2 && h1a == h1b
 			detail := fmt.Sprintf("salt 0 -> %s (= uninterrupted), salt %#x -> %s twice", h0, uint64(salt), h1a)
 			for _, err := range []error{err0, err1, err2} {
 				if err != nil {

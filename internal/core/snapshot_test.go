@@ -8,8 +8,8 @@ import (
 )
 
 // TestSnapshotChecks runs the full snapshot claim set: resume
-// equivalence per engine mode, engine-mode-invariant golden image
-// hashes, and warm-start reproducibility, for both reference machines.
+// equivalence, golden image hashes invariant under event-pool reuse,
+// and warm-start reproducibility, for both reference machines.
 func TestSnapshotChecks(t *testing.T) {
 	results := SnapshotChecks(1)
 	if len(results) != 6 {
@@ -29,7 +29,7 @@ func TestSnapshotChecks(t *testing.T) {
 // different tie-break salt must NOT reproduce the uninterrupted bytes.
 // (RestoreImageWarm with a non-zero salt is exactly that machine.)
 func TestResumeDivergenceDetected(t *testing.T) {
-	img, err := BootImage(RefStock, 1, "", 0)
+	img, err := BootImage(RefStock, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestBisectRaceFixture(t *testing.T) {
 // checkpoint path under the bisector's microscope.
 func TestBisectMachineReplica(t *testing.T) {
 	build := func(salt uint64) (BisectReplica, error) {
-		s, err := BootReference(RefShielded, 1, "", 0, salt)
+		s, err := BootReference(RefShielded, 1, salt)
 		if err != nil {
 			return nil, err
 		}

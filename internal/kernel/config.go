@@ -93,22 +93,6 @@ type Config struct {
 	// fails if one does not. The default (0) is plain FIFO.
 	TiebreakSalt uint64
 
-	// EventQueue selects the event-queue implementation backing the
-	// machine's engine: sim.QueueLadder (the default when empty) or
-	// sim.QueueHeap, the reference binary heap kept for A/B comparison
-	// (rtsim -queue heap). Every implementation realises the identical
-	// dispatch total order, so this knob can never change results —
-	// core's golden tests run both to prove it.
-	EventQueue sim.QueueKind
-
-	// EngineShards, when EventQueue is sim.QueueSharded (or the process
-	// default was switched to it), sets the sub-queue count; 0 uses the
-	// sim package default. One shard per simulated CPU is the natural
-	// grain (rtsim -engine=sharded -shards=N). Like EventQueue itself
-	// this can never change results: the sharded queue merges shard
-	// heads under the identical dispatch total order.
-	EngineShards int
-
 	// EventPool, when non-nil, supplies the engine's event-node free
 	// list instead of a fresh private pool. The replication runner sets
 	// this to one pool per worker goroutine so consecutive replications
@@ -159,45 +143,7 @@ func (c *Config) Validate() error {
 	if c.Timing.HTSlowdown <= 0 || c.Timing.HTSlowdown > 1 {
 		return fmt.Errorf("kernel: config %q: HTSlowdown must be in (0,1]", c.Name)
 	}
-	if !c.EventQueue.Valid() {
-		return fmt.Errorf("kernel: config %q: unknown event queue %q", c.Name, c.EventQueue)
-	}
-	if c.EngineShards < 0 {
-		return fmt.Errorf("kernel: config %q: EngineShards must be >= 0, got %d", c.Name, c.EngineShards)
-	}
 	return nil
-}
-
-// Lookahead returns the machine's cross-CPU latency floor: the smallest
-// delay after which activity on one CPU can first become visible on
-// another. It is the conservative-parallel lookahead horizon for the
-// sharded engine — within a window of this width, per-CPU event streams
-// are causally independent.
-//
-// The floor is the cheapest cross-CPU interaction the model contains,
-// all scaled to the configured clock:
-//
-//   - IdleExit: an idle CPU kicked awake by a wakeup on another CPU
-//     dispatches after the idle-exit latency (CPU.kick) — the model's
-//     IPI-delivery analogue, and on every shipped config the minimum;
-//   - WakeupCost: try_to_wake_up charged on the waking CPU before the
-//     target runqueue changes;
-//   - the local timer period: the global tick (IRQ0) fans out to CPUs
-//     at tick granularity.
-//
-// A degenerate config (zero idle-exit/wakeup latency) returns 0, and
-// the engine falls back to serial execution rather than windowing on a
-// zero-width horizon — New enforces that, lookahead_test.go pins it.
-func (c *Config) Lookahead() sim.Duration {
-	tick := sim.Duration(int64(sim.Second) / int64(c.LocalTimerHz))
-	min := c.scale(c.Timing.IdleExit)
-	if w := c.scale(c.Timing.WakeupCost); w < min {
-		min = w
-	}
-	if tick < min {
-		min = tick
-	}
-	return min
 }
 
 // Timing holds every timing magnitude in the model, specified for a 1 GHz

@@ -780,18 +780,8 @@ func (c *CPU) kick(t *Task) {
 			// runqueue; the model arbitrates that bus contention in
 			// kick order (FIFO), the way a fixed-priority memory bus
 			// arbiter would. See "Tie-break determinism" in DESIGN.md §8.
-			//
-			// The idle-exit dispatch is this model's IPI delivery: it is
-			// scheduled from the *waking* CPU's context but belongs to
-			// CPU c, so it carries c's shard placement hint (restored
-			// afterwards — hints route storage on the sharded engine,
-			// never order). Its IdleExit delay is also the floor of
-			// Config.Lookahead: no cross-CPU event travels faster.
-			prev := c.kern.Eng.ShardHint()
-			c.kern.Eng.SetShardHint(c.ID)
 			delay := c.kern.Cfg.scale(c.kern.Cfg.Timing.IdleExit) //simlint:region sched idle-exit
 			c.dispatchEv = c.kern.Eng.AfterPinnedTagged(delay, evIdleDispatch.Tag(uint64(c.ID), 0, 0), c.idleDispatch)
-			c.kern.Eng.SetShardHint(prev)
 		}
 		return
 	}

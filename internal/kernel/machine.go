@@ -62,27 +62,7 @@ func New(cfg Config, seed uint64) *Kernel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	// Resolve the effective queue kind so the degenerate-lookahead check
-	// also covers runs whose *process default* is the sharded engine
-	// (rtsim -engine=sharded, CI's ldflags matrix leg).
-	queue := cfg.EventQueue
-	if queue == "" {
-		queue = sim.DefaultQueueKind()
-	}
-	if queue == sim.QueueSharded && cfg.Lookahead() <= 0 {
-		// No cross-CPU latency floor means no safe lookahead window: fall
-		// back to the serial ladder engine instead of a zero-width
-		// horizon. Identical results either way — the sharded queue's
-		// dispatch order is the serial order — so the fallback is a pure
-		// execution-strategy decision.
-		queue = sim.QueueLadder
-	}
-	eng := sim.NewEngineOpts(seed, sim.EngineOptions{
-		Queue:          queue,
-		Pool:           cfg.EventPool,
-		Shards:         cfg.EngineShards,
-		ShardLookahead: cfg.Lookahead(),
-	})
+	eng := sim.NewEngineWithPool(seed, cfg.EventPool)
 	if cfg.TiebreakSalt != 0 {
 		eng.PerturbTiebreaks(cfg.TiebreakSalt)
 	}
@@ -274,17 +254,9 @@ func (k *Kernel) Start() {
 	}
 	k.started = true
 	for _, c := range k.cpus {
-		// Each CPU's periodic machinery is anchored on that CPU's shard:
-		// the hint is sticky and inherited by everything these timers
-		// schedule, so on the sharded engine each CPU's event stream
-		// stays on its own sub-queue unless it explicitly crosses CPUs.
-		k.Eng.SetShardHint(c.ID)
 		c.startLocalTimer()
 		c.startBusSampling()
 	}
-	// Machine-global events (IRQ0 fan-out, invariant sampling, initial
-	// task placement) anchor on shard 0.
-	k.Eng.SetShardHint(0)
 	// The global timer (IRQ0) fires at HZ, independent of the per-CPU
 	// local APIC timers — but phase-locked with CPU 0's local tick
 	// (both at exact multiples of the period), so the simultaneity is

@@ -325,28 +325,33 @@ func TestKernelBulkCancelThroughTick(t *testing.T) {
 }
 
 func TestWheelQueueABIdentical(t *testing.T) {
-	// The wheel is driven by the engine's timer tick; swapping the
-	// engine's queue implementation must not move a single expiry.
-	run := func(kind sim.QueueKind) []sim.Time {
-		cfg := StandardLinux24(1, 1.0, false)
-		cfg.EventQueue = kind
-		k := New(cfg, 7)
-		var fires []sim.Time
-		for i := 0; i < 12; i++ {
-			d := sim.Duration(7+i*13) * sim.Millisecond
-			k.AddTimer(d, func() { fires = append(fires, k.Now()) })
-		}
-		k.Start()
-		k.Eng.Run(sim.Time(400 * sim.Millisecond))
-		return fires
+	// The wheel is driven by the engine's timer tick: a timer armed for d
+	// expires on the jiffy at which ceil(d/jiffy)+1 ticks have elapsed
+	// (the kernel always waits out the current partial tick), and its
+	// callback runs from that tick's timer bottom half, a few µs later.
+	// Every one of the 12 expiries must land on its own tick, in arming
+	// order.
+	cfg := StandardLinux24(1, 1.0, false)
+	k := New(cfg, 7)
+	jiffy := sim.Duration(int64(sim.Second) / int64(cfg.LocalTimerHz))
+	var fires []sim.Time
+	var want []sim.Time
+	for i := 0; i < 12; i++ {
+		d := sim.Duration(7+i*13) * sim.Millisecond
+		ticks := (d + jiffy - 1) / jiffy
+		want = append(want, sim.Time(0).Add((ticks+1)*jiffy))
+		k.AddTimer(d, func() { fires = append(fires, k.Now()) })
 	}
-	h, l := run(sim.QueueHeap), run(sim.QueueLadder)
-	if len(h) != len(l) {
-		t.Fatalf("heap fired %d, ladder fired %d", len(h), len(l))
+	k.Start()
+	k.Eng.Run(sim.Time(400 * sim.Millisecond))
+	if len(fires) != len(want) {
+		t.Fatalf("%d timers fired, want %d", len(fires), len(want))
 	}
-	for i := range h {
-		if h[i] != l[i] {
-			t.Fatalf("expiry %d: heap at %v, ladder at %v", i, h[i], l[i])
+	const bhSlack = 100 * sim.Microsecond
+	for i := range want {
+		if fires[i] < want[i] || fires[i] >= want[i].Add(bhSlack) {
+			t.Errorf("expiry %d (d=%v) fired at %v, want within %v after the tick at %v",
+				i, sim.Duration(7+i*13)*sim.Millisecond, fires[i], bhSlack, want[i])
 		}
 	}
 }

@@ -106,7 +106,7 @@ func MapSeeded[T any](workers int, base uint64, n int, fn func(i int, seed uint6
 // MapSeededPooled is MapSeeded for replications that recycle event-node
 // storage: each worker goroutine owns one sim.EventPool and hands it to
 // every replication it executes (via kernel.Config.EventPool or
-// sim.EngineOptions.Pool), so consecutive replications on the same
+// sim.NewEngineWithPool), so consecutive replications on the same
 // worker run at zero allocations per event against warm nodes.
 //
 // Pool ownership follows the same discipline as engines and RNGs:

@@ -113,7 +113,7 @@ func TestDeriveSeedBeatsAdditiveOffsets(t *testing.T) {
 // any worker count.
 func TestMapSeededPooledDeterministicAcrossWorkerCounts(t *testing.T) {
 	churn := func(seed uint64, pool *sim.EventPool) uint64 {
-		e := sim.NewEngineOpts(seed, sim.EngineOptions{Pool: pool})
+		e := sim.NewEngineWithPool(seed, pool)
 		rng := sim.NewRNG(seed)
 		var acc uint64
 		for j := 0; j < 64; j++ {
@@ -150,7 +150,7 @@ func TestMapSeededPooledPoolOwnership(t *testing.T) {
 	const n = 32
 	for _, w := range []int{1, 4} {
 		pools := MapSeededPooled(w, 7, n, func(i int, seed uint64, pool *sim.EventPool) *sim.EventPool {
-			e := sim.NewEngineOpts(seed, sim.EngineOptions{Pool: pool})
+			e := sim.NewEngineWithPool(seed, pool)
 			for j := 0; j < 50; j++ {
 				e.After(sim.Duration(j)*sim.Microsecond, func() {})
 			}
@@ -225,5 +225,75 @@ func TestDoRunsAllJobs(t *testing.T) {
 	)
 	if a != 1 || b != 2 || c != 3 {
 		t.Fatalf("jobs incomplete: %d %d %d", a, b, c)
+	}
+}
+
+// TestMapSeededPooledZeroAndNegativeItems: n <= 0 returns nil without
+// spawning anything.
+func TestMapSeededPooledZeroAndNegativeItems(t *testing.T) {
+	calls := 0
+	for _, n := range []int{0, -3} {
+		got := MapSeededPooled(4, 1, n, func(i int, seed uint64, pool *sim.EventPool) int {
+			calls++
+			return i
+		})
+		if got != nil {
+			t.Fatalf("n=%d: got %v, want nil", n, got)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("fn called %d times for empty inputs", calls)
+	}
+}
+
+// TestMapSeededPooledWorkersExceedItems: more workers than items still
+// runs every item exactly once, in index order, each with a live pool.
+func TestMapSeededPooledWorkersExceedItems(t *testing.T) {
+	const n = 3
+	got := MapSeededPooled(16, 99, n, func(i int, seed uint64, pool *sim.EventPool) uint64 {
+		if pool == nil {
+			t.Error("nil pool")
+		}
+		if want := sim.DeriveSeed(99, uint64(i)); seed != want {
+			t.Errorf("item %d: seed %#x, want %#x", i, seed, want)
+		}
+		return seed ^ uint64(i)
+	})
+	if len(got) != n {
+		t.Fatalf("got %d results, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if want := sim.DeriveSeed(99, uint64(i)) ^ uint64(i); v != want {
+			t.Errorf("result[%d] = %#x, want %#x", i, v, want)
+		}
+	}
+}
+
+// TestMapSeededPooledWorkerCountEquivalence: the merged result slice is
+// bit-identical for workers 1 and N even when each replication drives a
+// real engine through the shared pool.
+func TestMapSeededPooledWorkerCountEquivalence(t *testing.T) {
+	run := func(workers int) []uint64 {
+		return MapSeededPooled(workers, 0x9001, 12, func(i int, seed uint64, pool *sim.EventPool) uint64 {
+			e := sim.NewEngineWithPool(seed, pool)
+			var sum uint64
+			rng := e.RNG()
+			for j := 0; j < 50; j++ {
+				e.After(sim.Duration(1+rng.Intn(1000))*sim.Nanosecond, func() {
+					sum += uint64(e.Now()) * (uint64(j) + 1)
+				})
+			}
+			e.RunAll()
+			return sum
+		})
+	}
+	want := run(1)
+	for _, w := range []int{2, 4, 7} {
+		got := run(w)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: result[%d] = %#x, want %#x", w, i, got[i], want[i])
+			}
+		}
 	}
 }

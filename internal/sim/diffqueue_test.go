@@ -34,15 +34,14 @@ type diffMachine struct {
 	slots int
 }
 
-func newDiffMachine(kind QueueKind, salt uint64) *diffMachine {
-	return newDiffMachineOpts(EngineOptions{Queue: kind}, salt)
-}
-
-// newDiffMachineOpts is newDiffMachine for full engine options — the
-// sharded oracle (shard_test.go) uses it to pit heap against sharded
-// queues of every shard count.
-func newDiffMachineOpts(opts EngineOptions, salt uint64) *diffMachine {
-	m := &diffMachine{e: NewEngineOpts(7, opts)}
+// newDiffMachine builds a machine on the ladder, or on the reference
+// heap when heap is set.
+func newDiffMachine(heap bool, salt uint64) *diffMachine {
+	e := NewEngine(7)
+	if heap {
+		withRefHeap(e)
+	}
+	m := &diffMachine{e: e}
 	if salt != 0 {
 		m.e.PerturbTiebreaks(salt)
 	}
@@ -82,13 +81,9 @@ func (m *diffMachine) schedule(at Time, pinned bool) {
 	m.live = append(m.live, ev)
 }
 
-// exec interprets one op byte. Every op also rotates the engine's
-// shard placement hint — a no-op for order on every queue kind (the
-// contract the sharded machines in shard_test.go are held to), and the
-// rotation spreads the sharded queue's nodes across all sub-queues.
+// exec interprets one op byte.
 func (m *diffMachine) exec(op byte) {
 	arg := int(op >> 3)
-	m.e.SetShardHint(int(op%16) - 4) // negative hints included
 	switch op % 8 {
 	case 0: // near-future schedule (same ladder slot or next few)
 		m.schedule(m.e.Now().Add(Duration(arg)*Microsecond), false)
@@ -126,8 +121,8 @@ func (m *diffMachine) exec(op byte) {
 // diffRun drives both machines and asserts lockstep equivalence.
 func diffRun(t *testing.T, ops []byte, salt uint64) {
 	t.Helper()
-	h := newDiffMachine(QueueHeap, salt)
-	l := newDiffMachine(QueueLadder, salt)
+	h := newDiffMachine(true, salt)
+	l := newDiffMachine(false, salt)
 	for i, op := range ops {
 		h.exec(op)
 		l.exec(op)

@@ -7,17 +7,15 @@ import "fmt"
 // (real SMP hardware is modelled, not exploited).
 //
 // The hot path is allocation-free: event storage comes from a free-list
-// pool (EventPool) and the default queue is a two-level ladder
-// (ladderQueue) with O(1) amortised push/pop. Both are invisible in
-// results — the dispatch order is the eventOrder total order regardless
-// of queue implementation or node recycling, and the reference heap
-// (QueueHeap) stays selectable to prove it.
+// pool (EventPool) and the queue is a two-level ladder (ladderQueue)
+// with O(1) amortised push/pop. Both are invisible in results — the
+// dispatch order is the eventOrder total order regardless of node
+// recycling, and the in-package tests hold the ladder to a reference
+// heap to prove it.
 type Engine struct {
 	now Time
-	// q holds pending (and lazily-cancelled) events; kind records which
-	// implementation was chosen.
-	q    eventQueue
-	kind QueueKind
+	// q holds pending (and lazily-cancelled) events.
+	q eventQueue
 	// pool recycles event nodes; possibly shared with other engines on
 	// the same goroutine (see runner.MapSeededPooled).
 	pool *EventPool
@@ -35,88 +33,24 @@ type Engine struct {
 	// san is the build-tag-gated sanitizer state: a zero-size no-op
 	// under the default build, shadow-check state under -tags simsan.
 	san sanState
-	// shardHint is the placement hint captured into every scheduled
-	// node (eventNode.shard). It is sticky: SetShardHint installs it,
-	// and dispatching an event re-installs that event's own hint so
-	// children inherit their parent's shard. Placement only routes
-	// nodes between the sharded queue's sub-queues — it is never part
-	// of eventOrder, so it cannot change results on any queue kind.
-	shardHint int32
 }
 
-// EngineOptions selects non-default engine internals. The zero value is
-// the production configuration: ladder queue, private event pool.
-type EngineOptions struct {
-	// Queue picks the event-queue implementation; "" means QueueLadder.
-	Queue QueueKind
-	// Pool, when non-nil, is used instead of a fresh private pool.
-	// Sharing a pool across engines is safe only when the engines run
-	// on the same goroutine (the replication runner owns one pool per
-	// worker); pooling never affects results.
-	Pool *EventPool
-	// NoPool disables node recycling (every event allocates): the
-	// reference mode for the pooled-vs-alloc benchmarks. Ignored when
-	// Pool is set.
-	NoPool bool
-	// Shards is the sub-queue count when Queue is QueueSharded (0 means
-	// the package default, SetDefaultShardCount). Ignored by the other
-	// queue kinds. Negative values panic.
-	Shards int
-	// ShardLookahead is the minimum cross-shard event latency the model
-	// guarantees (kernel.Config.Lookahead derives it from the machine's
-	// IPI/wakeup/tick costs). The sharded queue's dispatch needs no
-	// lookahead to be correct — it merges shard heads under the full
-	// eventOrder — but the simsan shadow sanitizer uses it for the
-	// cross-shard causality check: no shard may pop an event further
-	// than the lookahead past another shard's earliest pending event.
-	ShardLookahead Duration
-}
-
-// NewEngine returns an engine at time 0 with an RNG seeded from seed,
-// using the default queue (ladder) and a private event pool.
+// NewEngine returns an engine at time 0 with an RNG seeded from seed
+// and a private event pool.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineOpts(seed, EngineOptions{})
+	return NewEngineWithPool(seed, nil)
 }
 
-// NewEngineOpts is NewEngine with explicit internals, for A/B runs
-// (rtsim -queue, kernel.Config.EventQueue) and pooled replication.
-func NewEngineOpts(seed uint64, opts EngineOptions) *Engine {
-	if !opts.Queue.Valid() {
-		panic(fmt.Sprintf("sim: unknown queue kind %q", opts.Queue))
-	}
-	kind := opts.Queue
-	if kind == "" {
-		kind = defaultQueueKind
-	}
-	pool := opts.Pool
+// NewEngineWithPool is NewEngine drawing event nodes from pool; nil
+// means a private pool. Sharing a pool across engines is safe only when
+// the engines run on the same goroutine (the replication runner owns
+// one pool per worker); pooling never affects results.
+func NewEngineWithPool(seed uint64, pool *EventPool) *Engine {
 	if pool == nil {
-		if opts.NoPool {
-			pool = newAllocPool()
-		} else {
-			pool = NewEventPool()
-		}
+		pool = NewEventPool()
 	}
-	if opts.Shards < 0 {
-		panic(fmt.Sprintf("sim: negative shard count %d", opts.Shards))
-	}
-	return &Engine{
-		q:    newQueue(kind, opts.Shards, opts.ShardLookahead),
-		kind: kind, pool: pool, rng: NewRNG(seed),
-	}
+	return &Engine{q: newLadderQueue(), pool: pool, rng: NewRNG(seed)}
 }
-
-// SetShardHint installs the placement hint captured into subsequently
-// scheduled events. The hint is sticky until the next SetShardHint —
-// and dispatch re-installs the fired event's own hint, so events
-// scheduled from a callback inherit the callback's shard unless the
-// callback overrides it. On the sharded queue the hint picks the
-// sub-queue (modulo shard count); on every other queue kind it is
-// recorded but ignored. Placement is never part of eventOrder, so no
-// hint can change results.
-func (e *Engine) SetShardHint(s int) { e.shardHint = int32(s) }
-
-// ShardHint reports the current placement hint.
-func (e *Engine) ShardHint() int { return int(e.shardHint) }
 
 // NextEventTime returns the fire time of the earliest pending event,
 // or ok == false when nothing is pending. It drains lazily-cancelled
@@ -128,9 +62,6 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	}
 	return n.At, true
 }
-
-// QueueKind reports which queue implementation the engine runs on.
-func (e *Engine) QueueKind() QueueKind { return e.kind }
 
 // PoolStats returns a snapshot of the engine's event-pool counters.
 func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
@@ -222,7 +153,6 @@ func (e *Engine) schedule(at Time, fn func(), pinned bool, tag EventTag) Event {
 	n.seq = e.nextSeq
 	n.fn = fn
 	n.pinned = pinned
-	n.shard = e.shardHint
 	n.tag = tag
 	e.nextSeq++
 	e.q.push(n)
@@ -345,9 +275,6 @@ func (e *Engine) fireHead() {
 	e.sanOnPop(n)
 	fn := n.fn
 	e.fired++
-	// Re-install the fired event's placement hint so events the callback
-	// schedules land on the same shard as their parent (see SetShardHint).
-	e.shardHint = n.shard
 	e.pool.put(n)
 	fn()
 }

@@ -93,12 +93,6 @@ type eventNode struct {
 	// //simlint:allow directive — each one documents the hardware
 	// arbitration it models.
 	pinned bool
-	// shard is the placement hint captured from Engine.SetShardHint at
-	// schedule time. It routes the node to a sub-queue when the engine
-	// runs on the sharded queue and is ignored everywhere else; it is
-	// never part of eventOrder, so placement can never change dispatch
-	// order.
-	shard int32
 	// tag is the event's registered kind plus its constructor arguments
 	// (ScheduleTagged and friends). A tagged event can be serialised and
 	// rebuilt across a snapshot/restore boundary; an untagged one (zero
@@ -107,11 +101,11 @@ type eventNode struct {
 	tag EventTag
 }
 
-// eventOrder is the total dispatch order every queue implementation
-// must realise: (At, tie-break key, seq). seq is unique per engine, so
-// the order is total — which is what makes the ladder queue and the
-// reference heap produce bit-identical pop sequences (the differential
-// harness in diffqueue_test.go enforces it mechanically).
+// eventOrder is the total dispatch order the queue must realise: (At,
+// tie-break key, seq). seq is unique per engine, so the order is total —
+// which is what makes the ladder queue and the test-only reference heap
+// produce bit-identical pop sequences (the differential harness in
+// diffqueue_test.go enforces it mechanically).
 //
 // With salt == 0 (the default) the tie-break key is the scheduling
 // sequence number, i.e. FIFO at equal time. With salt != 0 the key of an

@@ -24,10 +24,8 @@ func validateLadder(t *testing.T, e *Engine) {
 
 func TestLadderFarOverflowRoundTrip(t *testing.T) {
 	// Window is 256 slots of 2^16 ns ≈ 16.8 ms; schedule well past it so
-	// events park in the far heap, then drain in global order. The queue
-	// is pinned explicitly: these are ladder white-box tests and must not
-	// follow the process default (CI's sharded leg flips it).
-	e := NewEngineOpts(1, EngineOptions{Queue: QueueLadder})
+	// events park in the far heap, then drain in global order.
+	e := NewEngine(1)
 	var fired []Time
 	times := []Time{
 		Time(40 * Millisecond), Time(5 * Microsecond), Time(90 * Millisecond),
@@ -59,7 +57,7 @@ func TestLadderWindowWrapLap(t *testing.T) {
 	// A periodic timer stepping ~one slot per firing laps the circular
 	// bucket array several times; order and invariants must hold
 	// throughout. 1500 steps of 65 µs ≈ 96 ms ≈ 5.8 window laps.
-	e := NewEngineOpts(1, EngineOptions{Queue: QueueLadder})
+	e := NewEngine(1)
 	const steps = 1500
 	count := 0
 	var tick func()
@@ -83,7 +81,7 @@ func TestLadderRewindAfterIdleRun(t *testing.T) {
 	// Run(until) with only a far-future event peeks, which slides the
 	// window to that event's slot. Scheduling behind the window start
 	// afterwards must trigger a rewind, not a mis-ordered dispatch.
-	e := NewEngineOpts(1, EngineOptions{Queue: QueueLadder})
+	e := NewEngine(1)
 	var fired []Time
 	e.Schedule(Time(100*Millisecond), func() { fired = append(fired, e.Now()) })
 	e.Run(Time(50 * Millisecond)) // idle advance; window slid to the 100ms slot
@@ -172,8 +170,11 @@ func TestLadderMatchesHeapOnKernelLikeCadence(t *testing.T) {
 	// A miniature kernel cadence: a 10 ms jiffy tick, a 65 µs local
 	// tick, jittered IRQ arrivals, and cancellations — replayed on both
 	// implementations, compared fire-for-fire.
-	run := func(kind QueueKind) []Time {
-		e := NewEngineOpts(5, EngineOptions{Queue: kind})
+	run := func(heap bool) []Time {
+		e := NewEngine(5)
+		if heap {
+			withRefHeap(e)
+		}
 		var fired []Time
 		rng := NewRNG(11)
 		var jiffy, local func()
@@ -202,7 +203,7 @@ func TestLadderMatchesHeapOnKernelLikeCadence(t *testing.T) {
 		e.RunAll()
 		return fired
 	}
-	h, l := run(QueueHeap), run(QueueLadder)
+	h, l := run(true), run(false)
 	if len(h) != len(l) {
 		t.Fatalf("heap fired %d, ladder fired %d", len(h), len(l))
 	}

@@ -25,8 +25,8 @@ type EventPool struct {
 	free []*eventNode
 	// disabled makes put recycle nothing (nodes still have their
 	// generation bumped, so handle staleness checks behave identically)
-	// and get always allocate. This is the alloc-per-event reference
-	// mode used by the pooled-vs-alloc benchmarks.
+	// and get always allocate. Only the in-package tests set it: it is
+	// the alloc-per-event reference for the pooled-vs-alloc benchmarks.
 	disabled bool
 
 	allocs uint64 // nodes created fresh
@@ -36,9 +36,6 @@ type EventPool struct {
 
 // NewEventPool returns an empty pool.
 func NewEventPool() *EventPool { return &EventPool{} }
-
-// newAllocPool returns a pool in reference (no-recycle) mode.
-func newAllocPool() *EventPool { return &EventPool{disabled: true} }
 
 // PoolStats is a snapshot of pool traffic, exposed for benchmarks and
 // tests. Reuses/(Allocs+Reuses) is the hit rate.
@@ -95,7 +92,6 @@ func (p *EventPool) put(nd *eventNode) {
 	nd.fn = nil
 	nd.state = nodeFree
 	nd.pinned = false
-	nd.shard = 0
 	nd.tag = EventTag{}
 	p.puts++
 	if !p.disabled {

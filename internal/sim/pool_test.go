@@ -139,15 +139,15 @@ func TestPoolSteadyStateReuses(t *testing.T) {
 	}
 }
 
-// NoPool mode is the alloc-per-event reference: the free list stays
+// The alloc pool is the alloc-per-event reference: the free list stays
 // empty and every get allocates, while handle-staleness semantics are
 // unchanged (gen still bumps on put).
-func TestNoPoolModeAllocatesEveryEvent(t *testing.T) {
-	e := NewEngineOpts(1, EngineOptions{NoPool: true})
+func TestAllocPoolAllocatesEveryEvent(t *testing.T) {
+	e := withAllocPool(NewEngine(1))
 	ev := e.Schedule(1, func() {})
 	e.RunAll()
 	if ev.Pending() {
-		t.Fatal("fired event still pending in NoPool mode")
+		t.Fatal("fired event still pending in alloc-pool mode")
 	}
 	for i := 0; i < 100; i++ {
 		e.After(Duration(i%8)*Microsecond, func() {})
@@ -155,21 +155,21 @@ func TestNoPoolModeAllocatesEveryEvent(t *testing.T) {
 	}
 	st := e.PoolStats()
 	if st.Reuses != 0 {
-		t.Fatalf("NoPool engine reused %d nodes", st.Reuses)
+		t.Fatalf("alloc-pool engine reused %d nodes", st.Reuses)
 	}
 	if st.Allocs != 101 {
-		t.Fatalf("NoPool engine allocated %d nodes, want 101", st.Allocs)
+		t.Fatalf("alloc-pool engine allocated %d nodes, want 101", st.Allocs)
 	}
 	if st.Free != 0 {
-		t.Fatalf("NoPool engine retained %d free nodes", st.Free)
+		t.Fatalf("alloc-pool engine retained %d free nodes", st.Free)
 	}
 }
 
 // Sharing one pool across sequential engines (the replication runner's
 // per-worker pattern) must be invisible in results.
 func TestSharedPoolAcrossSequentialEnginesIsInvisible(t *testing.T) {
-	run := func(opts EngineOptions) []Time {
-		e := NewEngineOpts(9, opts)
+	run := func(pool *EventPool) []Time {
+		e := NewEngineWithPool(9, pool)
 		var fired []Time
 		for i := 0; i < 200; i++ {
 			i := i
@@ -179,9 +179,9 @@ func TestSharedPoolAcrossSequentialEnginesIsInvisible(t *testing.T) {
 		return fired
 	}
 	pool := NewEventPool()
-	a := run(EngineOptions{Pool: pool}) // cold pool
-	b := run(EngineOptions{Pool: pool}) // warm pool: recycled nodes, bumped gens
-	c := run(EngineOptions{})           // private pool
+	a := run(pool) // cold pool
+	b := run(pool) // warm pool: recycled nodes, bumped gens
+	c := run(nil)  // private pool
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
 			t.Fatalf("dispatch %d diverged across pool configurations: cold %v, warm %v, private %v",

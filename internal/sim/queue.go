@@ -1,21 +1,16 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
-
-// eventQueue is the priority-queue contract behind the engine. All
-// implementations must realise the same eventOrder total order — the
-// differential harness (diffqueue_test.go) holds them to bit-identical
-// pop sequences, and the golden figure hashes hold whole-system results
-// to the same bar.
+// eventQueue is the priority-queue contract behind the engine. The
+// ladder queue (ladderQueue) is the only production implementation; the
+// interface exists so tests can install the reference binary heap
+// (refheap_test.go) in its place and hold the two to bit-identical pop
+// sequences (diffqueue_test.go), while the golden figure hashes hold
+// whole-system results to the same bar.
 //
-// Cancellation is lazy everywhere: the engine marks a node
-// nodeCancelled and the queue physically drops it when it surfaces, so
-// implementations never need random-access removal (the operation that
-// forced index back-pointers onto the old heap).
+// Cancellation is lazy: the engine marks a node nodeCancelled and the
+// queue physically drops it when it surfaces, so implementations never
+// need random-access removal (the operation that forced index
+// back-pointers onto the old heap).
 type eventQueue interface {
 	// push inserts a pending node. Nodes pushed while a batch at the
 	// same instant is draining must still surface in eventOrder position.
@@ -36,134 +31,4 @@ type eventQueue interface {
 	// validate checks implementation invariants, reporting the first
 	// violation through fail. Wired to the simsan periodic check.
 	validate(fail func(string))
-}
-
-// QueueKind selects an event-queue implementation.
-type QueueKind string
-
-const (
-	// QueueLadder is the two-level ladder/calendar queue: O(1) amortised
-	// push/pop inside a sliding near-future window, with a far-future
-	// overflow heap. The default.
-	QueueLadder QueueKind = "ladder"
-	// QueueHeap is the reference binary min-heap. Kept as the
-	// differential baseline and selectable for A/B runs
-	// (rtsim -queue heap, kernel.Config.EventQueue).
-	QueueHeap QueueKind = "heap"
-	// QueueSharded partitions the queue into per-shard ladder queues
-	// (one per simulated CPU or CPU group, routed by the engine's shard
-	// hint) merged at pop time under the same eventOrder total order.
-	// Pop sequences are bit-identical to the heap and the single ladder
-	// — the differential harness and FuzzShardedSchedule hold it to that
-	// — so like the other kinds it can never change a result. Selected
-	// by rtsim/reprocheck -engine=sharded -shards=N or
-	// kernel.Config.{EventQueue,EngineShards}.
-	QueueSharded QueueKind = "sharded"
-)
-
-// Valid reports whether k names a known implementation ("" means the
-// package default).
-func (k QueueKind) Valid() bool {
-	return k == "" || k == QueueLadder || k == QueueHeap || k == QueueSharded
-}
-
-// defaultQueueKind is the implementation behind engines that do not ask
-// for one explicitly (EngineOptions.Queue == ""). It exists for
-// whole-program A/B runs (rtsim -queue heap): set once at process
-// startup before any engine is built, read only at engine construction
-// — never from simulation callbacks, so it cannot influence a running
-// model beyond which (order-identical) queue implementation serves it.
-//
-//simlint:allow globalstate startup-only A/B selector written before any engine exists; both kinds realise the identical dispatch order (FuzzDiffQueue), so no run can observe the value
-var defaultQueueKind = QueueLadder
-
-// SetDefaultQueueKind selects the queue implementation for engines
-// created without an explicit EngineOptions.Queue. "" restores the
-// package default (the ladder queue); unknown kinds panic. Call it only
-// at startup, before any engine exists.
-func SetDefaultQueueKind(k QueueKind) {
-	if !k.Valid() {
-		panic(fmt.Sprintf("sim: unknown queue kind %q", k))
-	}
-	if k == "" {
-		k = QueueLadder
-	}
-	defaultQueueKind = k
-}
-
-// DefaultQueueKind reports the queue implementation engines get by
-// default.
-func DefaultQueueKind() QueueKind { return defaultQueueKind }
-
-// defaultShardCount is the shard count behind engines that select the
-// sharded queue without an explicit EngineOptions.Shards. Like
-// defaultQueueKind it is a startup-only whole-program A/B selector
-// (rtsim -engine=sharded -shards=N) read exclusively at engine
-// construction.
-//
-//simlint:allow globalstate startup-only A/B selector written before any engine exists; every shard count realises the identical dispatch order (FuzzShardedSchedule), so no run can observe the value
-var defaultShardCount = 4
-
-// defaultEngineMode, when set via -ldflags "-X repro/internal/sim.defaultEngineMode=sharded:N",
-// switches the package default engine to the sharded queue with N
-// shards before any engine exists. It is how CI's sharded matrix leg
-// runs the whole test suite — golden hashes included — on the sharded
-// engine without touching any test.
-//
-//simlint:allow globalstate linker-injected startup constant, never written at runtime
-var defaultEngineMode string
-
-func init() {
-	mode := defaultEngineMode
-	if mode == "" {
-		return
-	}
-	rest, ok := strings.CutPrefix(mode, "sharded")
-	if !ok {
-		panic(fmt.Sprintf("sim: unknown defaultEngineMode %q (want sharded[:N])", mode))
-	}
-	if n, found := strings.CutPrefix(rest, ":"); found {
-		v, err := strconv.Atoi(n)
-		if err != nil || v < 1 {
-			panic(fmt.Sprintf("sim: bad shard count in defaultEngineMode %q", mode))
-		}
-		SetDefaultShardCount(v)
-	} else if rest != "" {
-		panic(fmt.Sprintf("sim: unknown defaultEngineMode %q (want sharded[:N])", mode))
-	}
-	SetDefaultQueueKind(QueueSharded)
-}
-
-// SetDefaultShardCount selects the shard count for engines that pick
-// the sharded queue without an explicit EngineOptions.Shards. Call it
-// only at startup, before any engine exists; n must be at least 1.
-func SetDefaultShardCount(n int) {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: shard count must be >= 1, got %d", n))
-	}
-	defaultShardCount = n
-}
-
-// DefaultShardCount reports the shard count sharded-queue engines get
-// by default.
-func DefaultShardCount() int { return defaultShardCount }
-
-func newQueue(kind QueueKind, shards int, lookahead Duration) eventQueue {
-	switch kind {
-	case "":
-		kind = defaultQueueKind
-	case QueueLadder, QueueHeap, QueueSharded:
-	default:
-		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
-	}
-	switch kind {
-	case QueueHeap:
-		return newRefHeap()
-	case QueueSharded:
-		if shards <= 0 {
-			shards = defaultShardCount
-		}
-		return newShardedQueue(shards, lookahead)
-	}
-	return newLadderQueue()
 }

@@ -2,11 +2,40 @@ package sim
 
 import "fmt"
 
+// Test-only oracles for the engine's two production mechanisms: the
+// reference binary heap the ladder queue is diffed against, and the
+// no-recycle pool the free-list pool is benchmarked against. withRefHeap
+// and withAllocPool install them on a fresh engine.
+
+// withRefHeap swaps e's ladder queue for the reference heap. It must be
+// called before anything is scheduled (or a salt is installed).
+func withRefHeap(e *Engine) *Engine {
+	if e.q.len() > 0 || e.ord.salt != 0 {
+		panic("sim: withRefHeap on a used engine")
+	}
+	e.q = newRefHeap()
+	return e
+}
+
+// withAllocPool swaps e's pool for one in reference (no-recycle) mode:
+// every event allocates a fresh node. Call it before anything is
+// scheduled.
+func withAllocPool(e *Engine) *Engine {
+	if e.q.len() > 0 {
+		panic("sim: withAllocPool on a used engine")
+	}
+	e.pool = newAllocPool()
+	return e
+}
+
+// newAllocPool returns a pool in reference (no-recycle) mode.
+func newAllocPool() *EventPool { return &EventPool{disabled: true} }
+
 // refHeap is the reference binary min-heap over eventOrder. It is the
 // straightforward implementation the original engine shipped with
 // (minus index back-pointers, which lazy cancellation made
 // unnecessary), kept as the ground truth the ladder queue is diffed
-// against and selectable for A/B runs via QueueHeap.
+// against.
 type refHeap struct {
 	ord   eventOrder
 	items []*eventNode
@@ -19,7 +48,6 @@ func (h *refHeap) setSalt(salt uint64) { h.ord.salt = salt }
 func (h *refHeap) len() int { return len(h.items) }
 
 func (h *refHeap) push(n *eventNode) {
-	//simlint:allow hotalloc heap growth is amortized O(1); capacity persists across pops like the ladder's buckets
 	h.items = append(h.items, n)
 	h.up(len(h.items) - 1)
 }

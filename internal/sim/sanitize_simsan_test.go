@@ -120,7 +120,7 @@ func TestSimsanCatchesLadderSizeDesync(t *testing.T) {
 }
 
 func TestSimsanCatchesHeapPropertyViolation(t *testing.T) {
-	e := NewEngineOpts(1, EngineOptions{Queue: QueueHeap})
+	e := withRefHeap(NewEngine(1))
 	for i := 0; i < 8; i++ {
 		e.Schedule(Time(i), func() {})
 	}

@@ -82,7 +82,6 @@ type RestoredEvent struct {
 	At         Time
 	Seq        uint64
 	Pinned     bool
-	Shard      int32
 	Kind       string
 	A0, A1, A2 uint64
 }
@@ -91,15 +90,15 @@ type RestoredEvent struct {
 const engineSection = "sim.engine"
 
 // SnapshotTo serialises the engine — clock, sequence counter, dispatch
-// statistics, tie-break salt, shard hint, RNG stream, and every pending
-// event — into one "sim.engine" section.
+// statistics, tie-break salt, RNG stream, and every pending event — into
+// one "sim.engine" section.
 //
 // Pending events are written sorted by the eventOrder dispatch order,
-// which makes the bytes canonical: ladder, heap and sharded queues all
-// produce the identical section for the same simulation state (queue
-// internals are never serialised — restore re-pushes the events, and
-// any implementation realises the same total order). Lazily-cancelled
-// nodes are dropped: they have no observable future.
+// which makes the bytes canonical: the ladder and the test-only
+// reference heap produce the identical section for the same simulation
+// state (queue internals are never serialised — restore re-pushes the
+// events, and any implementation realises the same total order).
+// Lazily-cancelled nodes are dropped: they have no observable future.
 //
 // Every pending event must carry a tag (ScheduleTagged and friends);
 // an anonymous closure in flight is an error naming the offending
@@ -132,7 +131,6 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 	w.U64(2, e.nextSeq)
 	w.U64(3, e.fired)
 	w.U64(4, e.ord.salt)
-	w.I64(5, int64(e.shardHint))
 	w.U64(6, e.rng.State())
 	w.U64(7, uint64(len(names)))
 	for _, name := range names {
@@ -143,7 +141,6 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 		w.I64(10, int64(n.At))
 		w.U64(11, n.seq)
 		w.Bool(12, n.pinned)
-		w.I64(13, int64(n.shard))
 		w.U64(14, idx[n.tag.Kind])
 		w.U64(15, n.tag.A0)
 		w.U64(16, n.tag.A1)
@@ -156,7 +153,7 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 // RestoreState rewrites the engine to a snapshot's state: it drains and
 // recycles everything currently queued (the boot events of a freshly
 // reconstructed machine), then overwrites the clock, sequence counter,
-// salt, shard hint and RNG stream from the image. The snapshot's
+// salt and RNG stream from the image. The snapshot's
 // pending events are returned, not queued — the caller rebuilds each
 // callback from its kind and pushes it back with RestoreEvent. Between
 // RestoreState and the first RestoreEvent the queue is empty, so a
@@ -181,7 +178,6 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 	salt := r.U64(4)
 	e.ord.salt = salt
 	e.q.setSalt(salt)
-	e.shardHint = int32(r.I64(5))
 	e.rng.SetState(r.U64(6))
 	names := make([]string, r.U64(7))
 	for i := range names {
@@ -193,7 +189,6 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 			At:     Time(r.I64(10)),
 			Seq:    r.U64(11),
 			Pinned: r.Bool(12),
-			Shard:  int32(r.I64(13)),
 		}
 		ki := r.U64(14)
 		ev.A0, ev.A1, ev.A2 = r.U64(15), r.U64(16), r.U64(17)
@@ -221,7 +216,7 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 
 // RestoreEvent re-queues one snapshot event with its rebuilt callback.
 // The occurrence keeps its original sequence number, fire time, pinned
-// class, shard placement and tag — so the restored engine dispatches
+// class and tag — so the restored engine dispatches
 // the identical (At, key, seq) total order the snapshotted one would
 // have. It returns the new handle for owners that hold one (timer
 // events, armed frame completions).
@@ -240,7 +235,6 @@ func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) Event {
 	n.seq = rev.Seq
 	n.fn = fn
 	n.pinned = rev.Pinned
-	n.shard = rev.Shard
 	n.tag = EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
 	e.q.push(n)
 	e.live++
@@ -262,18 +256,16 @@ func (e *Engine) NextEventInfo() (at Time, seq uint64, kind string, ok bool) {
 
 func init() {
 	snapshot.RegisterState(Engine{}, snapshot.Manifest{
-		"now":       "codec",
-		"q":         "skip: queue internals are never serialised — restore re-pushes the pending events and every queue kind realises the identical eventOrder total order (diffqueue/shard differential harnesses)",
-		"kind":      "skip: reconstruction input — the restoring process picks its own queue implementation; dispatch order is implementation-invariant",
-		"pool":      "skip: free-list contents, generation counters and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
-		"ord":       "codec",
-		"nextSeq":   "codec",
-		"live":      "skip: derived — recomputed by RestoreEvent re-pushes",
-		"rng":       "codec",
-		"stopped":   "skip: transient run-loop flag; restore clears it (a snapshot is taken between events, never inside Stop handling)",
-		"fired":     "codec",
-		"san":       "skip: build-tag-gated shadow checker state; sanOnRestore resets its watermark because it re-derives everything else from live traffic",
-		"shardHint": "codec",
+		"now":     "codec",
+		"q":       "skip: queue internals are never serialised — restore re-pushes the pending events, and the ladder realises the identical eventOrder total order as the reference heap (diffqueue differential harness)",
+		"pool":    "skip: free-list contents, generation counters and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
+		"ord":     "codec",
+		"nextSeq": "codec",
+		"live":    "skip: derived — recomputed by RestoreEvent re-pushes",
+		"rng":     "codec",
+		"stopped": "skip: transient run-loop flag; restore clears it (a snapshot is taken between events, never inside Stop handling)",
+		"fired":   "codec",
+		"san":     "skip: build-tag-gated shadow checker state; sanOnRestore resets its watermark because it re-derives everything else from live traffic",
 	})
 	snapshot.RegisterState(RNG{}, snapshot.Manifest{
 		"state": "codec",
@@ -285,7 +277,6 @@ func init() {
 		"fn":     "codec", // rebuilt via the tag's registered kind constructor
 		"state":  "skip: only pending nodes are serialised; cancelled nodes have no observable future and free nodes are pool storage",
 		"pinned": "codec",
-		"shard":  "codec",
 		"tag":    "codec",
 	})
 }

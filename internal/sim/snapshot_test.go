@@ -109,23 +109,23 @@ func seedHarness(h *snapHarness) {
 	h.schedule(100_000, kindCount.Tag(99, 0, 0), false)
 }
 
-func runSnapshotResume(t *testing.T, opts EngineOptions, salt uint64, stopAt Time) {
+func runSnapshotResume(t *testing.T, newEng func(seed uint64) *Engine, salt uint64, stopAt Time) {
 	t.Helper()
 	// Uninterrupted reference run.
-	ref := newSnapHarness(NewEngineOpts(1234, opts))
+	ref := newSnapHarness(newEng(1234))
 	ref.eng.PerturbTiebreaks(salt)
 	seedHarness(ref)
 	ref.eng.Run(200_000)
 
 	// Interrupted run: stop at stopAt, snapshot, restore, continue.
-	a := newSnapHarness(NewEngineOpts(1234, opts))
+	a := newSnapHarness(newEng(1234))
 	a.eng.PerturbTiebreaks(salt)
 	seedHarness(a)
 	a.eng.Run(stopAt)
 	img := a.snapshot()
 
 	b := restoreHarness(t, img, func() *Engine {
-		eng := NewEngineOpts(999, opts) // seed overwritten by restore
+		eng := newEng(999) // seed overwritten by restore
 		// Boot noise the restore must drain, including a far-future event
 		// that drags the ladder window forward so the restored pushes
 		// exercise the rewind path.
@@ -167,20 +167,20 @@ func at(s []string, i int) string {
 }
 
 func TestSnapshotResume(t *testing.T) {
+	heap := func(seed uint64) *Engine { return withRefHeap(NewEngine(seed)) }
 	for _, tc := range []struct {
-		name string
-		opts EngineOptions
-		salt uint64
+		name   string
+		newEng func(seed uint64) *Engine
+		salt   uint64
 	}{
-		{"ladder", EngineOptions{Queue: QueueLadder}, 0},
-		{"heap", EngineOptions{Queue: QueueHeap}, 0},
-		{"sharded", EngineOptions{Queue: QueueSharded, Shards: 4}, 0},
-		{"ladder-salted", EngineOptions{Queue: QueueLadder}, 0xfeed},
-		{"sharded-salted", EngineOptions{Queue: QueueSharded, Shards: 2}, 7},
+		{"ladder", NewEngine, 0},
+		{"heap", heap, 0},
+		{"ladder-salted", NewEngine, 0xfeed},
+		{"heap-salted", heap, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, stop := range []Time{0, 26, 300, 1500} {
-				runSnapshotResume(t, tc.opts, tc.salt, stop)
+				runSnapshotResume(t, tc.newEng, tc.salt, stop)
 			}
 		})
 	}
@@ -188,24 +188,26 @@ func TestSnapshotResume(t *testing.T) {
 
 // TestSnapshotBytesQueueKindInvariant pins the canonical-bytes claim:
 // the engine section depends only on simulation state, never on which
-// queue implementation holds it.
+// queue implementation or pool mode holds it.
 func TestSnapshotBytesQueueKindInvariant(t *testing.T) {
-	build := func(opts EngineOptions) []byte {
-		h := newSnapHarness(NewEngineOpts(42, opts))
+	build := func(e *Engine) []byte {
+		h := newSnapHarness(e)
 		seedHarness(h)
 		h.eng.Run(400)
 		return h.snapshot()
 	}
-	ladder := build(EngineOptions{Queue: QueueLadder})
-	for _, opts := range []EngineOptions{
-		{Queue: QueueHeap},
-		{Queue: QueueSharded, Shards: 2},
-		{Queue: QueueSharded, Shards: 8},
-		{Queue: QueueLadder, NoPool: true},
+	ladder := build(NewEngine(42))
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+	}{
+		{"heap", withRefHeap(NewEngine(42))},
+		{"alloc-pool", withAllocPool(NewEngine(42))},
+		{"heap+alloc", withAllocPool(withRefHeap(NewEngine(42)))},
 	} {
-		if got := build(opts); !reflect.DeepEqual(got, ladder) {
-			t.Errorf("snapshot bytes differ for %+v (hash %016x vs ladder %016x)",
-				opts, snapshot.Hash(got), snapshot.Hash(ladder))
+		if got := build(tc.eng); !reflect.DeepEqual(got, ladder) {
+			t.Errorf("snapshot bytes differ on %s (hash %016x vs ladder %016x)",
+				tc.name, snapshot.Hash(got), snapshot.Hash(ladder))
 		}
 	}
 }
@@ -400,9 +402,9 @@ func TestRestoredHandleLifecycle(t *testing.T) {
 // FuzzSnapshotResume is the differential harness of the resume
 // contract, in the style of FuzzDiffQueue: a fuzzed op stream seeds a
 // restorable workload, one engine runs it uninterrupted, a second is
-// snapshotted at a fuzzed point, restored into a third (possibly on a
-// different queue implementation), and the two futures must be
-// identical — dispatch log, clock, fired count, counter and RNG stream.
+// snapshotted at a fuzzed point, restored into a third (qa and qb pick
+// the ladder or the reference heap for each side), and the two futures
+// must be identical — dispatch log, clock, fired count, counter and RNG stream.
 func FuzzSnapshotResume(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 2, 3, 4, 5, 6}, uint8(2), uint8(0), uint8(1))
 	f.Add(uint64(42), []byte{0xff, 0x01, 0x80, 0x7f, 0x33, 0x9a, 0x00, 0x10}, uint8(7), uint8(1), uint8(2))
@@ -412,9 +414,13 @@ func FuzzSnapshotResume(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		kinds := []QueueKind{QueueLadder, QueueHeap, QueueSharded}
-		optsA := EngineOptions{Queue: kinds[int(qa)%len(kinds)], Shards: 3}
-		optsB := EngineOptions{Queue: kinds[int(qb)%len(kinds)], Shards: 2}
+		newEng := func(q uint8, seed uint64) *Engine {
+			e := NewEngine(seed)
+			if q%2 == 1 {
+				withRefHeap(e)
+			}
+			return e
+		}
 		salt := seed % 3 // exercise salted and unsalted orders
 
 		seedOps := func(h *snapHarness) {
@@ -432,19 +438,19 @@ func FuzzSnapshotResume(f *testing.F) {
 		}
 		const horizon = 50_000
 
-		ref := newSnapHarness(NewEngineOpts(seed, optsA))
+		ref := newSnapHarness(newEng(qa, seed))
 		ref.eng.PerturbTiebreaks(salt)
 		seedOps(ref)
 		ref.eng.Run(horizon)
 
-		a := newSnapHarness(NewEngineOpts(seed, optsA))
+		a := newSnapHarness(newEng(qa, seed))
 		a.eng.PerturbTiebreaks(salt)
 		seedOps(a)
 		a.eng.Run(Time(stopByte) * 100)
 		img := a.snapshot()
 
 		b := restoreHarness(t, img, func() *Engine {
-			eng := NewEngineOpts(seed^0x55, optsB)
+			eng := newEng(qb, seed^0x55)
 			eng.Schedule(1, func() {})
 			eng.Schedule(10_000_000, func() {})
 			return eng

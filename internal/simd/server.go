@@ -140,7 +140,12 @@ func (s *Server) start() {
 		_, _ = runner.MapSeededPooledCtx(ctx, s.cfg.Workers, 1, s.cfg.Workers,
 			func(i int, seed uint64, pool *sim.EventPool) int {
 				for j := range s.queue {
-					s.run(j, pool)
+					if !s.run(j, pool) {
+						// The panicking run may have left nodes checked
+						// out of the pool or its free list half-updated;
+						// the next job starts on a clean one.
+						pool = sim.NewEventPool()
+					}
 				}
 				return 0
 			})
@@ -167,14 +172,18 @@ func (s *Server) Drain() {
 	s.cancel()
 }
 
-// run executes one job on a pool worker and publishes its result.
-func (s *Server) run(j *job, pool *sim.EventPool) {
+// run executes one job on a pool worker and publishes its result. A
+// panicking scenario fails its own job and nothing else; run then
+// reports false so the worker replaces pool before its next job.
+func (s *Server) run(j *job, pool *sim.EventPool) (poolOK bool) {
 	s.setState(j, StateRunning)
-	out, err := s.execute(j.scenario, pool)
+	out, err := s.executeRecovered(j.scenario, pool)
+	var pe *panicError
+	poolOK = !errors.As(err, &pe)
 	if err == nil {
-		if perr := s.results.Put(j.scenario.Key(), out); perr != nil {
-			err = perr
-		}
+		// A failed cache write (full or read-only disk) leaves the
+		// correctly computed result uncached; the job still succeeds.
+		_ = s.results.Put(j.scenario.Key(), out)
 	}
 
 	s.mu.Lock()
@@ -197,6 +206,27 @@ func (s *Server) run(j *job, pool *sim.EventPool) {
 		ch <- st
 		close(ch)
 	}
+	return poolOK
+}
+
+// panicError is the failure of a job whose scenario panicked.
+type panicError struct {
+	figure string
+	value  any
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("simd: scenario %s panicked: %v", e.figure, e.value)
+}
+
+// executeRecovered is execute with a panic turned into a *panicError.
+func (s *Server) executeRecovered(sc core.Scenario, pool *sim.EventPool) (out []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			out, err = nil, &panicError{figure: sc.Figure, value: v}
+		}
+	}()
+	return s.execute(sc, pool)
 }
 
 // runScenario is the default execute: figures run cold through the
@@ -226,9 +256,9 @@ func (s *Server) runScenario(sc core.Scenario, pool *sim.EventPool) ([]byte, err
 		return nil, err
 	}
 	s.coldBoots.Add(1)
-	if err := s.images.Put(ik, img); err != nil {
-		return nil, err
-	}
+	// An image that cannot be cached only costs later windows their
+	// warm start; the result itself is correct.
+	_ = s.images.Put(ik, img)
 	return out, nil
 }
 

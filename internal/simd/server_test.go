@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -490,4 +493,100 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatalf("draining healthz status %d, want 503", hr.StatusCode)
 	}
 	readAll(t, hr)
+}
+
+// TestPanickingScenarioFailsOnlyItsJob: a scenario that panics on the
+// only worker fails its own job with an error naming the panic value;
+// the worker survives on a fresh event pool, the failed key is not left
+// in flight (a retry runs again instead of joining a dead job), other
+// requests complete, and Drain returns normally.
+func TestPanickingScenarioFailsOnlyItsJob(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		pools []*sim.EventPool
+	)
+	srv, ts := testServer(t, Config{Workers: 1}, func(sc core.Scenario, pool *sim.EventPool) ([]byte, error) {
+		mu.Lock()
+		pools = append(pools, pool)
+		mu.Unlock()
+		if sc.Seed == 666 {
+			panic("boom")
+		}
+		return []byte(fmt.Sprintf("seed %d", sc.Seed)), nil
+	})
+	bad := ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 666, RunForMS: 5}
+	for attempt := 0; attempt < 2; attempt++ {
+		resp := post(t, ts, "/v1/scenarios?wait=1", bad)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("attempt %d: panicking scenario status %d, want 500", attempt, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), "panicked: boom") {
+			t.Fatalf("attempt %d: error %q does not name the panic value", attempt, body)
+		}
+	}
+
+	resp := post(t, ts, "/v1/scenarios?wait=1", ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 7, RunForMS: 5})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || string(body) != "seed 7" {
+		t.Fatalf("follow-up request: status %d body %q", resp.StatusCode, body)
+	}
+	mu.Lock()
+	if len(pools) != 3 || pools[1] == pools[0] || pools[2] == pools[1] {
+		t.Error("worker reused the event pool of a panicked run")
+	}
+	mu.Unlock()
+	if st := srv.Stats(); st.Failed != 2 || st.Completed != 1 {
+		t.Fatalf("stats failed=%d completed=%d, want 2 and 1", st.Failed, st.Completed)
+	}
+
+	drained := make(chan struct{})
+	go func() { srv.Drain(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return")
+	}
+}
+
+// TestCacheWriteFailureStillServes: when the result and image stores
+// cannot write (their directories replaced by regular files, so every
+// disk Put fails), a continuation still completes with the correct
+// bytes, uncached on disk.
+func TestCacheWriteFailureStillServes(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := newServer(Config{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"results", "images"} {
+		p := filepath.Join(dir, sub)
+		if err := os.RemoveAll(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.start()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(srv.Drain)
+	t.Cleanup(ts.Close)
+
+	req := ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 3, RunForMS: 5}
+	resp := post(t, ts, "/v1/scenarios?wait=1", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200 despite the failing store", resp.StatusCode, body)
+	}
+	sc, err := core.ResolveScenario(req.Figure, req.Scale, req.Seed, req.RunForMS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := core.RunScenario(sc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := resp.Header.Get("X-Simd-Result-Hash"); h != core.HashBytes(oracle) || !bytes.Equal(body, oracle) {
+		t.Fatalf("result hash header %q, want %q", h, core.HashBytes(oracle))
+	}
 }

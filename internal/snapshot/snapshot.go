@@ -27,7 +27,7 @@ import (
 
 // Version is the snapshot format version this build writes and the only
 // one it accepts back.
-const Version = 1
+const Version = 2
 
 // magic opens every snapshot image.
 const magic = "SNAP"
