@@ -37,7 +37,8 @@ func runCheck(t *testing.T, bin string, args ...string) (stdout, stderr string, 
 // TestReprocheckFlagValidation: out-of-range values, unreadable inputs
 // and undefined flags exit 2 with an error naming the problem — same
 // contract as rtsim, pinned per binary because each owns its flag
-// parsing.
+// parsing. The ladder is the only event queue, so invocations that set
+// the retired -queue/-engine/-shards knobs must be refused, not ignored.
 func TestReprocheckFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")
@@ -48,7 +49,11 @@ func TestReprocheckFlagValidation(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{"undefined_flag", []string{"-queue", "heap"}, "flag provided but not defined: -queue"},
+		{"unknown_queue", []string{"-queue", "wheel"}, "flag provided but not defined: -queue"},
+		{"unknown_engine", []string{"-engine", "turbo"}, "flag provided but not defined: -engine"},
+		{"zero_shards", []string{"-engine", "sharded", "-shards", "0"}, "flag provided but not defined: -engine"},
+		{"negative_shards", []string{"-shards", "-4"}, "flag provided but not defined: -shards"},
+		{"queue_vs_sharded", []string{"-engine", "sharded", "-queue", "ladder"}, "flag provided but not defined: -engine"},
 		{"negative_perturb", []string{"-perturb", "-1"}, "-perturb must be >= 0"},
 		{"missing_bounds", []string{"-bounds", "no-such-bounds.json"}, "-bounds"},
 	}

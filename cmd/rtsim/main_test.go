@@ -37,7 +37,9 @@ func runBin(t *testing.T, bin string, args ...string) (stdout, stderr string, ex
 
 // TestRtsimFlagValidation pins the e2e flag contract: out-of-range
 // -parallel and -scale values, and flags the binary does not define,
-// exit 2 with an error that names the problem.
+// exit 2 with an error that names the problem. The ladder is the only
+// event queue, so invocations that set the retired -queue/-engine/-shards
+// knobs must be refused, not ignored.
 func TestRtsimFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")
@@ -50,7 +52,11 @@ func TestRtsimFlagValidation(t *testing.T) {
 	}{
 		{"negative_parallel", []string{"-parallel", "-1", "-list"}, "-parallel must be >= 0"},
 		{"zero_scale", []string{"-scale", "0", "-list"}, "-scale must be > 0"},
-		{"undefined_flag", []string{"-engine", "serial", "-list"}, "flag provided but not defined: -engine"},
+		{"unknown_queue", []string{"-queue", "wheel", "-list"}, "flag provided but not defined: -queue"},
+		{"unknown_engine", []string{"-engine", "turbo", "-list"}, "flag provided but not defined: -engine"},
+		{"zero_shards", []string{"-engine", "sharded", "-shards", "0", "-list"}, "flag provided but not defined: -engine"},
+		{"negative_shards", []string{"-shards", "-2", "-list"}, "flag provided but not defined: -shards"},
+		{"queue_vs_sharded", []string{"-engine", "sharded", "-queue", "heap", "-list"}, "flag provided but not defined: -engine"},
 	}
 	for _, tc := range cases {
 		tc := tc
