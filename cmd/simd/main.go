@@ -75,14 +75,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simd:", err)
 		os.Exit(1)
 	}
+	// Catch signals before announcing the address: a client that reads
+	// the line may send SIGTERM at once, and it must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	fmt.Printf("simd listening on %s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("simd: %v: draining\n", s)

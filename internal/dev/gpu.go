@@ -17,12 +17,16 @@ type GPU struct {
 
 	// Statistics.
 	Batches uint64
+
+	// onIRQ is raiseIRQ, bound once so each batch allocates nothing.
+	onIRQ func()
 }
 
 // NewGPU creates the controller and registers its interrupt line.
 func NewGPU(k *kernel.Kernel, name string) *GPU {
 	g := &GPU{k: k, name: name}
 	g.id = k.RegisterComponent(g)
+	g.onIRQ = g.raiseIRQ
 	handler := func(rng *sim.RNG) sim.Duration {
 		return rng.Jitter(4*sim.Microsecond, 0.4)
 	}
@@ -41,7 +45,7 @@ func (g *GPU) IRQ() *kernel.IRQLine { return g.irq }
 // through it.
 func (g *GPU) SubmitBatch(renderTime sim.Duration) {
 	g.Batches++
-	g.k.Eng.AfterTagged(renderTime, evGPUIRQ.Tag(g.id, 0, 0), g.raiseIRQ)
+	g.k.Eng.AfterTagged(renderTime, evGPUIRQ.Tag(g.id, 0, 0), g.onIRQ)
 }
 
 // raiseIRQ is the FIFO-drain interrupt event body.

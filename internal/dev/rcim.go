@@ -32,6 +32,9 @@ type RCIM struct {
 	running  bool
 	lastFire sim.Time
 	fires    uint64
+
+	// onFire is fire, bound once so re-arming allocates nothing.
+	onFire func()
 }
 
 // ExternalInput is one of the RCIM's edge-triggered external interrupt
@@ -92,6 +95,7 @@ func NewRCIM(k *kernel.Kernel, period sim.Duration) *RCIM {
 	}
 	r := &RCIM{k: k, wq: k.NewWaitQueue("rcim"), period: period}
 	r.id = k.RegisterComponent(r)
+	r.onFire = r.fire
 	handler := func(rng *sim.RNG) sim.Duration {
 		// The handler reads the card's status and acknowledges the
 		// interrupt: several PCI transactions at ~1-2µs each. PCI bus
@@ -159,7 +163,7 @@ func (r *RCIM) Start() {
 		return
 	}
 	r.running = true
-	r.k.Eng.AfterTagged(r.period, evRCIMFire.Tag(r.id, 0, 0), r.fire)
+	r.k.Eng.AfterTagged(r.period, evRCIMFire.Tag(r.id, 0, 0), r.onFire)
 }
 
 // fire is the count-register-zero event body: raise the edge-triggered
@@ -171,7 +175,7 @@ func (r *RCIM) fire() {
 	r.lastFire = r.k.Now()
 	r.fires++
 	r.k.Raise(r.irq)
-	r.k.Eng.AfterTagged(r.period, evRCIMFire.Tag(r.id, 0, 0), r.fire)
+	r.k.Eng.AfterTagged(r.period, evRCIMFire.Tag(r.id, 0, 0), r.onFire)
 }
 
 // Stop halts the periodic timer.

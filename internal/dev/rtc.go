@@ -32,6 +32,9 @@ type RTC struct {
 	// lastFire is when the most recent periodic interrupt was raised.
 	lastFire sim.Time
 	fires    uint64
+
+	// onFire is fire, bound once so re-arming allocates nothing.
+	onFire func()
 }
 
 // NewRTC creates the device and registers its interrupt line.
@@ -47,6 +50,7 @@ func NewRTC(k *kernel.Kernel, hz int) *RTC {
 		period: sim.Duration(int64(sim.Second) / int64(hz)),
 	}
 	r.id = k.RegisterComponent(r)
+	r.onFire = r.fire
 	handler := func(rng *sim.RNG) sim.Duration {
 		// rtc_interrupt: read the status register, update the counter.
 		return rng.Jitter(2*sim.Microsecond, 0.3)
@@ -77,7 +81,7 @@ func (r *RTC) Start() {
 		return
 	}
 	r.running = true
-	r.k.Eng.AfterTagged(r.period, evRTCFire.Tag(r.id, 0, 0), r.fire)
+	r.k.Eng.AfterTagged(r.period, evRTCFire.Tag(r.id, 0, 0), r.onFire)
 }
 
 // fire is the periodic interrupt event body: raise the line and re-arm.
@@ -88,7 +92,7 @@ func (r *RTC) fire() {
 	r.lastFire = r.k.Now()
 	r.fires++
 	r.k.Raise(r.irq)
-	r.k.Eng.AfterTagged(r.period, evRTCFire.Tag(r.id, 0, 0), r.fire)
+	r.k.Eng.AfterTagged(r.period, evRTCFire.Tag(r.id, 0, 0), r.onFire)
 }
 
 // Stop halts interrupt generation (pending wakeups still happen).

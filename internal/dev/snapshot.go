@@ -53,21 +53,21 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return g.raiseIRQ, nil
+		return g.onIRQ, nil
 	})
 	kernel.RegisterEventRebuild("dev.rtc-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
 		r, err := component[*RTC](rc, a0, "dev.rtc-fire")
 		if err != nil {
 			return nil, err
 		}
-		return r.fire, nil
+		return r.onFire, nil
 	})
 	kernel.RegisterEventRebuild("dev.rcim-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
 		r, err := component[*RCIM](rc, a0, "dev.rcim-fire")
 		if err != nil {
 			return nil, err
 		}
-		return r.fire, nil
+		return r.onFire, nil
 	})
 }
 
@@ -265,6 +265,7 @@ func init() {
 		"name":    "skip: construction identity (section name)",
 		"id":      "skip: registration-order identity",
 		"Batches": "codec",
+		"onIRQ":   "skip: raiseIRQ bound once at construction; the dev.gpu-irq rebuilder hands it back",
 	})
 	snapshot.RegisterState(RTC{}, snapshot.Manifest{
 		"k":        "skip: construction back-pointer",
@@ -276,6 +277,7 @@ func init() {
 		"running":  "codec",
 		"lastFire": "codec",
 		"fires":    "codec",
+		"onFire":   "skip: fire bound once at construction; the dev.rtc-fire rebuilder hands it back",
 	})
 	snapshot.RegisterState(RCIM{}, snapshot.Manifest{
 		"k":        "skip: construction back-pointer",
@@ -287,6 +289,7 @@ func init() {
 		"running":  "codec",
 		"lastFire": "codec",
 		"fires":    "codec",
+		"onFire":   "skip: fire bound once at construction; the dev.rcim-fire rebuilder hands it back",
 	})
 	snapshot.RegisterState(ExternalInput{}, snapshot.Manifest{
 		"Name":     "skip: construction identity",

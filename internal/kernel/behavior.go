@@ -174,6 +174,10 @@ type syscallCall struct {
 	heldBKL bool // whether this call currently holds the BKL
 	// onComplete from the Action, run at syscall exit.
 	onComplete func(now sim.Time)
+	// split is the call's own buffer for the post-split segment list;
+	// segs aliases it when the kernel splits critical sections, and
+	// def.Segments otherwise. It keeps its capacity across calls.
+	split []Segment
 }
 
 // needsBKL reports whether this call must hold the BKL while executing,

@@ -60,8 +60,8 @@ type frame struct {
 	acquired  bool      // frameSpin: lock granted, convert when on top
 	spinSince sim.Time  // frameSpin: when the spin began
 	suspended bool      // frameSpin: buried under interrupt frames
-	// spinWhy records which syscall-engine continuation a spin frame's
-	// onDone is (spinForBKL or spinForSeg), so restore can rebuild it.
+	// spinWhy records which syscall-engine continuation runs once a
+	// spin frame's lock is held (spinForBKL or spinForSeg).
 	spinWhy uint8
 
 	// began is when a softirq pass started (frameSoftirq), for the
@@ -69,13 +69,13 @@ type frame struct {
 	began sim.Time
 
 	// complete is the action's OnComplete for user-mode compute frames
-	// (frameTask, seg == nil). Kept on the frame instead of captured in
-	// onDone so snapshots can verify it is nil (ActionCompleter behaviors
-	// need no closure; anything else fails the snapshot loudly).
+	// (frameTask, seg == nil). Kept on the frame so snapshots can verify
+	// it is nil (ActionCompleter behaviors need no closure; anything else
+	// fails the snapshot loudly).
 	complete func(now sim.Time)
 
-	// onDone runs when the frame's work completes (after it is popped).
-	onDone func()
+	// pooled marks a frame sitting on the kernel's free list.
+	pooled bool
 }
 
 // Spin-frame continuation discriminators (frame.spinWhy).
@@ -120,6 +120,13 @@ type CPU struct {
 	dispatchEv sim.Event
 	localTimer *IRQLine
 
+	// Event bodies, bound once in newCPU: scheduling a method value
+	// would allocate a fresh closure on every arm.
+	onFrameDone    func()
+	onTick         func()
+	onIdleDispatch func()
+	onBusResample  func()
+
 	// Statistics.
 	IRQsHandled  uint64
 	SoftirqRuns  uint64
@@ -145,6 +152,10 @@ func newCPU(k *Kernel, id int) *CPU {
 	tick := k.Cfg.scale(k.Cfg.Timing.TickHandler)
 	c.localTimer.HandlerWork = func(r *sim.RNG) sim.Duration { return r.Jitter(tick, 0.25) }
 	c.localTimer.OnHandle = func(cpu *CPU) { cpu.timerTick() }
+	c.onFrameDone = c.frameDone
+	c.onTick = c.tick
+	c.onIdleDispatch = c.idleDispatch
+	c.onBusResample = c.busResample
 	return c
 }
 
@@ -176,9 +187,51 @@ func (c *CPU) rate() float64 {
 
 // --- frame stack mechanics ---
 
+// getFrame hands out a zeroed frame, recycled from the kernel's free
+// list when one is available. A free-list frame that is not marked
+// pooled was reused after putFrame released it; handing it out again
+// would give two owners the same storage, so that panics.
+//
+//simlint:hotpath
+func (k *Kernel) getFrame() *frame {
+	if n := len(k.frames); n > 0 {
+		f := k.frames[n-1]
+		k.frames[n-1] = nil
+		k.frames = k.frames[:n-1]
+		if !f.pooled {
+			panic(fmt.Sprintf("kernel: frame free list holds a live %s frame", f.kind))
+		}
+		f.pooled = false
+		return f
+	}
+	//simlint:allow hotalloc free-list miss is the cold path; steady state recycles finished frames
+	return &frame{}
+}
+
+// putFrame returns a finished frame to the free list, keeping its locks
+// capacity. Only finishTop calls it, after the continuation has run:
+// spin frames (held by lockWaiter closures) and preempted frames parked
+// in t.saved never get here. Putting a frame twice panics.
+//
+//simlint:hotpath
+func (k *Kernel) putFrame(f *frame) {
+	if f.pooled {
+		panic(fmt.Sprintf("kernel: double free of %s frame", f.kind))
+	}
+	if f.done.Valid() {
+		panic(fmt.Sprintf("kernel: free of armed %s frame", f.kind))
+	}
+	clear(f.locks)
+	*f = frame{locks: f.locks[:0], pooled: true}
+	//simlint:allow hotalloc free-list growth is amortized; put reuses capacity at steady state
+	k.frames = append(k.frames, f)
+}
+
 // armTop schedules the completion event for the top frame at the current
 // rate. Spin frames are never armed: they make no progress by themselves,
 // but a buried spin that surfaces resumes its wall-clock accounting.
+//
+//simlint:hotpath
 func (c *CPU) armTop() {
 	f := c.top()
 	if f == nil {
@@ -202,23 +255,25 @@ func (c *CPU) armTop() {
 		d++ // ceil so work is never under-charged
 	}
 	f.lastAccrue = c.kern.Now()
-	f.done = c.kern.Eng.AfterTagged(d, evFrameDone.Tag(uint64(c.ID), 0, 0), c.frameDoneFn(f))
+	f.done = c.kern.Eng.AfterTagged(d, evFrameDone.Tag(uint64(c.ID), 0, 0), c.onFrameDone)
 }
 
-// frameDoneFn is the completion callback of an armed frame. The armed
-// frame is always the top of its CPU's stack, which is how restore finds
-// the frame a snapshotted "k.frame-done" event belongs to.
-func (c *CPU) frameDoneFn(f *frame) func() {
-	return func() {
-		f.done = sim.Event{}
-		f.workLeft = 0
-		c.account(f, c.kern.Now().Sub(f.lastAccrue))
-		c.finishTop(f)
-	}
+// frameDone is the completion event body of an armed frame. The armed
+// frame is always the top of its CPU's stack (push suspends the old top,
+// pop cancels), which is also how restore finds the frame a snapshotted
+// "k.frame-done" event belongs to.
+func (c *CPU) frameDone() {
+	f := c.top()
+	f.done = sim.Event{}
+	f.workLeft = 0
+	c.account(f, c.kern.Now().Sub(f.lastAccrue))
+	c.finishTop(f)
 }
 
 // suspendTop pauses the top frame: accrue progress, cancel its event.
 // Spin frames have no work to accrue but their wall time is accounted.
+//
+//simlint:hotpath
 func (c *CPU) suspendTop() {
 	f := c.top()
 	if f == nil {
@@ -250,6 +305,8 @@ func (c *CPU) suspendTop() {
 // in effect until now (oldRate) and re-arms it at the current rate. Every
 // rate transition must go through this so elapsed time is never charged at
 // the wrong speed.
+//
+//simlint:hotpath
 func (c *CPU) rateChangedFrom(oldRate float64) {
 	f := c.top()
 	if f == nil || !f.done.Valid() {
@@ -268,6 +325,8 @@ func (c *CPU) rateChangedFrom(oldRate float64) {
 }
 
 // push pauses the current top and stacks a new frame.
+//
+//simlint:hotpath
 func (c *CPU) push(f *frame) {
 	var sibOld float64
 	notify := !c.busy() && c.Sibling != nil
@@ -278,6 +337,7 @@ func (c *CPU) push(f *frame) {
 	if f.kind == frameSpin {
 		f.lastAccrue = c.kern.Now()
 	}
+	//simlint:allow hotalloc stack growth is amortized; steady state reuses its capacity
 	c.stack = append(c.stack, f)
 	c.armTop()
 	if notify {
@@ -286,6 +346,8 @@ func (c *CPU) push(f *frame) {
 }
 
 // pop removes the top frame (must be f).
+//
+//simlint:hotpath
 func (c *CPU) pop(f *frame) {
 	if c.top() != f {
 		panic("kernel: pop of non-top frame on cpu " + fmt.Sprint(c.ID))
@@ -309,13 +371,43 @@ func (c *CPU) pop(f *frame) {
 	}
 }
 
-// finishTop handles a frame's work completing.
+// finishTop handles a frame's work completing: pop it, run its
+// continuation, and recycle it. Spin frames never get here (they are
+// never armed), and a preempted task frame parked in t.saved left the
+// stack through preemptTop, so neither reaches the free list early.
 func (c *CPU) finishTop(f *frame) {
 	c.pop(f)
-	if f.onDone != nil {
-		f.onDone()
-	}
+	c.frameCont(f)
+	c.kern.putFrame(f)
 	c.settle()
+}
+
+// frameCont runs a popped frame's continuation, picked by its kind. It
+// is the one place that maps a frame to what happens when it finishes,
+// which is why a snapshotted frame needs no rebuilt closure: its
+// serialised kind, segment and spinWhy already name the continuation.
+// Task frames resolve the CPU at completion time (t.cpu), because a
+// preempted frame can resume on another CPU.
+func (c *CPU) frameCont(f *frame) {
+	t := f.task
+	switch f.kind {
+	case frameTask:
+		if f.seg != nil {
+			t.cpu.segDone(t, f.seg, f)
+			return
+		}
+		cur := t.cpu
+		actionDone(t, ActCompute, f.complete, cur.kern.Now())
+		cur.nextAction(t)
+	case frameISR:
+		c.isrDone(f.irq)
+	case frameSoftirq:
+		c.softirqDone(f.began)
+	case frameSwitch:
+		c.beginTask(t)
+	case frameSpin:
+		c.lockAcquired(t, f.spinWhy)
+	}
 }
 
 // addWorkTop charges extra work to the currently executing context (e.g.
@@ -351,9 +443,7 @@ func (c *CPU) settle() {
 			// A spinlock we were waiting for was granted while this
 			// frame was buried (or just now): convert to execution.
 			c.pop(f)
-			if f.onDone != nil {
-				f.onDone()
-			}
+			c.frameCont(f)
 			continue
 		}
 		if f != nil && f.kind == frameSpin && !f.acquired &&
@@ -362,9 +452,7 @@ func (c *CPU) settle() {
 			// freed meanwhile; the surfacing test-and-set wins it.
 			c.kern.Trace.LockAcquire(c.kern.Now(), c.ID, f.spin.Name, c.kern.Now().Sub(f.spinSince))
 			c.pop(f)
-			if f.onDone != nil {
-				f.onDone()
-			}
+			c.frameCont(f)
 			continue
 		}
 		if c.shouldPreempt() && c.canPreemptTop() {
@@ -450,33 +538,30 @@ func (c *CPU) pushISR(l *IRQLine) {
 	overhead := c.kern.Cfg.scale(t.IRQEntry + t.IRQExit) //simlint:region irq-off isr-overhead
 	work := overhead + l.HandlerWork(l.rng)              //simlint:region irq-off isr-dispatch
 	c.kern.Trace.IRQEnter(c.kern.Now(), c.ID, l.Num, l.Name)
-	f := &frame{kind: frameISR, irq: l, workLeft: float64(work)}
-	f.onDone = c.isrOnDone(f)
+	f := c.kern.getFrame()
+	f.kind, f.irq, f.workLeft = frameISR, l, float64(work)
 	c.push(f)
 }
 
-// isrOnDone is an ISR frame's completion: handler bookkeeping, device
+// isrDone is an ISR frame's completion: handler bookkeeping, device
 // side effects, and the cache penalty charged to the interrupted
-// context. Rebuildable from the frame alone (restore re-attaches it).
-func (c *CPU) isrOnDone(f *frame) func() {
-	l := f.irq
-	return func() {
-		l.Handled++
-		if c.ID < len(l.PerCPU) {
-			l.PerCPU[c.ID]++
-		}
-		c.IRQsHandled++
-		if l.OnHandle != nil {
-			l.OnHandle(c)
-		}
-		// Cache pollution: the interrupted context re-fetches lines the
-		// handler evicted.
-		if b := c.top(); b != nil {
-			penalty := l.rng.Jitter(c.kern.Cfg.scale(c.kern.Cfg.Timing.ISRCachePenalty), 0.5) //simlint:region overhead isr-cache-penalty
-			b.workLeft += float64(penalty)
-		}
-		c.kern.Trace.IRQExit(c.kern.Now(), c.ID, l.Num, l.Name)
+// context.
+func (c *CPU) isrDone(l *IRQLine) {
+	l.Handled++
+	if c.ID < len(l.PerCPU) {
+		l.PerCPU[c.ID]++
 	}
+	c.IRQsHandled++
+	if l.OnHandle != nil {
+		l.OnHandle(c)
+	}
+	// Cache pollution: the interrupted context re-fetches lines the
+	// handler evicted.
+	if b := c.top(); b != nil {
+		penalty := l.rng.Jitter(c.kern.Cfg.scale(c.kern.Cfg.Timing.ISRCachePenalty), 0.5) //simlint:region overhead isr-cache-penalty
+		b.workLeft += float64(penalty)
+	}
+	c.kern.Trace.IRQExit(c.kern.Now(), c.ID, l.Num, l.Name)
 }
 
 // --- softirqs (bottom halves) ---
@@ -559,36 +644,34 @@ func (c *CPU) maybeRunSoftirq() bool {
 	}
 	start := c.kern.Now()
 	c.kern.Trace.SoftirqEnter(start, c.ID, take)
-	f := &frame{kind: frameSoftirq, workLeft: float64(take), began: start}
-	f.onDone = c.softirqOnDone(f)
+	f := c.kern.getFrame()
+	f.kind, f.workLeft, f.began = frameSoftirq, float64(take), start
 	c.push(f)
 	return true
 }
 
-// softirqOnDone is a softirq frame's completion: pass statistics and the
-// SoftirqDaemon handoff of leftover work to ksoftirqd. The pass start
-// time lives on the frame (began), so restore can rebuild this closure.
-func (c *CPU) softirqOnDone(f *frame) func() {
-	return func() {
-		c.SoftirqRuns++
-		c.SoftirqTime += c.kern.Now().Sub(f.began)
-		c.kern.Trace.SoftirqExit(c.kern.Now(), c.ID, c.kern.Now().Sub(f.began))
-		// Budget exhausted with work left over: stock kernels retry in
-		// interrupt context (the next settle runs another pass);
-		// SoftirqDaemon kernels hand the REMAINDER to ksoftirqd, which
-		// competes as an ordinary task (§1's softirq changes). New
-		// raises still run at interrupt exit as usual.
-		if c.kern.Cfg.SoftirqDaemon && c.ksoftirqd != nil {
-			var rest float64
-			for v := range c.softirqPend {
-				rest += c.softirqPend[v]
-				c.softirqPend[v] = 0
-			}
-			if rest > 0 {
-				c.daemonBacklog += rest
-				c.softirqHanded++
-				c.kern.WakeAll(c.softirqWq, nil)
-			}
+// softirqDone is a softirq frame's completion: pass statistics and the
+// SoftirqDaemon handoff of leftover work to ksoftirqd. began is the
+// pass start time, kept on the frame so it survives snapshots.
+func (c *CPU) softirqDone(began sim.Time) {
+	c.SoftirqRuns++
+	c.SoftirqTime += c.kern.Now().Sub(began)
+	c.kern.Trace.SoftirqExit(c.kern.Now(), c.ID, c.kern.Now().Sub(began))
+	// Budget exhausted with work left over: stock kernels retry in
+	// interrupt context (the next settle runs another pass);
+	// SoftirqDaemon kernels hand the REMAINDER to ksoftirqd, which
+	// competes as an ordinary task (§1's softirq changes). New
+	// raises still run at interrupt exit as usual.
+	if c.kern.Cfg.SoftirqDaemon && c.ksoftirqd != nil {
+		var rest float64
+		for v := range c.softirqPend {
+			rest += c.softirqPend[v]
+			c.softirqPend[v] = 0
+		}
+		if rest > 0 {
+			c.daemonBacklog += rest
+			c.softirqHanded++
+			c.kern.WakeAll(c.softirqWq, nil)
 		}
 	}
 }
@@ -721,8 +804,9 @@ func (c *CPU) preemptTop() {
 	c.pop(f)
 	t := f.task
 	// Save the frame even at workLeft == 0 (preemption tying with
-	// completion): resuming arms a zero-length remainder whose onDone
-	// still runs, so the action is never silently dropped or redone.
+	// completion): resuming arms a zero-length remainder whose
+	// continuation still runs, so the action is never silently dropped
+	// or redone. A parked frame stays off the free list until then.
 	t.saved = f
 	c.Preemptions++
 	c.kern.Trace.Preempt(c.kern.Now(), c.ID, t.PID, t.Name, false)
@@ -781,7 +865,7 @@ func (c *CPU) kick(t *Task) {
 			// kick order (FIFO), the way a fixed-priority memory bus
 			// arbiter would. See "Tie-break determinism" in DESIGN.md §8.
 			delay := c.kern.Cfg.scale(c.kern.Cfg.Timing.IdleExit) //simlint:region sched idle-exit
-			c.dispatchEv = c.kern.Eng.AfterPinnedTagged(delay, evIdleDispatch.Tag(uint64(c.ID), 0, 0), c.idleDispatch)
+			c.dispatchEv = c.kern.Eng.AfterPinnedTagged(delay, evIdleDispatch.Tag(uint64(c.ID), 0, 0), c.onIdleDispatch)
 		}
 		return
 	}
@@ -829,15 +913,9 @@ func (c *CPU) dispatch() {
 	next.Switches++
 	c.cur = next
 	c.kern.Trace.Switch(c.kern.Now(), c.ID, next.PID, next.Name, next.rtEffective())
-	f := &frame{kind: frameSwitch, task: next, workLeft: float64(cost)}
-	f.onDone = c.switchOnDone(f)
+	f := c.kern.getFrame()
+	f.kind, f.task, f.workLeft = frameSwitch, next, float64(cost)
 	c.push(f)
-}
-
-// switchOnDone completes a context-switch frame: begin the task the
-// switch was into (recorded on the frame, so restore can rebuild this).
-func (c *CPU) switchOnDone(f *frame) func() {
-	return func() { c.beginTask(f.task) }
 }
 
 // beginTask resumes or starts the current task's execution.
@@ -874,14 +952,14 @@ func (c *CPU) nextAction(t *Task) {
 			// compute time, exponentially distributed.
 			work += t.rng.Exp(work.Scale(0.003))
 		}
-		f := &frame{kind: frameTask, task: t, workLeft: float64(work), complete: act.OnComplete}
-		f.onDone = c.computeOnDone(f)
+		f := c.kern.getFrame()
+		f.kind, f.task, f.workLeft, f.complete = frameTask, t, float64(work), act.OnComplete
 		c.push(f)
 	case ActSyscall:
 		if act.Call == nil {
 			panic("kernel: ActSyscall without call definition")
 		}
-		t.call = newSyscallState(act, &c.kern.Cfg)
+		t.call = t.beginCall(act, &c.kern.Cfg)
 		c.kern.Trace.SyscallEnter(c.kern.Now(), c.ID, t.PID, t.Name, act.Call.Name)
 		c.execSyscall(t)
 	case ActSleep:
@@ -927,18 +1005,6 @@ func (c *CPU) nextAction(t *Task) {
 	}
 }
 
-// computeOnDone completes a user-mode compute frame: the action's
-// completion hook, then the behavior's next step — on whatever CPU the
-// task is on NOW (a preempted frame can resume elsewhere).
-func (c *CPU) computeOnDone(f *frame) func() {
-	t := f.task
-	return func() {
-		cur := t.cpu
-		actionDone(t, ActCompute, f.complete, cur.kern.Now())
-		cur.nextAction(t)
-	}
-}
-
 // sleepWakeFn is an ActSleep expiry: action completion, then wake.
 func (k *Kernel) sleepWakeFn(t *Task, onComplete func(sim.Time)) func() {
 	return func() {
@@ -949,24 +1015,29 @@ func (k *Kernel) sleepWakeFn(t *Task, onComplete func(sim.Time)) func() {
 
 // --- syscall execution engine ---
 
-// newSyscallState prepares the in-flight state for a syscall, applying the
-// kernel's critical-section splitting (low-latency patches rewrite long
-// critical sections into shorter ones with scheduling points; §6).
-func newSyscallState(act Action, cfg *Config) *syscallCall {
+// beginCall prepares the task's in-flight state for a syscall in the
+// task's own syscallCall, applying the kernel's critical-section
+// splitting (low-latency patches rewrite long critical sections into
+// shorter ones with scheduling points; §6). A task has at most one call
+// in flight, so the state and its split buffer are reused call to call.
+func (t *Task) beginCall(act Action, cfg *Config) *syscallCall {
+	call := &t.callBuf
 	def := act.Call
 	segs := def.Segments
 	if max := cfg.MaxCritSection(); max > 0 {
-		segs = splitSegments(segs, max)
+		call.split = splitSegments(call.split[:0], segs, max)
+		segs = call.split
 	}
-	return &syscallCall{def: def, segs: segs, onComplete: act.OnComplete}
+	call.def, call.segs, call.idx, call.heldBKL, call.onComplete = def, segs, 0, false, act.OnComplete
+	return call
 }
 
-// splitSegments caps SegWork regions at max, inserting scheduling points
-// at the split boundaries. Lock-held regions become several shorter
-// lock-held regions (release/reacquire between chunks), exactly the shape
-// the low-latency patches gave the rewritten algorithms.
-func splitSegments(segs []Segment, max sim.Duration) []Segment {
-	out := make([]Segment, 0, len(segs))
+// splitSegments appends segs to out with SegWork regions capped at max,
+// inserting scheduling points at the split boundaries. Lock-held regions
+// become several shorter lock-held regions (release/reacquire between
+// chunks), exactly the shape the low-latency patches gave the rewritten
+// algorithms.
+func splitSegments(out, segs []Segment, max sim.Duration) []Segment {
 	for _, s := range segs {
 		if s.Kind != SegWork || s.D <= max {
 			out = append(out, s)
@@ -998,7 +1069,7 @@ func (c *CPU) execSyscall(t *Task) {
 	// Acquire (or reacquire after a block) the Big Kernel Lock if this
 	// call's path needs it (§6.3).
 	if call.needsBKL(cfg) && !call.heldBKL {
-		c.acquireLock(t, c.kern.BKL, false, spinForBKL, c.bklAcquiredFn(t, call))
+		c.acquireLock(t, c.kern.BKL, false, spinForBKL)
 		return
 	}
 
@@ -1039,45 +1110,41 @@ func (c *CPU) execSyscall(t *Task) {
 	}
 
 	if seg.Lock != nil {
-		c.acquireLock(t, seg.Lock, seg.IRQsOff, spinForSeg, c.segStartFn(t, call, seg))
+		c.acquireLock(t, seg.Lock, seg.IRQsOff, spinForSeg)
 		return
 	}
-	c.segStartFn(t, call, seg)()
+	c.startSeg(t, seg)
 }
 
-// bklAcquiredFn is the continuation of a BKL acquire at syscall entry or
-// resume: mark the lock held and advance the call.
-func (c *CPU) bklAcquiredFn(t *Task, call *syscallCall) func() {
-	return func() {
+// lockAcquired continues the syscall engine once a lock taken by
+// acquireLock is held: why says which lock it was. spinForBKL marks the
+// BKL held and advances the call; spinForSeg starts the call's current
+// segment, whose lock it was.
+func (c *CPU) lockAcquired(t *Task, why uint8) {
+	call := t.call
+	if why == spinForBKL {
 		call.heldBKL = true
 		c.execSyscall(t)
+		return
 	}
+	c.startSeg(t, &call.segs[call.idx])
 }
 
-// segStartFn pushes the execution frame for the call's current work
-// segment (after its lock, if any, was acquired).
-func (c *CPU) segStartFn(t *Task, call *syscallCall, seg *Segment) func() {
-	return func() {
-		f := &frame{kind: frameTask, task: t, seg: seg, workLeft: float64(seg.D), irqsOff: seg.IRQsOff}
-		if seg.Lock != nil {
-			f.locks = append(f.locks, seg.Lock)
-		}
-		// Resolve the CPU at completion time: a preemptible-kernel frame
-		// can be preempted and resumed on a different CPU.
-		f.onDone = segDoneFn(t, call, seg, f)
-		c.push(f)
+// startSeg pushes the execution frame for a work segment (after its
+// lock, if any, was acquired).
+func (c *CPU) startSeg(t *Task, seg *Segment) {
+	f := c.kern.getFrame()
+	f.kind, f.task, f.seg, f.workLeft, f.irqsOff = frameTask, t, seg, float64(seg.D), seg.IRQsOff
+	if seg.Lock != nil {
+		f.locks = append(f.locks, seg.Lock)
 	}
-}
-
-// segDoneFn is a segment frame's completion, resolved against wherever
-// the task is running when the work finishes.
-func segDoneFn(t *Task, call *syscallCall, seg *Segment, f *frame) func() {
-	return func() { t.cpu.segDone(t, call, seg, f) }
+	c.push(f)
 }
 
 // segDone completes a kernel work region: releases its locks, runs its
 // side effect, and checks the legal preemption points.
-func (c *CPU) segDone(t *Task, call *syscallCall, seg *Segment, f *frame) {
+func (c *CPU) segDone(t *Task, seg *Segment, f *frame) {
+	call := t.call
 	now := c.kern.Now()
 	for _, l := range f.locks {
 		l.release(now, c)
@@ -1107,17 +1174,17 @@ func (c *CPU) segDone(t *Task, call *syscallCall, seg *Segment, f *frame) {
 	c.execSyscall(t)
 }
 
-// acquireLock takes l for the task's context, spinning if contended.
-// then runs once the lock is held; why records which syscall-engine
-// continuation then is, so a snapshotted spin frame can be rebuilt.
-func (c *CPU) acquireLock(t *Task, l *SpinLock, irqsOff bool, why uint8, then func()) {
+// acquireLock takes l for the task's context, spinning if contended;
+// lockAcquired(t, why) continues once the lock is held. The spin frame
+// is allocated, not pooled: its lockWaiter closures outlive the pop.
+func (c *CPU) acquireLock(t *Task, l *SpinLock, irqsOff bool, why uint8) {
 	now := c.kern.Now()
 	if l.tryAcquire(c, now) {
-		then()
+		c.lockAcquired(t, why)
 		return
 	}
 	c.kern.Trace.LockContend(now, c.ID, l.Name, l.holder.ID)
-	f := &frame{kind: frameSpin, task: t, spin: l, irqsOff: irqsOff, spinSince: now, spinWhy: why, onDone: then}
+	f := &frame{kind: frameSpin, task: t, spin: l, irqsOff: irqsOff, spinSince: now, spinWhy: why}
 	l.addWaiter(c, now, c.spinActiveFn(f), c.spinGrantedFn(f))
 	c.push(f)
 }
@@ -1137,9 +1204,7 @@ func (c *CPU) spinGrantedFn(f *frame) func() {
 		c.kern.Trace.LockAcquire(c.kern.Now(), c.ID, f.spin.Name, c.kern.Now().Sub(f.spinSince))
 		if c.top() == f {
 			c.pop(f)
-			if f.onDone != nil {
-				f.onDone()
-			}
+			c.frameCont(f)
 			c.settle()
 		}
 		// Otherwise the spin frame is buried under interrupt frames;
@@ -1158,7 +1223,7 @@ func (c *CPU) startLocalTimer() {
 	// (both fire at exact multiples of the tick period), and the model
 	// resolves that simultaneity as local-APIC-before-PIT, in schedule
 	// order. See "Tie-break determinism" in DESIGN.md §8.
-	c.tickEv = c.kern.Eng.AfterPinnedTagged(offset, evCPUTick.Tag(uint64(c.ID), 0, 0), c.tick)
+	c.tickEv = c.kern.Eng.AfterPinnedTagged(offset, evCPUTick.Tag(uint64(c.ID), 0, 0), c.onTick)
 }
 
 func (c *CPU) tickPeriod() sim.Duration {
@@ -1175,7 +1240,7 @@ func (c *CPU) tick() {
 	}
 	// Pinned for the same reason as startLocalTimer: the re-armed tick
 	// stays ordered before the phase-locked global timer interrupt.
-	c.tickEv = c.kern.Eng.AfterPinnedTagged(c.tickPeriod(), evCPUTick.Tag(uint64(c.ID), 0, 0), c.tick)
+	c.tickEv = c.kern.Eng.AfterPinnedTagged(c.tickPeriod(), evCPUTick.Tag(uint64(c.ID), 0, 0), c.onTick)
 	c.raiseIRQ(c.localTimer)
 }
 
@@ -1208,7 +1273,7 @@ func (c *CPU) startBusSampling() {
 		return
 	}
 	offset := sim.Duration(int64(period) * int64(c.ID) / int64(len(c.kern.cpus)))
-	c.kern.Eng.AfterTagged(offset, evBusResample.Tag(uint64(c.ID), 0, 0), c.busResample)
+	c.kern.Eng.AfterTagged(offset, evBusResample.Tag(uint64(c.ID), 0, 0), c.onBusResample)
 }
 
 // busResample is the periodic bus-sampling event body: re-arm first,
@@ -1216,7 +1281,7 @@ func (c *CPU) startBusSampling() {
 // numbers (and so which RNG draws) each step consumes.
 func (c *CPU) busResample() {
 	period := c.kern.Cfg.Timing.BusResample
-	c.kern.Eng.AfterTagged(c.kern.rng.Jitter(period, 0.2), evBusResample.Tag(uint64(c.ID), 0, 0), c.busResample)
+	c.kern.Eng.AfterTagged(c.kern.rng.Jitter(period, 0.2), evBusResample.Tag(uint64(c.ID), 0, 0), c.onBusResample)
 	c.resampleBus()
 }
 

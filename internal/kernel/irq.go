@@ -100,8 +100,7 @@ func (k *Kernel) Raise(l *IRQLine) {
 	}
 	var c *CPU
 	if k.Cfg.IRQRoundRobin {
-		cpus := eff.CPUs()
-		c = k.cpus[cpus[l.rr%len(cpus)]]
+		c = k.cpus[eff.nth(l.rr%eff.Count())]
 		l.rr++
 	} else {
 		c = k.cpus[eff.First()]

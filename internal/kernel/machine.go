@@ -53,6 +53,13 @@ type Kernel struct {
 	// in registration order; construction order is deterministic, so ids
 	// agree between a snapshotting and a restoring process.
 	comps []SnapComponent
+
+	// frames is the free list of finished execution frames (see
+	// getFrame/putFrame).
+	frames []*frame
+
+	// onGlobalTick is the globalTick event body, bound once in New.
+	onGlobalTick func()
 }
 
 // New builds a machine for the given config. seed makes the run
@@ -78,6 +85,7 @@ func New(cfg Config, seed uint64) *Kernel {
 	}
 	k.rng = k.Eng.RNG().Fork()
 	k.wheel = newTimerWheel(k)
+	k.onGlobalTick = k.globalTick
 
 	n := cfg.NumCPUs()
 	k.cpus = make([]*CPU, n)
@@ -262,7 +270,7 @@ func (k *Kernel) Start() {
 	// (both at exact multiples of the period), so the simultaneity is
 	// pinned: the local APIC tick is dispatched before the PIT's IRQ0,
 	// in schedule order. See "Tie-break determinism" in DESIGN.md §8.
-	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.globalTick)
+	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.onGlobalTick)
 	if k.Cfg.InvariantPeriod > 0 {
 		k.SampleInvariants(k.Cfg.InvariantPeriod, nil)
 	}
@@ -284,7 +292,7 @@ func (k *Kernel) tickPeriod() sim.Duration {
 // line and re-arm for the next period.
 func (k *Kernel) globalTick() {
 	k.Raise(k.timerIRQ)
-	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.globalTick)
+	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.onGlobalTick)
 }
 
 // makeRunnable enqueues t and kicks the chosen CPU. preferred, when

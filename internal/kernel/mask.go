@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -79,6 +80,18 @@ func (m CPUMask) First() int {
 		if m.Has(i) {
 			return i
 		}
+	}
+	return -1
+}
+
+// nth returns the i-th set CPU (0-based, ascending), or -1 when the mask
+// has no more than i CPUs. It walks the bits without building a slice.
+func (m CPUMask) nth(i int) int {
+	for v := uint64(m); v != 0; v &= v - 1 {
+		if i == 0 {
+			return bits.TrailingZeros64(v)
+		}
+		i--
 	}
 	return -1
 }

@@ -32,6 +32,14 @@ func TestMaskBasics(t *testing.T) {
 	if m.Has(-1) || m.Has(64) {
 		t.Fatal("Has out of range should be false")
 	}
+	for i, c := range cpus {
+		if got := m.nth(i); got != c {
+			t.Fatalf("nth(%d) = %d, want %d", i, got, c)
+		}
+	}
+	if m.nth(len(cpus)) != -1 || CPUMask(0).nth(0) != -1 {
+		t.Fatal("nth past the last CPU should be -1")
+	}
 }
 
 func TestMaskAll(t *testing.T) {

@@ -1,6 +1,10 @@
 package kernel
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
 
 // defaultTimeslice is the SCHED_OTHER/SCHED_RR quantum at nice 0.
 const defaultTimeslice = 60 * sim.Millisecond
@@ -77,13 +81,14 @@ func placeWake(k *Kernel, t *Task) *CPU {
 	if t.cpu != nil && eff.Has(t.cpu.ID) && t.cpu.Idle() {
 		return t.cpu
 	}
-	var idle []*CPU
+	var idle CPUMask
 	var lowest *CPU
 	lowestPrio := 1 << 30
-	for _, id := range eff.CPUs() {
+	for m := uint64(eff); m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(m)
 		c := k.cpus[id]
 		if c.Idle() {
-			idle = append(idle, c)
+			idle = idle.With(id)
 			continue
 		}
 		p := 1 << 29 // busy with interrupt work only: hard to place
@@ -95,12 +100,12 @@ func placeWake(k *Kernel, t *Task) *CPU {
 			lowest = c
 		}
 	}
-	if len(idle) > 0 {
+	if idle != 0 {
 		// Any idle CPU will do; 2.4 had no topology awareness, and which
 		// idle CPU picked up a waking task was effectively arbitrary —
 		// including, on hyperthreaded boxes, the sibling of a CPU
 		// running a real-time loop (§5's jitter source).
-		return idle[k.rng.Intn(len(idle))]
+		return k.cpus[idle.nth(k.rng.Intn(idle.Count()))]
 	}
 	if lowest != nil && t.rtEffective() > lowestPrio {
 		return lowest

@@ -472,7 +472,9 @@ func writeCall(w *snapshot.Writer, call *syscallCall) {
 	}
 }
 
-func readCall(r *snapshot.Reader, rc *RestoreContext) (*syscallCall, error) {
+// readCall restores an in-flight syscall into call (the task's own
+// syscall state).
+func readCall(r *snapshot.Reader, rc *RestoreContext, call *syscallCall) error {
 	k := rc.K
 	name := r.Str(1)
 	flags := r.U64(2)
@@ -485,7 +487,9 @@ func readCall(r *snapshot.Reader, rc *RestoreContext) (*syscallCall, error) {
 		DriverNoBKL:         flags&2 != 0,
 		ReacquireBKLOnBlock: flags&4 != 0,
 	}
-	call := &syscallCall{def: def, heldBKL: flags&8 != 0, idx: idx, segs: make([]Segment, n)}
+	call.def, call.heldBKL, call.idx, call.onComplete = def, flags&8 != 0, idx, nil
+	call.split = make([]Segment, n)
+	call.segs = call.split
 	for i := 0; i < n; i++ {
 		bits := r.U64(5)
 		seg := Segment{
@@ -501,7 +505,7 @@ func readCall(r *snapshot.Reader, rc *RestoreContext) (*syscallCall, error) {
 		if wid := r.U64(8); wid != 0 {
 			seg.Wait = k.WaitQueueByID(wid)
 			if seg.Wait == nil {
-				return nil, fmt.Errorf("kernel: restore: syscall %q segment %d references unknown wait queue %d", name, i, wid)
+				return fmt.Errorf("kernel: restore: syscall %q segment %d references unknown wait queue %d", name, i, wid)
 			}
 		}
 		doneKind := r.Str(9)
@@ -510,24 +514,24 @@ func readCall(r *snapshot.Reader, rc *RestoreContext) (*syscallCall, error) {
 			seg.DoneTag = sim.RegisterEventKind(doneKind).Tag(a0, a1, a2)
 			rb := lookupRebuild(doneKind)
 			if rb == nil {
-				return nil, fmt.Errorf("kernel: restore: no rebuilder for segment OnDone kind %q", doneKind)
+				return fmt.Errorf("kernel: restore: no rebuilder for segment OnDone kind %q", doneKind)
 			}
 			fn, err := rb(rc, a0, a1, a2)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			seg.OnDone = fn
 		}
 		call.segs[i] = seg
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	// def.Segments is the pre-split list; the restored call only needs
 	// the post-split segs it executes, but keep def.Segments pointing at
 	// them so the definition stays self-consistent for inspection.
 	def.Segments = call.segs
-	return call, nil
+	return nil
 }
 
 // writeFrame serialises one execution frame (sub-record tags 1..16).
@@ -570,8 +574,9 @@ func (k *Kernel) writeFrame(w *snapshot.Writer, f *frame) {
 
 // readFrame reconstructs one frame. c is the owning CPU for stack
 // frames (nil for a task's saved frame, which is always a task frame).
-// The onDone continuation is rebuilt from the frame's serialised
-// coordinates through the same constructors live frames use.
+// There is no continuation to rebuild: frameCont picks it from the
+// restored kind, segment and spinWhy, exactly as for a live frame. A
+// spin frame is still checked here for a continuation it can run.
 func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, bool, error) {
 	f := &frame{kind: frameKind(r.U64(1))}
 	pid := r.I64(2)
@@ -625,34 +630,17 @@ func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, bool, error) {
 	if c == nil && f.kind != frameTask {
 		return nil, false, fmt.Errorf("kernel: restore: saved %s frame off-CPU (only task frames are saved)", f.kind)
 	}
-	switch f.kind {
-	case frameTask:
-		if f.seg == nil {
-			// computeOnDone resolves the CPU at fire time from f.task, so
-			// a nil receiver (saved frame) is fine.
-			f.onDone = c.computeOnDone(f)
-		} else {
-			f.onDone = segDoneFn(f.task, f.task.call, f.seg, f)
-		}
-	case frameISR:
-		f.onDone = c.isrOnDone(f)
-	case frameSoftirq:
-		f.onDone = c.softirqOnDone(f)
-	case frameSwitch:
-		f.onDone = c.switchOnDone(f)
-	case frameSpin:
+	if f.kind == frameSpin {
 		call := f.task.call
 		if call == nil {
 			return nil, false, fmt.Errorf("kernel: restore: spin frame for %v without an in-flight syscall", f.task)
 		}
 		switch f.spinWhy {
 		case spinForBKL:
-			f.onDone = c.bklAcquiredFn(f.task, call)
 		case spinForSeg:
 			if call.idx >= len(call.segs) {
 				return nil, false, fmt.Errorf("kernel: restore: spin frame for %v past its segment list", f.task)
 			}
-			f.onDone = c.segStartFn(f.task, call, &call.segs[call.idx])
 		default:
 			return nil, false, fmt.Errorf("kernel: restore: spin frame with unknown continuation %d", f.spinWhy)
 		}
@@ -1096,11 +1084,10 @@ func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
 			sb.SetBehaviorState(words)
 		}
 		if r.Bool(19) {
-			call, err := readCall(r, rc)
-			if err != nil {
+			if err := readCall(r, rc, &t.callBuf); err != nil {
 				return err
 			}
-			t.call = call
+			t.call = &t.callBuf
 		}
 		if r.Bool(20) {
 			f, armed, err := k.readFrame(r, nil)
@@ -1321,27 +1308,27 @@ func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64
 		if f == nil {
 			return nil, nil, fmt.Errorf("kernel: restore: frame-done event for cpu%d with no armed frame", c.ID)
 		}
-		return c.frameDoneFn(f), func(ev sim.Event) { f.done = ev }, nil
+		return c.onFrameDone, func(ev sim.Event) { f.done = ev }, nil
 	case evIdleDispatch:
 		c, err := cpuArg()
 		if err != nil {
 			return nil, nil, err
 		}
-		return c.idleDispatch, func(ev sim.Event) { c.dispatchEv = ev }, nil
+		return c.onIdleDispatch, func(ev sim.Event) { c.dispatchEv = ev }, nil
 	case evCPUTick:
 		c, err := cpuArg()
 		if err != nil {
 			return nil, nil, err
 		}
-		return c.tick, func(ev sim.Event) { c.tickEv = ev }, nil
+		return c.onTick, func(ev sim.Event) { c.tickEv = ev }, nil
 	case evGlobalTick:
-		return k.globalTick, nil, nil
+		return k.onGlobalTick, nil, nil
 	case evBusResample:
 		c, err := cpuArg()
 		if err != nil {
 			return nil, nil, err
 		}
-		return c.busResample, nil, nil
+		return c.onBusResample, nil, nil
 	case evSleepWake:
 		t := k.byPID[int(a0)]
 		if t == nil {

@@ -32,35 +32,41 @@ func init() {
 		"load":         "codec",
 		"waitqs":       "codec",
 		"comps":        "codec", // one section per registered component, in registration order
+		"frames":       "skip: free list of finished frames, no live state; a restored machine refills it as frames finish",
+		"onGlobalTick": "skip: globalTick bound once in New; rebuildEvent hands it to the restored k.global-tick event",
 	})
 	snapshot.RegisterState(CPU{}, snapshot.Manifest{
-		"ID":            "skip: construction identity",
-		"Phys":          "skip: construction topology",
-		"Sibling":       "skip: construction topology (HT pairing)",
-		"kern":          "skip: construction back-pointer",
-		"stack":         "codec",
-		"cur":           "codec",
-		"lastRan":       "codec",
-		"pendingIRQ":    "codec",
-		"softirqPend":   "codec",
-		"needResched":   "codec",
-		"sliceExpired":  "codec",
-		"forceResched":  "codec",
-		"ksoftirqd":     "skip: construction back-pointer; the daemon task's state is in kernel.tasks",
-		"softirqWq":     "skip: registered wait queue, serialised in kernel.waitqs",
-		"daemonBacklog": "codec",
-		"softirqHanded": "codec",
-		"busFactor":     "codec",
-		"tickEv":        "codec", // rebuilt from the pending "k.cpu-tick" event and re-attached
-		"dispatchEv":    "codec", // rebuilt from the pending "k.idle-dispatch" event and re-attached
-		"localTimer":    "codec", // rng + counters inline in kernel.cpus (not a member of irqs)
-		"IRQsHandled":   "codec",
-		"SoftirqRuns":   "codec",
-		"SoftirqTime":   "codec",
-		"Preemptions":   "codec",
-		"TicksHandled":  "codec",
-		"times":         "codec",
-		"sampled":       "codec",
+		"ID":             "skip: construction identity",
+		"Phys":           "skip: construction topology",
+		"Sibling":        "skip: construction topology (HT pairing)",
+		"kern":           "skip: construction back-pointer",
+		"stack":          "codec",
+		"cur":            "codec",
+		"lastRan":        "codec",
+		"pendingIRQ":     "codec",
+		"softirqPend":    "codec",
+		"needResched":    "codec",
+		"sliceExpired":   "codec",
+		"forceResched":   "codec",
+		"ksoftirqd":      "skip: construction back-pointer; the daemon task's state is in kernel.tasks",
+		"softirqWq":      "skip: registered wait queue, serialised in kernel.waitqs",
+		"daemonBacklog":  "codec",
+		"softirqHanded":  "codec",
+		"busFactor":      "codec",
+		"tickEv":         "codec", // rebuilt from the pending "k.cpu-tick" event and re-attached
+		"dispatchEv":     "codec", // rebuilt from the pending "k.idle-dispatch" event and re-attached
+		"localTimer":     "codec", // rng + counters inline in kernel.cpus (not a member of irqs)
+		"IRQsHandled":    "codec",
+		"SoftirqRuns":    "codec",
+		"SoftirqTime":    "codec",
+		"Preemptions":    "codec",
+		"TicksHandled":   "codec",
+		"times":          "codec",
+		"sampled":        "codec",
+		"onFrameDone":    "skip: frameDone bound once in newCPU; rebuildEvent hands it to the restored k.frame-done event",
+		"onTick":         "skip: tick bound once in newCPU; rebuildEvent hands it to the restored k.cpu-tick event",
+		"onIdleDispatch": "skip: idleDispatch bound once in newCPU; rebuildEvent hands it to the restored k.idle-dispatch event",
+		"onBusResample":  "skip: busResample bound once in newCPU; rebuildEvent hands it to the restored k.bus-resample event",
 	})
 	snapshot.RegisterState(frame{}, snapshot.Manifest{
 		"kind":       "codec",
@@ -79,7 +85,7 @@ func init() {
 		"spinWhy":    "codec",
 		"began":      "codec",
 		"complete":   "skip: must be nil at snapshot (checked loudly) — ActionCompleter behaviors need no captured closure",
-		"onDone":     "codec", // rebuilt per frame kind from the serialised coordinates (readFrame)
+		"pooled":     "skip: free-list mark, false on every stack or saved frame",
 	})
 	snapshot.RegisterState(Task{}, snapshot.Manifest{
 		"PID":       "codec", // validated against the reconstructed machine
@@ -96,6 +102,7 @@ func init() {
 		"rng":       "codec",
 		"saved":     "codec",
 		"call":      "codec",
+		"callBuf":   "skip: storage behind call, serialised through it; idle callBuf contents are dead",
 		"waitOn":    "codec", // by registered queue id
 		"sliceLeft": "codec",
 		"Switches":  "codec",
@@ -160,6 +167,7 @@ func init() {
 		"idx":        "codec",
 		"heldBKL":    "codec",
 		"onComplete": "skip: must be nil at snapshot (checked loudly) — ActionCompleter behaviors need no captured closure",
+		"split":      "skip: scratch buffer behind segs, serialised through it",
 	})
 	snapshot.RegisterState(Segment{}, snapshot.Manifest{
 		"Kind":       "codec",

@@ -91,9 +91,11 @@ type Task struct {
 	// saved is the suspended execution frame when the task was preempted
 	// mid-segment, to be resumed on the next dispatch.
 	saved *frame
-	// syscall continuation state.
-	call   *syscallCall
-	waitOn *WaitQueue
+	// call is the in-flight syscall, nil in user mode; it always
+	// points at callBuf, the task's one reusable syscall state.
+	call    *syscallCall
+	callBuf syscallCall
+	waitOn  *WaitQueue
 
 	// Timeslice accounting for SCHED_OTHER / SCHED_RR.
 	sliceLeft sim.Duration
@@ -194,6 +196,10 @@ func (wq *WaitQueue) popFirst() *Task {
 		return nil
 	}
 	t := wq.waiters[0]
-	wq.waiters = wq.waiters[1:]
+	// Shift in place: re-slicing past the head would leak the slot's
+	// capacity (the next enqueue reallocates) and pin a stale *Task.
+	n := copy(wq.waiters, wq.waiters[1:])
+	wq.waiters[n] = nil
+	wq.waiters = wq.waiters[:n]
 	return t
 }

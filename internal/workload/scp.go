@@ -37,6 +37,13 @@ type ScpFlood struct {
 	remaining    int
 
 	Transfers uint64
+
+	// Event bodies, bound once in Start so re-arming allocates nothing.
+	onStart   func()
+	onDeliver func()
+	// readCall is sshd's blocking socket read; it carries no per-call
+	// state, so every read reuses it.
+	readCall *kernel.SyscallCall
 }
 
 // NewScpFlood returns the load with the paper-era defaults: a ~1.2 MB
@@ -68,10 +75,7 @@ type scpSshd struct {
 func (b *scpSshd) Next(t *kernel.Task) kernel.Action {
 	s := b.s
 	if s.pendingBytes <= 0 {
-		return kernel.Syscall(&kernel.SyscallCall{
-			Name:     "read(ssh-sock)",
-			Segments: []kernel.Segment{{Kind: kernel.SegBlock, Wait: s.sshWake}},
-		})
+		return kernel.Syscall(s.readCall)
 	}
 	chunk := s.pendingBytes
 	if chunk > 128<<10 {
@@ -94,13 +98,18 @@ func (s *ScpFlood) Start(k *kernel.Kernel) {
 	s.rng = k.Eng.RNG().Fork()
 	s.sshWake = k.NewWaitQueue("sshd-data")
 	s.id = k.RegisterComponent(s)
+	s.onStart, s.onDeliver = s.startTransfer, s.deliver
+	s.readCall = &kernel.SyscallCall{
+		Name:     "read(ssh-sock)",
+		Segments: []kernel.Segment{{Kind: kernel.SegBlock, Wait: s.sshWake}},
+	}
 
 	k.NewTask("sshd", kernel.SchedOther, 0, 0, &scpSshd{s: s})
 
 	// The wire: one transfer = ImageBytes delivered in BatchBytes
 	// interrupts at RateBytesPerSec, then a gap, forever.
 	k.Eng.AfterTagged(s.rng.Uniform(0, 20*sim.Millisecond),
-		evScpStart.Tag(s.id, 0, 0), s.startTransfer)
+		evScpStart.Tag(s.id, 0, 0), s.onStart)
 }
 
 // startTransfer begins one scp copy.
@@ -124,7 +133,7 @@ func (s *ScpFlood) deliver() {
 			s.disk.Submit(s.ImageBytes, nil)
 		}
 		s.k.Eng.AfterTagged(s.rng.Jitter(s.Gap, 0.4),
-			evScpStart.Tag(s.id, 0, 0), s.startTransfer)
+			evScpStart.Tag(s.id, 0, 0), s.onStart)
 		return
 	}
 	n := s.BatchBytes
@@ -136,5 +145,5 @@ func (s *ScpFlood) deliver() {
 	s.pendingBytes += n
 	s.k.WakeAll(s.sshWake, nil)
 	s.k.Eng.AfterTagged(s.rng.Jitter(s.batchInterval(), 0.3),
-		evScpDeliver.Tag(s.id, 0, 0), s.deliver)
+		evScpDeliver.Tag(s.id, 0, 0), s.onDeliver)
 }

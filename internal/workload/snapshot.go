@@ -38,14 +38,14 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return s.startTransfer, nil
+		return s.onStart, nil
 	})
 	kernel.RegisterEventRebuild("wl.scp-deliver", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
 		s, err := wlComponent[*ScpFlood](rc, a0, "wl.scp-deliver")
 		if err != nil {
 			return nil, err
 		}
-		return s.deliver, nil
+		return s.onDeliver, nil
 	})
 	kernel.RegisterEventRebuild("wl.disknoise-flush", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
 		d, err := wlComponent[*DiskNoise](rc, a0, "wl.disknoise-flush")
@@ -60,7 +60,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return t.pump, nil
+		return t.onPump, nil
 	})
 }
 
@@ -133,6 +133,9 @@ func init() {
 		"pendingBytes":    "codec",
 		"remaining":       "codec",
 		"Transfers":       "codec",
+		"onStart":         "skip: startTransfer bound once in Start; the wl.scp-start rebuilder hands it back",
+		"onDeliver":       "skip: deliver bound once in Start; the wl.scp-deliver rebuilder hands it back",
+		"readCall":        "skip: construction-fixed syscall definition; an in-flight read is serialised by the kernel",
 	})
 	snapshot.RegisterState(DiskNoise{}, snapshot.Manifest{
 		"disk":       "skip: construction back-pointer",
@@ -161,6 +164,7 @@ func init() {
 		"rng":             "codec",
 		"id":              "skip: registration-order identity",
 		"dir":             "codec",
+		"onPump":          "skip: pump bound once in Start; the wl.ttcp-pump rebuilder hands it back",
 	})
 	snapshot.RegisterState(phaseBehavior{}, snapshot.Manifest{
 		"phase": "codec", // behavior state word 0

@@ -91,6 +91,9 @@ type TTCPNet struct {
 	id  uint64
 	// dir alternates the wire between rx and tx batches.
 	dir uint64
+
+	// onPump is pump, bound once in Start so re-arming allocates nothing.
+	onPump func()
 }
 
 // NewTTCPNet returns the load at 10BaseT defaults.
@@ -128,8 +131,9 @@ func (t *TTCPNet) Start(k *kernel.Kernel) {
 	t.k = k
 	t.rng = k.Eng.RNG().Fork()
 	t.id = k.RegisterComponent(t)
+	t.onPump = t.pump
 	interval := t.interval()
-	k.Eng.AfterTagged(t.rng.Uniform(0, interval), evTTCPPump.Tag(t.id, 0, 0), t.pump)
+	k.Eng.AfterTagged(t.rng.Uniform(0, interval), evTTCPPump.Tag(t.id, 0, 0), t.onPump)
 	k.NewTask("ttcp", kernel.SchedOther, 0, 0, ttcpNetProc{})
 }
 
@@ -145,7 +149,7 @@ func (t *TTCPNet) pump() {
 	} else {
 		t.nic.Transmit(t.BatchBytes)
 	}
-	t.k.Eng.AfterTagged(t.rng.Jitter(t.interval(), 0.3), evTTCPPump.Tag(t.id, 0, 0), t.pump)
+	t.k.Eng.AfterTagged(t.rng.Jitter(t.interval(), 0.3), evTTCPPump.Tag(t.id, 0, 0), t.onPump)
 }
 
 // SnapName implements kernel.SnapComponent.
