@@ -43,7 +43,6 @@ func benchDeterminism(b *testing.B, cfg kernel.Config, shield bool, salt uint64)
 		}
 	}
 	b.ReportMetric(worstPct, "jitter_pct")
-	b.ReportMetric(0, "allocs/op") // dominated by the simulation; not meaningful
 }
 
 func BenchmarkFig1_StandardLinux_Determinism(b *testing.B) {

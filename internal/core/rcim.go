@@ -104,28 +104,31 @@ func RunRCIM(cfg RCIMConfig) ResponseResult {
 	var mt *kernel.Task
 	var attr *attrib.Attributor
 
+	// The wait call and its completion are built once per run (see
+	// RunRealfeelModes).
+	call := s.RCIM.WaitCall()
+	if cfg.ForceBKL {
+		call.DriverNoBKL = false
+	}
+	onComplete := func(now sim.Time) {
+		// Immediately read the mapped count register.
+		lat := s.RCIM.CountElapsed(now)
+		hist.Add(lat)
+		sum.Add(lat)
+		samples++
+		if attr != nil {
+			// The count register dates the interrupt itself, so the
+			// sample window opens at the device's raise instant.
+			attr.Sample(now.Add(-lat), now, mt.CPU())
+		}
+	}
 	behavior := kernel.BehaviorFunc(func(t *kernel.Task) kernel.Action {
 		if samples >= cfg.Samples {
 			k.Eng.Stop()
 			return kernel.Exit()
 		}
-		call := s.RCIM.WaitCall()
-		if cfg.ForceBKL {
-			call.DriverNoBKL = false
-		}
 		act := kernel.Syscall(call)
-		act.OnComplete = func(now sim.Time) {
-			// Immediately read the mapped count register.
-			lat := s.RCIM.CountElapsed(now)
-			hist.Add(lat)
-			sum.Add(lat)
-			samples++
-			if attr != nil {
-				// The count register dates the interrupt itself, so the
-				// sample window opens at the device's raise instant.
-				attr.Sample(now.Add(-lat), now, mt.CPU())
-			}
-		}
+		act.OnComplete = onComplete
 		return act
 	})
 	mt = k.NewTask("rcim-response", kernel.SchedFIFO, 90, affinity, behavior)

@@ -237,31 +237,35 @@ func RunRealfeelModes(cfg RealfeelConfig, shieldProcs, shieldIRQs, shieldLTimer,
 	var mt *kernel.Task
 	var attr *attrib.Attributor
 
+	// The wait call and its completion are built once per run: the
+	// kernel never mutates a call definition, and the task has one call
+	// in flight.
+	call := s.RTC.ReadCall()
+	if cfg.FixedAPI {
+		call = s.RTC.ReadCallFixed()
+	}
+	onComplete := func(now sim.Time) {
+		if prev >= 0 {
+			lat := now.Sub(prev) - period
+			if lat < 0 {
+				lat = 0
+			}
+			hist.Add(lat)
+			sum.Add(lat)
+			samples++
+			if attr != nil {
+				attr.Sample(now.Add(-lat), now, mt.CPU())
+			}
+		}
+		prev = now
+	}
 	behavior := kernel.BehaviorFunc(func(t *kernel.Task) kernel.Action {
 		if samples >= cfg.Samples {
 			k.Eng.Stop()
 			return kernel.Exit()
 		}
-		call := s.RTC.ReadCall()
-		if cfg.FixedAPI {
-			call = s.RTC.ReadCallFixed()
-		}
 		act := kernel.Syscall(call)
-		act.OnComplete = func(now sim.Time) {
-			if prev >= 0 {
-				lat := now.Sub(prev) - period
-				if lat < 0 {
-					lat = 0
-				}
-				hist.Add(lat)
-				sum.Add(lat)
-				samples++
-				if attr != nil {
-					attr.Sample(now.Add(-lat), now, mt.CPU())
-				}
-			}
-			prev = now
-		}
+		act.OnComplete = onComplete
 		return act
 	})
 	mt = k.NewTask("realfeel", kernel.SchedFIFO, 90, affinity, behavior)

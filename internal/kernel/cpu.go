@@ -49,7 +49,9 @@ type frame struct {
 
 	workLeft   float64 // remaining work at rate 1.0, in ns
 	lastAccrue sim.Time
-	done       sim.Event // completion event while armed
+	// armed marks the frame whose completion its CPU's doneTimer is
+	// timing; only a CPU's top frame can be armed.
+	armed bool
 
 	locks   []*SpinLock // spinlocks held by this frame
 	irqsOff bool        // local interrupts disabled
@@ -116,16 +118,18 @@ type CPU struct {
 
 	busFactor float64
 
-	tickEv     sim.Event
-	dispatchEv sim.Event
-	localTimer *IRQLine
+	// The CPU's owned events, bound once in newCPU and re-armed in
+	// place: the top frame's completion ("k.frame-done"), the idle-exit
+	// dispatch ("k.idle-dispatch") and the local timer tick
+	// ("k.cpu-tick"). Each has at most one occurrence pending.
+	doneTimer     sim.Timer
+	dispatchTimer sim.Timer
+	tickTimer     sim.Timer
+	localTimer    *IRQLine
 
-	// Event bodies, bound once in newCPU: scheduling a method value
-	// would allocate a fresh closure on every arm.
-	onFrameDone    func()
-	onTick         func()
-	onIdleDispatch func()
-	onBusResample  func()
+	// onBusResample is busResample, bound once in newCPU: scheduling a
+	// method value would allocate a fresh closure on every arm.
+	onBusResample func()
 
 	// Statistics.
 	IRQsHandled  uint64
@@ -152,9 +156,12 @@ func newCPU(k *Kernel, id int) *CPU {
 	tick := k.Cfg.scale(k.Cfg.Timing.TickHandler)
 	c.localTimer.HandlerWork = func(r *sim.RNG) sim.Duration { return r.Jitter(tick, 0.25) }
 	c.localTimer.OnHandle = func(cpu *CPU) { cpu.timerTick() }
-	c.onFrameDone = c.frameDone
-	c.onTick = c.tick
-	c.onIdleDispatch = c.idleDispatch
+	tag := uint64(id)
+	c.doneTimer.Init(evFrameDone.Tag(tag, 0, 0), false, c.frameDone)
+	// Pinned: see kick for the idle-exit arbitration it stands in for.
+	c.dispatchTimer.Init(evIdleDispatch.Tag(tag, 0, 0), true, c.idleDispatch)
+	// Pinned: see startLocalTimer for the local-APIC-before-PIT order.
+	c.tickTimer.Init(evCPUTick.Tag(tag, 0, 0), true, c.tick)
 	c.onBusResample = c.busResample
 	return c
 }
@@ -218,7 +225,7 @@ func (k *Kernel) putFrame(f *frame) {
 	if f.pooled {
 		panic(fmt.Sprintf("kernel: double free of %s frame", f.kind))
 	}
-	if f.done.Valid() {
+	if f.armed {
 		panic(fmt.Sprintf("kernel: free of armed %s frame", f.kind))
 	}
 	clear(f.locks)
@@ -244,9 +251,17 @@ func (c *CPU) armTop() {
 		}
 		return
 	}
-	if f.done.Valid() {
+	if f.armed {
 		return
 	}
+	c.armFrame(f)
+}
+
+// armFrame (re-)arms the CPU's doneTimer for f, the top frame, at the
+// current rate. Re-arming an armed frame moves its completion in place.
+//
+//simlint:hotpath
+func (c *CPU) armFrame(f *frame) {
 	if f.workLeft < 0 {
 		f.workLeft = 0
 	}
@@ -254,17 +269,27 @@ func (c *CPU) armTop() {
 	if float64(d)*c.rate() < f.workLeft {
 		d++ // ceil so work is never under-charged
 	}
-	f.lastAccrue = c.kern.Now()
-	f.done = c.kern.Eng.AfterTagged(d, evFrameDone.Tag(uint64(c.ID), 0, 0), c.onFrameDone)
+	now := c.kern.Now()
+	f.lastAccrue = now
+	f.armed = true
+	c.kern.Eng.ArmTimer(&c.doneTimer, now.Add(d))
 }
 
-// frameDone is the completion event body of an armed frame. The armed
-// frame is always the top of its CPU's stack (push suspends the old top,
-// pop cancels), which is also how restore finds the frame a snapshotted
-// "k.frame-done" event belongs to.
+// disarmFrame stops f's completion: f is no longer armed.
+//
+//simlint:hotpath
+func (c *CPU) disarmFrame(f *frame) {
+	c.kern.Eng.DisarmTimer(&c.doneTimer)
+	f.armed = false
+}
+
+// frameDone is the doneTimer body. The armed frame is always the top of
+// its CPU's stack (push suspends the old top, pop disarms), which is
+// also how restore finds the frame a snapshotted "k.frame-done" event
+// belongs to.
 func (c *CPU) frameDone() {
 	f := c.top()
-	f.done = sim.Event{}
+	f.armed = false
 	f.workLeft = 0
 	c.account(f, c.kern.Now().Sub(f.lastAccrue))
 	c.finishTop(f)
@@ -287,7 +312,7 @@ func (c *CPU) suspendTop() {
 		}
 		return
 	}
-	if !f.done.Valid() {
+	if !f.armed {
 		return
 	}
 	elapsed := float64(now.Sub(f.lastAccrue))
@@ -297,8 +322,7 @@ func (c *CPU) suspendTop() {
 	}
 	c.account(f, now.Sub(f.lastAccrue))
 	f.lastAccrue = now
-	c.kern.Eng.Cancel(f.done)
-	f.done = sim.Event{}
+	c.disarmFrame(f)
 }
 
 // rateChangedFrom re-accrues the top frame's progress at the rate that was
@@ -309,7 +333,7 @@ func (c *CPU) suspendTop() {
 //simlint:hotpath
 func (c *CPU) rateChangedFrom(oldRate float64) {
 	f := c.top()
-	if f == nil || !f.done.Valid() {
+	if f == nil || !f.armed {
 		return
 	}
 	now := c.kern.Now()
@@ -318,10 +342,7 @@ func (c *CPU) rateChangedFrom(oldRate float64) {
 		f.workLeft = 0
 	}
 	c.account(f, now.Sub(f.lastAccrue))
-	f.lastAccrue = now
-	c.kern.Eng.Cancel(f.done)
-	f.done = sim.Event{}
-	c.armTop()
+	c.armFrame(f)
 }
 
 // push pauses the current top and stacks a new frame.
@@ -357,9 +378,8 @@ func (c *CPU) pop(f *frame) {
 	if notify {
 		sibOld = c.Sibling.rate()
 	}
-	if f.done.Valid() {
-		c.kern.Eng.Cancel(f.done)
-		f.done = sim.Event{}
+	if f.armed {
+		c.disarmFrame(f)
 	}
 	if f.kind == frameSpin && !f.suspended {
 		c.account(f, c.kern.Now().Sub(f.lastAccrue))
@@ -417,7 +437,7 @@ func (c *CPU) addWorkTop(d sim.Duration) {
 	if f == nil || d <= 0 {
 		return
 	}
-	if f.done.Valid() {
+	if f.armed {
 		c.suspendTop()
 		f.workLeft += float64(d)
 		c.armTop()
@@ -858,14 +878,15 @@ func (c *CPU) requestMigration(t *Task) {
 // kick responds to a task becoming runnable on this CPU.
 func (c *CPU) kick(t *Task) {
 	if c.Idle() {
-		if !c.dispatchEv.Valid() {
-			// Pinned: when several idle CPUs are kicked at the same
-			// instant, their idle-exit dispatches race for the shared
-			// runqueue; the model arbitrates that bus contention in
-			// kick order (FIFO), the way a fixed-priority memory bus
-			// arbiter would. See "Tie-break determinism" in DESIGN.md §8.
+		if !c.dispatchTimer.Armed() {
+			// Pinned (dispatchTimer): when several idle CPUs are kicked
+			// at the same instant, their idle-exit dispatches race for
+			// the shared runqueue; the model arbitrates that bus
+			// contention in kick order (FIFO), the way a fixed-priority
+			// memory bus arbiter would. See "Tie-break determinism" in
+			// DESIGN.md §8.
 			delay := c.kern.Cfg.scale(c.kern.Cfg.Timing.IdleExit) //simlint:region sched idle-exit
-			c.dispatchEv = c.kern.Eng.AfterPinnedTagged(delay, evIdleDispatch.Tag(uint64(c.ID), 0, 0), c.onIdleDispatch)
+			c.kern.Eng.ArmTimer(&c.dispatchTimer, c.kern.Now().Add(delay))
 		}
 		return
 	}
@@ -878,10 +899,9 @@ func (c *CPU) kick(t *Task) {
 	}
 }
 
-// idleDispatch is the idle-exit event body: the CPU wakes from idle and
+// idleDispatch is the dispatchTimer body: the CPU wakes from idle and
 // settles into the scheduler.
 func (c *CPU) idleDispatch() {
-	c.dispatchEv = sim.Event{}
 	c.settle()
 }
 
@@ -1219,19 +1239,19 @@ func (c *CPU) spinGrantedFn(f *frame) func() {
 func (c *CPU) startLocalTimer() {
 	period := c.tickPeriod()
 	offset := sim.Duration(int64(period) * int64(c.ID) / int64(len(c.kern.cpus)))
-	// Pinned: CPU 0's local tick is phase-locked with the global timer
-	// (both fire at exact multiples of the tick period), and the model
-	// resolves that simultaneity as local-APIC-before-PIT, in schedule
-	// order. See "Tie-break determinism" in DESIGN.md §8.
-	c.tickEv = c.kern.Eng.AfterPinnedTagged(offset, evCPUTick.Tag(uint64(c.ID), 0, 0), c.onTick)
+	// Pinned (tickTimer): CPU 0's local tick is phase-locked with the
+	// global timer (both fire at exact multiples of the tick period),
+	// and the model resolves that simultaneity as local-APIC-before-PIT,
+	// in schedule order. See "Tie-break determinism" in DESIGN.md §8.
+	c.kern.Eng.ArmTimer(&c.tickTimer, c.kern.Now().Add(offset))
 }
 
 func (c *CPU) tickPeriod() sim.Duration {
 	return sim.Duration(int64(sim.Second) / int64(c.kern.Cfg.LocalTimerHz))
 }
 
+// tick is the tickTimer body.
 func (c *CPU) tick() {
-	c.tickEv = sim.Event{}
 	if c.kern.shieldLTimer.Has(c.ID) {
 		// Local timer shielding: the tick is simply not scheduled again
 		// until the CPU is unshielded (§3: "the shielded processor
@@ -1240,7 +1260,7 @@ func (c *CPU) tick() {
 	}
 	// Pinned for the same reason as startLocalTimer: the re-armed tick
 	// stays ordered before the phase-locked global timer interrupt.
-	c.tickEv = c.kern.Eng.AfterPinnedTagged(c.tickPeriod(), evCPUTick.Tag(uint64(c.ID), 0, 0), c.onTick)
+	c.kern.Eng.ArmTimer(&c.tickTimer, c.kern.Now().Add(c.tickPeriod()))
 	c.raiseIRQ(c.localTimer)
 }
 

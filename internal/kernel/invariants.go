@@ -36,10 +36,10 @@ func (k *Kernel) CheckInvariants() error {
 func (c *CPU) checkInvariants() error {
 	for i, f := range c.stack {
 		isTop := i == len(c.stack)-1
-		if !isTop && f.done.Valid() {
+		if !isTop && f.armed {
 			return fmt.Errorf("cpu%d: buried frame %d (%s) still armed", c.ID, i, f.kind)
 		}
-		if f.kind == frameSpin && f.done.Valid() {
+		if f.kind == frameSpin && f.armed {
 			return fmt.Errorf("cpu%d: spin frame armed", c.ID)
 		}
 		if f.workLeft < 0 {
@@ -48,6 +48,9 @@ func (c *CPU) checkInvariants() error {
 		if f.kind == frameTask && f.task == nil {
 			return fmt.Errorf("cpu%d: task frame without task", c.ID)
 		}
+	}
+	if top := c.top(); (top != nil && top.armed) != c.doneTimer.Armed() {
+		return fmt.Errorf("cpu%d: top frame armed=%v but completion timer armed=%v", c.ID, top != nil && top.armed, c.doneTimer.Armed())
 	}
 	if c.cur != nil {
 		if c.cur.state != TaskRunning {

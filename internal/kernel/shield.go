@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // This file implements the paper's contribution (§3): shielded
 // processors. A CPU can be shielded from processes, from device
@@ -93,11 +89,10 @@ func (k *Kernel) SetShieldLTimer(m CPUMask) error {
 	k.Trace.Shield(k.Now(), "ltmr", uint64(old), uint64(m))
 	for _, c := range k.cpus {
 		switch {
-		case m.Has(c.ID) && c.tickEv.Valid():
-			k.Eng.Cancel(c.tickEv)
-			c.tickEv = sim.Event{}
-		case !m.Has(c.ID) && old.Has(c.ID) && !c.tickEv.Valid() && k.started:
-			c.tickEv = k.Eng.AfterTagged(c.tickPeriod(), evCPUTick.Tag(uint64(c.ID), 0, 0), c.tick)
+		case m.Has(c.ID):
+			k.Eng.DisarmTimer(&c.tickTimer)
+		case old.Has(c.ID) && !c.tickTimer.Armed() && k.started:
+			k.Eng.ArmTimer(&c.tickTimer, k.Now().Add(c.tickPeriod()))
 		}
 	}
 	return nil

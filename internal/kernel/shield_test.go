@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func TestShieldRequiresSupport(t *testing.T) {
@@ -248,5 +249,53 @@ func TestQuickShieldPlacementInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnshieldLocalTimerRearmsPinnedTick: unshielding a CPU's local
+// timer re-arms its tick the way startLocalTimer and tick arm it —
+// pinned, with the body bound once — so the unshield allocates nothing
+// and a snapshot records the re-armed tick as pinned.
+func TestUnshieldLocalTimerRearmsPinnedTick(t *testing.T) {
+	k := New(testConfig(2), 42)
+	k.Start()
+	k.Eng.Run(sim.Time(50 * sim.Millisecond))
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := k.SetShieldLTimer(MaskOf(1)); err != nil {
+			t.Fatalf("shield ltmr: %v", err)
+		}
+		if k.CPU(1).tickTimer.Armed() {
+			t.Fatalf("shielded cpu1 still has its tick armed")
+		}
+		if err := k.SetShieldLTimer(0); err != nil {
+			t.Fatalf("unshield ltmr: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("shield+unshield of the local timer allocates %.1f times, want 0", allocs)
+	}
+	img, err := k.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.OpenReader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := sim.NewEngine(0).RestoreState(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, ev := range evs {
+		if ev.Kind == "k.cpu-tick" && ev.A0 == 1 {
+			found = true
+			if !ev.Pinned {
+				t.Errorf("re-armed cpu1 tick at %v is not pinned", ev.At)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no k.cpu-tick event for cpu1 in the snapshot after unshield")
 	}
 }

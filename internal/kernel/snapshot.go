@@ -56,9 +56,6 @@ type SnapComponent interface {
 // RestoreContext carries cross-section state through a restore.
 type RestoreContext struct {
 	K *Kernel
-	// armed[cpu] is the frame whose completion event ("k.frame-done")
-	// is pending for that CPU — always the top of its stack.
-	armed []*frame
 	// spin[cpu] is the CPU's spin frame, if one is stacked, for
 	// rebuilding lock waiter callbacks.
 	spin []*frame
@@ -215,7 +212,7 @@ func (k *Kernel) checkFrame(c *CPU, f *frame, isTop bool) error {
 	if f.complete != nil {
 		return fmt.Errorf("kernel: snapshot: compute frame for %v carries an OnComplete closure (use ActionCompleter)", f.task)
 	}
-	if f.done.Valid() && !isTop {
+	if f.armed && !isTop {
 		return fmt.Errorf("kernel: snapshot: buried %s frame is armed", f.kind)
 	}
 	switch f.kind {
@@ -549,7 +546,7 @@ func (k *Kernel) writeFrame(w *snapshot.Writer, f *frame) {
 	w.I64(3, segIdx)
 	w.F64(4, f.workLeft)
 	w.I64(5, int64(f.lastAccrue))
-	w.Bool(6, f.done.Valid())
+	w.Bool(6, f.armed)
 	w.U64(7, uint64(len(f.locks)))
 	for _, l := range f.locks {
 		w.Str(8, l.Name)
@@ -577,19 +574,19 @@ func (k *Kernel) writeFrame(w *snapshot.Writer, f *frame) {
 // There is no continuation to rebuild: frameCont picks it from the
 // restored kind, segment and spinWhy, exactly as for a live frame. A
 // spin frame is still checked here for a continuation it can run.
-func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, bool, error) {
+func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, error) {
 	f := &frame{kind: frameKind(r.U64(1))}
 	pid := r.I64(2)
 	if pid >= 0 {
 		f.task = k.byPID[int(pid)]
 		if f.task == nil {
-			return nil, false, fmt.Errorf("kernel: restore: frame references unknown pid %d", pid)
+			return nil, fmt.Errorf("kernel: restore: frame references unknown pid %d", pid)
 		}
 	}
 	segIdx := r.I64(3)
 	f.workLeft = r.F64(4)
 	f.lastAccrue = sim.Time(r.I64(5))
-	armed := r.Bool(6)
+	f.armed = r.Bool(6)
 	nlocks := int(r.U64(7))
 	for i := 0; i < nlocks; i++ {
 		f.locks = append(f.locks, k.restoreLock(r.Str(8)))
@@ -603,23 +600,23 @@ func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, bool, error) {
 	f.suspended = r.Bool(15)
 	f.spinWhy = uint8(r.U64(16))
 	if err := r.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if segIdx >= 0 {
 		if f.task == nil || f.task.call == nil || int(segIdx) >= len(f.task.call.segs) {
-			return nil, false, fmt.Errorf("kernel: restore: frame segment index %d has no matching syscall", segIdx)
+			return nil, fmt.Errorf("kernel: restore: frame segment index %d has no matching syscall", segIdx)
 		}
 		f.seg = &f.task.call.segs[segIdx]
 	}
 	switch {
 	case irqIdx == -1:
 		if c == nil {
-			return nil, false, fmt.Errorf("kernel: restore: local-timer ISR frame without a CPU")
+			return nil, fmt.Errorf("kernel: restore: local-timer ISR frame without a CPU")
 		}
 		f.irq = c.localTimer
 	case irqIdx >= 0:
 		if int(irqIdx) >= len(k.irqs) {
-			return nil, false, fmt.Errorf("kernel: restore: frame references unknown irq %d", irqIdx)
+			return nil, fmt.Errorf("kernel: restore: frame references unknown irq %d", irqIdx)
 		}
 		f.irq = k.irqs[irqIdx]
 	}
@@ -628,24 +625,24 @@ func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, bool, error) {
 	}
 
 	if c == nil && f.kind != frameTask {
-		return nil, false, fmt.Errorf("kernel: restore: saved %s frame off-CPU (only task frames are saved)", f.kind)
+		return nil, fmt.Errorf("kernel: restore: saved %s frame off-CPU (only task frames are saved)", f.kind)
 	}
 	if f.kind == frameSpin {
 		call := f.task.call
 		if call == nil {
-			return nil, false, fmt.Errorf("kernel: restore: spin frame for %v without an in-flight syscall", f.task)
+			return nil, fmt.Errorf("kernel: restore: spin frame for %v without an in-flight syscall", f.task)
 		}
 		switch f.spinWhy {
 		case spinForBKL:
 		case spinForSeg:
 			if call.idx >= len(call.segs) {
-				return nil, false, fmt.Errorf("kernel: restore: spin frame for %v past its segment list", f.task)
+				return nil, fmt.Errorf("kernel: restore: spin frame for %v past its segment list", f.task)
 			}
 		default:
-			return nil, false, fmt.Errorf("kernel: restore: spin frame with unknown continuation %d", f.spinWhy)
+			return nil, fmt.Errorf("kernel: restore: spin frame with unknown continuation %d", f.spinWhy)
 		}
 	}
-	return f, armed, nil
+	return f, nil
 }
 
 func (k *Kernel) writeCPUs(w *snapshot.Writer) {
@@ -840,9 +837,8 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 	}
 	k.resetForRestore()
 	rc := &RestoreContext{
-		K:     k,
-		armed: make([]*frame, len(k.cpus)),
-		spin:  make([]*frame, len(k.cpus)),
+		K:    k,
+		spin: make([]*frame, len(k.cpus)),
 	}
 	if err := k.readMachine(r, rc); err != nil {
 		return err
@@ -878,14 +874,21 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 		}
 	}
 	for _, rev := range evs {
-		fn, attach, err := k.rebuildEvent(rc, rev.Kind, rev.A0, rev.A1, rev.A2)
+		t, err := k.cpuTimer(rev)
 		if err != nil {
 			return err
 		}
-		ev := k.Eng.RestoreEvent(rev, fn)
-		if attach != nil {
-			attach(ev)
+		if t != nil {
+			if err := k.Eng.RestoreTimer(t, rev); err != nil {
+				return err
+			}
+			continue
 		}
+		fn, err := k.rebuildEvent(rc, rev.Kind, rev.A0, rev.A1, rev.A2)
+		if err != nil {
+			return err
+		}
+		k.Eng.RestoreEvent(rev, fn)
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -932,7 +935,6 @@ func (k *Kernel) resetForRestore() {
 		c.daemonBacklog = 0
 		c.softirqHanded = 0
 		c.busFactor = 1.0
-		c.tickEv, c.dispatchEv = sim.Event{}, sim.Event{}
 		c.IRQsHandled, c.SoftirqRuns, c.Preemptions, c.TicksHandled = 0, 0, 0, 0
 		c.SoftirqTime = 0
 		c.times, c.sampled = CPUTimes{}, CPUTimes{}
@@ -996,12 +998,9 @@ func (k *Kernel) readMachine(r *snapshot.Reader, rc *RestoreContext) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		fn, attach, err := k.rebuildEvent(rc, kind, a0, a1, a2)
+		fn, err := k.rebuildEvent(rc, kind, a0, a1, a2)
 		if err != nil {
 			return err
-		}
-		if attach != nil {
-			return fmt.Errorf("kernel: restore: wheel timer kind %q requires an event handle", kind)
 		}
 		t := &KTimer{expires: expires, fn: fn, active: true, tag: sim.RegisterEventKind(kind).Tag(a0, a1, a2)}
 		switch {
@@ -1090,11 +1089,11 @@ func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
 			t.call = &t.callBuf
 		}
 		if r.Bool(20) {
-			f, armed, err := k.readFrame(r, nil)
+			f, err := k.readFrame(r, nil)
 			if err != nil {
 				return err
 			}
-			if armed {
+			if f.armed {
 				return fmt.Errorf("kernel: restore: saved frame for %v claims to be armed", t)
 			}
 			t.saved = f
@@ -1145,16 +1144,13 @@ func (k *Kernel) readCPUs(r *snapshot.Reader, rc *RestoreContext) error {
 		c.TicksHandled = r.U64(21)
 		nStack := int(r.U64(22))
 		for i := 0; i < nStack; i++ {
-			f, armed, err := k.readFrame(r, c)
+			f, err := k.readFrame(r, c)
 			if err != nil {
 				return fmt.Errorf("cpu%d frame %d: %w", c.ID, i, err)
 			}
 			c.stack = append(c.stack, f)
-			if armed {
-				if i != nStack-1 {
-					return fmt.Errorf("kernel: restore: cpu%d buried frame %d claims to be armed", c.ID, i)
-				}
-				rc.armed[c.ID] = f
+			if f.armed && i != nStack-1 {
+				return fmt.Errorf("kernel: restore: cpu%d buried frame %d claims to be armed", c.ID, i)
 			}
 			if f.kind == frameSpin {
 				if rc.spin[c.ID] != nil {
@@ -1287,65 +1283,54 @@ func (k *Kernel) taskByID(pid int64) *Task {
 	return k.byPID[int(pid)]
 }
 
+// cpuTimer returns the CPU timer that owns a pending event of one of
+// the CPU timer kinds (frame-done, idle-dispatch, cpu-tick), or nil for
+// every other kind. A frame-done event needs an armed top frame.
+func (k *Kernel) cpuTimer(rev sim.RestoredEvent) (*sim.Timer, error) {
+	kind := sim.RegisterEventKind(rev.Kind)
+	if kind != evFrameDone && kind != evIdleDispatch && kind != evCPUTick {
+		return nil, nil
+	}
+	if rev.A0 >= uint64(len(k.cpus)) {
+		return nil, fmt.Errorf("kernel: restore: event %q cpu %d out of range", rev.Kind, rev.A0)
+	}
+	c := k.cpus[rev.A0]
+	switch kind {
+	case evFrameDone:
+		if f := c.top(); f == nil || !f.armed {
+			return nil, fmt.Errorf("kernel: restore: frame-done event for cpu%d with no armed frame", c.ID)
+		}
+		return &c.doneTimer, nil
+	case evIdleDispatch:
+		return &c.dispatchTimer, nil
+	}
+	return &c.tickTimer, nil
+}
+
 // rebuildEvent reconstructs a pending event's callback from its kind
-// tag: kernel kinds inline, everything else through the registry. The
-// returned attach hook, when non-nil, re-binds the new event handle to
-// its owner (an armed frame's done, a CPU's tick or dispatch event).
-func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64) (func(), func(sim.Event), error) {
-	cpuArg := func() (*CPU, error) {
+// tag: kernel kinds inline, everything else through the registry.
+func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64) (func(), error) {
+	switch sim.RegisterEventKind(kind) {
+	case evGlobalTick:
+		return k.onGlobalTick, nil
+	case evBusResample:
 		if a0 >= uint64(len(k.cpus)) {
 			return nil, fmt.Errorf("kernel: restore: event %q cpu %d out of range", kind, a0)
 		}
-		return k.cpus[a0], nil
-	}
-	switch sim.RegisterEventKind(kind) {
-	case evFrameDone:
-		c, err := cpuArg()
-		if err != nil {
-			return nil, nil, err
-		}
-		f := rc.armed[c.ID]
-		if f == nil {
-			return nil, nil, fmt.Errorf("kernel: restore: frame-done event for cpu%d with no armed frame", c.ID)
-		}
-		return c.onFrameDone, func(ev sim.Event) { f.done = ev }, nil
-	case evIdleDispatch:
-		c, err := cpuArg()
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.onIdleDispatch, func(ev sim.Event) { c.dispatchEv = ev }, nil
-	case evCPUTick:
-		c, err := cpuArg()
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.onTick, func(ev sim.Event) { c.tickEv = ev }, nil
-	case evGlobalTick:
-		return k.onGlobalTick, nil, nil
-	case evBusResample:
-		c, err := cpuArg()
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.onBusResample, nil, nil
+		return k.cpus[a0].onBusResample, nil
 	case evSleepWake:
 		t := k.byPID[int(a0)]
 		if t == nil {
-			return nil, nil, fmt.Errorf("kernel: restore: sleep-wake event for unknown pid %d", a0)
+			return nil, fmt.Errorf("kernel: restore: sleep-wake event for unknown pid %d", a0)
 		}
-		return k.sleepWakeFn(t, nil), nil, nil
+		return k.sleepWakeFn(t, nil), nil
 	case evInvSample:
 		period := sim.Duration(a0)
-		return func() { k.invSample(period) }, nil, nil
+		return func() { k.invSample(period) }, nil
 	}
 	rb := lookupRebuild(kind)
 	if rb == nil {
-		return nil, nil, fmt.Errorf("kernel: restore: no rebuilder registered for event kind %q", kind)
+		return nil, fmt.Errorf("kernel: restore: no rebuilder registered for event kind %q", kind)
 	}
-	fn, err := rb(rc, a0, a1, a2)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fn, nil, nil
+	return rb(rc, a0, a1, a2)
 }

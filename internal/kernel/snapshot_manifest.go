@@ -36,37 +36,35 @@ func init() {
 		"onGlobalTick": "skip: globalTick bound once in New; rebuildEvent hands it to the restored k.global-tick event",
 	})
 	snapshot.RegisterState(CPU{}, snapshot.Manifest{
-		"ID":             "skip: construction identity",
-		"Phys":           "skip: construction topology",
-		"Sibling":        "skip: construction topology (HT pairing)",
-		"kern":           "skip: construction back-pointer",
-		"stack":          "codec",
-		"cur":            "codec",
-		"lastRan":        "codec",
-		"pendingIRQ":     "codec",
-		"softirqPend":    "codec",
-		"needResched":    "codec",
-		"sliceExpired":   "codec",
-		"forceResched":   "codec",
-		"ksoftirqd":      "skip: construction back-pointer; the daemon task's state is in kernel.tasks",
-		"softirqWq":      "skip: registered wait queue, serialised in kernel.waitqs",
-		"daemonBacklog":  "codec",
-		"softirqHanded":  "codec",
-		"busFactor":      "codec",
-		"tickEv":         "codec", // rebuilt from the pending "k.cpu-tick" event and re-attached
-		"dispatchEv":     "codec", // rebuilt from the pending "k.idle-dispatch" event and re-attached
-		"localTimer":     "codec", // rng + counters inline in kernel.cpus (not a member of irqs)
-		"IRQsHandled":    "codec",
-		"SoftirqRuns":    "codec",
-		"SoftirqTime":    "codec",
-		"Preemptions":    "codec",
-		"TicksHandled":   "codec",
-		"times":          "codec",
-		"sampled":        "codec",
-		"onFrameDone":    "skip: frameDone bound once in newCPU; rebuildEvent hands it to the restored k.frame-done event",
-		"onTick":         "skip: tick bound once in newCPU; rebuildEvent hands it to the restored k.cpu-tick event",
-		"onIdleDispatch": "skip: idleDispatch bound once in newCPU; rebuildEvent hands it to the restored k.idle-dispatch event",
-		"onBusResample":  "skip: busResample bound once in newCPU; rebuildEvent hands it to the restored k.bus-resample event",
+		"ID":            "skip: construction identity",
+		"Phys":          "skip: construction topology",
+		"Sibling":       "skip: construction topology (HT pairing)",
+		"kern":          "skip: construction back-pointer",
+		"stack":         "codec",
+		"cur":           "codec",
+		"lastRan":       "codec",
+		"pendingIRQ":    "codec",
+		"softirqPend":   "codec",
+		"needResched":   "codec",
+		"sliceExpired":  "codec",
+		"forceResched":  "codec",
+		"ksoftirqd":     "skip: construction back-pointer; the daemon task's state is in kernel.tasks",
+		"softirqWq":     "skip: registered wait queue, serialised in kernel.waitqs",
+		"daemonBacklog": "codec",
+		"softirqHanded": "codec",
+		"busFactor":     "codec",
+		"doneTimer":     "codec", // a pending "k.frame-done" event in the engine section; restore re-arms it with RestoreTimer
+		"dispatchTimer": "codec", // a pending "k.idle-dispatch" event in the engine section; restore re-arms it with RestoreTimer
+		"tickTimer":     "codec", // a pending "k.cpu-tick" event in the engine section; restore re-arms it with RestoreTimer
+		"localTimer":    "codec", // rng + counters inline in kernel.cpus (not a member of irqs)
+		"IRQsHandled":   "codec",
+		"SoftirqRuns":   "codec",
+		"SoftirqTime":   "codec",
+		"Preemptions":   "codec",
+		"TicksHandled":  "codec",
+		"times":         "codec",
+		"sampled":       "codec",
+		"onBusResample": "skip: busResample bound once in newCPU; rebuildEvent hands it to the restored k.bus-resample event",
 	})
 	snapshot.RegisterState(frame{}, snapshot.Manifest{
 		"kind":       "codec",
@@ -74,7 +72,7 @@ func init() {
 		"seg":        "codec", // by index into the owning call's segment list
 		"workLeft":   "codec",
 		"lastAccrue": "codec",
-		"done":       "codec", // armed flag here; the event itself is re-attached from the engine section
+		"armed":      "codec", // the flag here; its completion is the CPU's doneTimer, re-armed from the engine section
 		"locks":      "codec", // by name
 		"irqsOff":    "codec",
 		"irq":        "codec", // by line index (-1 = the CPU's local timer)

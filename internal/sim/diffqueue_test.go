@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,13 @@ import (
 // tie-break order), some schedule delayed children, and some cancel an
 // earlier handle mid-dispatch (the cancel-during-dispatch path of the
 // Engine.Cancel contract).
+//
+// Each machine also owns diffTimers timers. The ladder machine runs
+// them as Timers (ArmTimer/DisarmTimer, the timer heap); the heap
+// machine models each as a handle it cancels and reschedules — the
+// order argument behind Timer says the two must dispatch identically.
+// Timer bodies re-arm and disarm timers themselves, so arm, re-arm,
+// disarm and fire also happen mid-dispatch.
 
 // fireRec is one dispatched event in a machine's trace.
 type fireRec struct {
@@ -26,26 +34,97 @@ type fireRec struct {
 	at   Time
 }
 
+// diffTimers is how many timers each diff machine owns.
+const diffTimers = 3
+
 // diffMachine drives one engine through the interpreted op stream.
 type diffMachine struct {
 	e     *Engine
 	live  []Event
 	fires []fireRec
 	slots int
+	// plain models the timers as cancel plus schedule of handles
+	// (the reference side); otherwise they are Timers.
+	plain   bool
+	timers  [diffTimers]Timer
+	handles [diffTimers]Event
+	// tfires counts each timer's firings, bounding self re-arms.
+	tfires [diffTimers]int
 }
 
-// newDiffMachine builds a machine on the ladder, or on the reference
-// heap when heap is set.
+// newDiffMachine builds a machine on the ladder with real timers, or on
+// the reference heap with plain-event timers when heap is set.
 func newDiffMachine(heap bool, salt uint64) *diffMachine {
 	e := NewEngine(7)
 	if heap {
 		withRefHeap(e)
 	}
-	m := &diffMachine{e: e}
+	m := &diffMachine{e: e, plain: heap}
+	for i := range m.timers {
+		i := i
+		m.timers[i].Init(EventTag{}, diffTimerPinned(i), func() { m.timerFired(i) })
+	}
 	if salt != 0 {
 		m.e.PerturbTiebreaks(salt)
 	}
 	return m
+}
+
+// diffTimerPinned gives the timers mixed arbitration classes.
+func diffTimerPinned(i int) bool { return i != 1 }
+
+// armTimer arms (or re-arms) timer i at at.
+func (m *diffMachine) armTimer(i int, at Time) {
+	if !m.plain {
+		m.e.ArmTimer(&m.timers[i], at)
+		return
+	}
+	m.e.Cancel(m.handles[i])
+	fn := func() { m.timerFired(i) }
+	if diffTimerPinned(i) {
+		m.handles[i] = m.e.SchedulePinned(at, fn)
+	} else {
+		m.handles[i] = m.e.Schedule(at, fn)
+	}
+}
+
+func (m *diffMachine) disarmTimer(i int) {
+	if m.plain {
+		m.e.Cancel(m.handles[i])
+	} else {
+		m.e.DisarmTimer(&m.timers[i])
+	}
+}
+
+func (m *diffMachine) timerArmed(i int) bool {
+	if m.plain {
+		return m.handles[i].Pending()
+	}
+	return m.timers[i].Armed()
+}
+
+// timerFired is timer i's body; fires are recorded as slot -1-i. Timer
+// 0 is periodic (a bounded tick), timer 1 re-arms timer 2 for the
+// current instant, and timer 2 disarms timer 0 and spawns a
+// same-instant plain event.
+func (m *diffMachine) timerFired(i int) {
+	m.fires = append(m.fires, fireRec{slot: -1 - i, at: m.e.Now()})
+	m.tfires[i]++
+	switch i {
+	case 0:
+		if m.tfires[0] < 64 {
+			m.armTimer(0, m.e.Now().Add(Duration(3+m.tfires[0]%5)*Microsecond))
+		}
+	case 1:
+		if m.tfires[1] < 64 {
+			m.armTimer(2, m.e.Now())
+		}
+	case 2:
+		m.disarmTimer(0)
+		if m.slots < 4096 {
+			m.schedule(m.e.Now(), false)
+		}
+	}
 }
 
 // fn builds the callback for a new slot. Behaviour depends only on the
@@ -106,7 +185,12 @@ func (m *diffMachine) exec(op byte) {
 				m.live[i] = ev
 			}
 		}
-	case 6: // dispatch a few events
+	case 6:
+		if arg >= 16 {
+			m.timerOp(arg - 16)
+			return
+		}
+		// dispatch a few events
 		for i := 0; i < arg%4; i++ {
 			if !m.e.Step() {
 				break
@@ -118,8 +202,35 @@ func (m *diffMachine) exec(op byte) {
 	}
 }
 
-// diffRun drives both machines and asserts lockstep equivalence.
-func diffRun(t *testing.T, ops []byte, salt uint64) {
+// timerOp interprets a timer op: a in [0, 16) picks timer a%3 and one
+// of arm now (a same-instant tie), arm near, arm far (past the ladder
+// window), disarm, re-arm near if armed, or disarm every timer.
+func (m *diffMachine) timerOp(a int) {
+	i := a % diffTimers
+	now := m.e.Now()
+	switch a / diffTimers {
+	case 0:
+		m.armTimer(i, now)
+	case 1:
+		m.armTimer(i, now.Add(Duration(i+1)*Microsecond))
+	case 2:
+		m.armTimer(i, now.Add(Duration(i+1)*20*Millisecond))
+	case 3:
+		m.disarmTimer(i)
+	case 4:
+		if m.timerArmed(i) {
+			m.armTimer(i, now.Add(Duration(2*i+1)*Microsecond))
+		}
+	default:
+		for j := range m.timers {
+			m.disarmTimer(j)
+		}
+	}
+}
+
+// diffRun drives both machines, asserts lockstep equivalence and
+// returns the common dispatch trace.
+func diffRun(t *testing.T, ops []byte, salt uint64) []fireRec {
 	t.Helper()
 	h := newDiffMachine(true, salt)
 	l := newDiffMachine(false, salt)
@@ -150,14 +261,16 @@ func diffRun(t *testing.T, ops []byte, salt uint64) {
 				i, h.fires[i].slot, h.fires[i].at, l.fires[i].slot, l.fires[i].at)
 		}
 	}
+	return l.fires
 }
 
 // FuzzDiffQueue is the differential fuzz target: arbitrary op streams
-// under arbitrary tie-break salts, heap vs ladder, identical dispatch
-// order required. The seeded corpus (testdata/fuzz/FuzzDiffQueue) pins
-// the structurally interesting paths: equal-At pinned/unpinned mixes,
-// far-heap overflow, the rewind after an idle Run, double-cancel and
-// cancel-during-dispatch.
+// under arbitrary tie-break salts, heap vs ladder (plain-event timers
+// vs Timers), identical dispatch order required. The seeded corpus
+// (testdata/fuzz/FuzzDiffQueue) pins the structurally interesting
+// paths: equal-At pinned/unpinned mixes, far-heap overflow, the rewind
+// after an idle Run, double-cancel, cancel-during-dispatch, and timer
+// arm/re-arm/disarm/fire against same-instant ties.
 func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x08, 0x10, 0x18}, uint64(0))
 	// Same-instant bursts (op 3) mixing pinned and unpinned, salted.
@@ -168,6 +281,8 @@ func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, uint64(0))
 	// Cancel/reschedule churn, double-cancels included.
 	f.Add([]byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16}, uint64(42))
+	// Timers: arm now and near, re-arm, disarm, amid same-instant bursts.
+	f.Add([]byte{0x86, 0x8e, 0x96, 0x23, 0xa6, 0x06, 0xde, 0x1e, 0xe6, 0x1e}, uint64(0x71e))
 	f.Fuzz(func(t *testing.T, ops []byte, salt uint64) {
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -190,10 +305,28 @@ func TestDiffQueueScenarios(t *testing.T) {
 		{"rewind_after_idle_run", []byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, 0},
 		{"cancel_churn", []byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16, 0x1e}, 42},
 		{"kitchen_sink_salted", []byte{0x23, 0xf9, 0x0c, 0x2b, 0xff, 0x08, 0x05, 0x16, 0x1e, 0x23}, 0x5eed},
+		// Timers armed now, near and far, then re-armed, disarmed and
+		// fired through bursts, bounded runs and an idle run.
+		{"timer_arm_rearm_fire", []byte{0x86, 0x8e, 0x96, 0x9e, 0xa6, 0xae, 0x23, 0xce, 0xd6, 0x1e, 0x1e, 0xff, 0x86, 0x1e}, 0},
+		{"timer_disarm_salted", []byte{0x8e, 0x96, 0xb6, 0x23, 0xbe, 0xc6, 0x2b, 0xf6, 0x8e, 0x1e, 0x3f}, 0xfeed},
 	}
 	for _, sc := range scenarios {
 		sc := sc
-		t.Run(sc.name, func(t *testing.T) { diffRun(t, sc.ops, sc.salt) })
+		t.Run(sc.name, func(t *testing.T) {
+			fires := diffRun(t, sc.ops, sc.salt)
+			if strings.HasPrefix(sc.name, "timer_") {
+				timerFires := 0
+				for _, f := range fires {
+					if f.slot < 0 {
+						timerFires++
+					}
+				}
+				if timerFires == 0 {
+					t.Fatalf("timer scenario fired no timer (%d dispatches)", len(fires))
+				}
+				t.Logf("%d dispatches, %d timer fires", len(fires), timerFires)
+			}
+		})
 	}
 }
 

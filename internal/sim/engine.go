@@ -16,6 +16,9 @@ type Engine struct {
 	now Time
 	// q holds pending (and lazily-cancelled) events.
 	q eventQueue
+	// timers is the min-heap of armed Timers, ordered by ord; each
+	// timer's hidx is its position. Dispatch merges its head with q's.
+	timers []*Timer
 	// pool recycles event nodes; possibly shared with other engines on
 	// the same goroutine (see runner.MapSeededPooled).
 	pool *EventPool
@@ -23,7 +26,8 @@ type Engine struct {
 	// sanitizer can compute tie-break keys.
 	ord     eventOrder
 	nextSeq uint64
-	// live counts queued events that are still pending (not cancelled).
+	// live counts queued events that are still pending (not cancelled)
+	// plus armed timers.
 	live int
 	rng  *RNG
 	// Stopped is set by Stop and checked by Run.
@@ -52,8 +56,8 @@ func NewEngineWithPool(seed uint64, pool *EventPool) *Engine {
 	return &Engine{q: newLadderQueue(), pool: pool, rng: NewRNG(seed)}
 }
 
-// NextEventTime returns the fire time of the earliest pending event,
-// or ok == false when nothing is pending. It drains lazily-cancelled
+// NextEventTime returns the fire time of the earliest pending event or
+// armed timer, or ok == false when nothing is pending. It drains lazily-cancelled
 // queue heads like any dispatch would, but never advances the clock.
 func (e *Engine) NextEventTime() (Time, bool) {
 	n := e.peekLive()
@@ -79,7 +83,7 @@ func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 // queue is ordered by the tie-break key, so changing the key under queued
 // events would corrupt it); installing it later panics.
 func (e *Engine) PerturbTiebreaks(salt uint64) {
-	if e.q.len() > 0 {
+	if e.q.len() > 0 || len(e.timers) > 0 {
 		panic("sim: PerturbTiebreaks after events were scheduled")
 	}
 	e.ord.salt = salt
@@ -92,7 +96,8 @@ func (e *Engine) Now() Time { return e.now }
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Fired returns the number of events dispatched so far.
+// Fired returns the number of events dispatched so far, timer firings
+// included.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Schedule queues fn to run at time at. Scheduling in the past panics:
@@ -244,33 +249,41 @@ func (e *Engine) Reschedule(ev Event, at Time) Event {
 	return e.schedule(at, fn, pinned, tag)
 }
 
-// peekLive returns the next pending node without removing it, draining
-// and recycling lazily-cancelled nodes on the way. Cancelled nodes
-// still route through the sanitizer's pop-order check: their removal
-// position is part of the total order too.
+// peekLive returns the next pending node without removing it: the
+// lesser in eventOrder of the ladder head and the timer-heap head. It
+// drains and recycles lazily-cancelled ladder nodes on the way, but
+// only once they are the overall minimum, so every removal — cancelled
+// or fired, from either structure — leaves nothing smaller behind.
+// Cancelled nodes still route through the sanitizer's pop-order check:
+// their removal position is part of the total order too.
 func (e *Engine) peekLive() *eventNode {
 	for {
 		n := e.q.peek()
-		if n == nil {
-			return nil
+		if len(e.timers) > 0 {
+			if t := &e.timers[0].n; n == nil || e.ord.less(t, n) {
+				return t
+			}
 		}
-		if n.state == nodeCancelled {
-			e.q.pop()
-			e.sanOnPop(n)
-			e.pool.put(n)
-			continue
+		if n == nil || n.state != nodeCancelled {
+			return n
 		}
-		return n
+		e.q.pop()
+		e.sanOnPop(n)
+		e.pool.put(n)
 	}
 }
 
-// fireHead dispatches the queue head, which the caller has verified is
-// pending. The node is recycled *before* the callback runs, so every
-// outstanding handle to it is already stale inside the callback — a
-// callback that cancels its own event is a detected no-op, not a heap
-// corruption.
-func (e *Engine) fireHead() {
-	n := e.q.pop()
+// fireHead dispatches n, the pending node peekLive just returned: the
+// timer-heap head or the ladder head. A ladder node is recycled
+// *before* the callback runs, so every outstanding handle to it is
+// already stale inside the callback — a callback that cancels its own
+// event is a detected no-op, not a heap corruption.
+func (e *Engine) fireHead(n *eventNode) {
+	if len(e.timers) > 0 && n == &e.timers[0].n {
+		e.fireTimer()
+		return
+	}
+	e.q.pop()
 	e.live--
 	e.sanOnPop(n)
 	fn := n.fn
@@ -296,7 +309,7 @@ func (e *Engine) runBatch(at Time) {
 		if n == nil || n.At != at {
 			return
 		}
-		e.fireHead()
+		e.fireHead(n)
 	}
 }
 
@@ -308,7 +321,7 @@ func (e *Engine) Step() bool {
 	}
 	e.sanOnAdvance(n.At)
 	e.now = n.At
-	e.fireHead()
+	e.fireHead(n)
 	return true
 }
 
@@ -351,6 +364,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // uses it to tell "budget exhausted" from "queue drained".
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Pending returns the number of queued events that are still pending
-// (cancelled-but-not-yet-drained events are not counted).
+// Pending returns the number of queued events that are still pending,
+// armed timers included (cancelled-but-not-yet-drained events are not
+// counted).
 func (e *Engine) Pending() int { return e.live }

@@ -12,6 +12,8 @@ func (e *Engine) sanOnSchedule(n *eventNode) {}
 
 func (e *Engine) sanOnCancel(n *eventNode) {}
 
+func (e *Engine) sanOnDisarm(t *Timer) {}
+
 func (e *Engine) sanOnAdvance(at Time) {}
 
 func (e *Engine) sanOnPop(n *eventNode) {}

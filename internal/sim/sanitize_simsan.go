@@ -13,11 +13,13 @@ import "fmt"
 //
 //   - virtual time is monotone: no event fires before the clock,
 //   - pops are globally ordered: every queue minimum removed is >= the
-//     previous one in (At, tie-break key),
+//     previous one in (At, tie-break key), and nothing smaller is left
+//     behind in either the ladder or the timer heap,
 //   - the queue's internal shape stays valid — ladder window/bucket/far
 //     invariants or the reference heap property, via eventQueue.validate
-//     (checked in full periodically, so corruption is caught near its
-//     cause rather than at the end),
+//     — and the timer heap's order and back-indices (checked in full
+//     periodically, so corruption is caught near its cause rather than
+//     at the end),
 //   - the event pool stays consistent: free-list nodes are actually
 //     free and callback-less, and the engine's live-event count matches
 //     a fresh count over the queue.
@@ -70,6 +72,23 @@ func (e *Engine) sanOnCancel(n *eventNode) {
 	}
 }
 
+// sanOnDisarm checks a disarmed timer: unlike a cancelled node it keeps
+// its body for the next arm, and it must have left the timer heap.
+func (e *Engine) sanOnDisarm(t *Timer) {
+	if t.Armed() {
+		panic(fmt.Sprintf("simsan: disarmed timer %s still in state %s", t.n.tag.Kind, t.n.state))
+	}
+	if t.n.fn == nil {
+		panic(fmt.Sprintf("simsan: disarmed timer %s lost its callback", t.n.tag.Kind))
+	}
+	if t.hidx < len(e.timers) && e.timers[t.hidx] == t {
+		panic(fmt.Sprintf("simsan: disarmed timer %s still in the timer heap at %d", t.n.tag.Kind, t.hidx))
+	}
+	if e.live < 0 {
+		panic(fmt.Sprintf("simsan: live event count went negative (%d)", e.live))
+	}
+}
+
 // sanOnAdvance guards the clock before Step/runBatch move it to the
 // next dispatch instant.
 func (e *Engine) sanOnAdvance(at Time) {
@@ -88,12 +107,19 @@ func (e *Engine) sanOnPop(n *eventNode) {
 	if n.state == nodeFree {
 		panic(fmt.Sprintf("simsan: popped node (gen %d) is on the free list", n.gen))
 	}
-	// Local minimality: a pop must never leave a smaller node behind.
-	// This holds for every pop — pending or cancelled — because the
-	// engine only removes the queue surface.
+	// Local minimality: a pop must never leave a smaller node behind in
+	// either the ladder or the timer heap. This holds for every pop —
+	// pending or cancelled, ladder node or timer — because the engine
+	// only removes the lesser of the two surfaces.
 	if m := e.q.peek(); m != nil && e.ord.less(m, n) {
 		panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while (%v, key %d) still queued",
 			n.At, e.ord.key(n), m.At, e.ord.key(m)))
+	}
+	if len(e.timers) > 0 {
+		if m := &e.timers[0].n; e.ord.less(m, n) {
+			panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while timer %s (%v, key %d) still armed",
+				n.At, e.ord.key(n), m.tag.Kind, m.At, e.ord.key(m)))
+		}
 	}
 	key := e.ord.key(n)
 	if n.state == nodeCancelled {
@@ -135,13 +161,14 @@ func (e *Engine) sanCountPop() {
 }
 
 // sanValidate runs the full O(n) structural audit: queue-implementation
-// invariants, pool free-list consistency, and the live-count
-// cross-check.
+// invariants, timer-heap order and back-indices, pool free-list
+// consistency, and the live-count cross-check.
 func (e *Engine) sanValidate() {
 	fail := func(msg string) { panic("simsan: " + msg) }
 	e.q.validate(fail)
+	e.validateTimers(fail)
 	e.pool.validate(fail)
-	live, queued := 0, 0
+	live, queued := len(e.timers), 0
 	e.q.each(func(n *eventNode) {
 		queued++
 		switch n.state {
@@ -162,7 +189,7 @@ func (e *Engine) sanValidate() {
 		fail(fmt.Sprintf("queue len %d != visited %d", e.q.len(), queued))
 	}
 	if live != e.live {
-		fail(fmt.Sprintf("engine live count %d != queue live count %d", e.live, live))
+		fail(fmt.Sprintf("engine live count %d != queue live count plus armed timers %d", e.live, live))
 	}
 }
 

@@ -172,3 +172,97 @@ func TestSimsanNoFalsePositiveOnSameInstantSchedule(t *testing.T) {
 		}
 	}
 }
+
+// A timer-heavy clean run — periodic pinned and unpinned timers
+// re-armed and disarmed amid same-instant plain events, salted and not —
+// must not trip the checker, and must cross the periodic audit so the
+// timer-heap validation runs too.
+func TestSimsanCleanRunWithTimers(t *testing.T) {
+	for _, salt := range []uint64{0, 5} {
+		e := NewEngine(9)
+		e.PerturbTiebreaks(salt)
+		var a, b Timer
+		n := 0
+		a.Init(EventTag{}, true, func() {
+			n++
+			if n < 3*sanValidateEvery {
+				e.ArmTimer(&a, e.Now().Add(Duration(n%3)*Microsecond))
+				e.After(0, func() {}) // same-instant tie with the re-armed timer
+				switch n % 5 {
+				case 0:
+					e.ArmTimer(&b, e.Now())
+				case 2:
+					e.ArmTimer(&b, e.Now().Add(2*Microsecond))
+				case 3:
+					e.DisarmTimer(&b)
+				}
+			}
+		})
+		b.Init(EventTag{}, false, func() {})
+		e.ArmTimer(&a, 0)
+		e.RunAll()
+		if e.san.pops < sanValidateEvery {
+			t.Fatalf("salt %d: only %d pops; periodic validation never ran", salt, e.san.pops)
+		}
+	}
+}
+
+// Pop minimality covers both heads: removing the ladder head while a
+// smaller timer is armed is a violation.
+func TestSimsanCatchesPopBehindArmedTimer(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	tm.Init(EventTag{}, false, func() {})
+	e.ArmTimer(&tm, 5)
+	e.Schedule(10, func() {})
+	n := e.q.peek()
+	e.now = 10
+	mustPanicWith(t, "still armed", func() { e.fireHead(n) })
+}
+
+func TestSimsanCatchesTimerHeapDisorder(t *testing.T) {
+	e := NewEngine(1)
+	timers := make([]Timer, 4)
+	for i := range timers {
+		timers[i].Init(EventTag{}, false, func() {})
+		e.ArmTimer(&timers[i], Time(i+1))
+	}
+	// Swap root and a leaf, keeping back-indices consistent, so the
+	// only defect is the order.
+	e.timerSwap(0, 3)
+	mustPanicWith(t, "timer heap: order violated", func() { e.sanValidate() })
+}
+
+func TestSimsanCatchesTimerIndexDesync(t *testing.T) {
+	e := NewEngine(1)
+	var a, b Timer
+	a.Init(EventTag{}, false, func() {})
+	b.Init(EventTag{}, false, func() {})
+	e.ArmTimer(&a, 1)
+	e.ArmTimer(&b, 2)
+	b.hidx = 0
+	mustPanicWith(t, "has hidx", func() { e.sanValidate() })
+}
+
+func TestSimsanCatchesTimerLiveCountDesync(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	tm.Init(EventTag{}, false, func() {})
+	e.ArmTimer(&tm, 1)
+	e.Schedule(2, func() {})
+	e.live--
+	mustPanicWith(t, "live count", func() { e.sanValidate() })
+}
+
+// The disarm hook checks what a disarm must leave behind: the timer out
+// of the heap and not pending, with its body kept for the next arm.
+func TestSimsanCatchesBadDisarm(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	tm.Init(EventTag{}, false, func() {})
+	e.ArmTimer(&tm, 1)
+	mustPanicWith(t, "still in state pending", func() { e.sanOnDisarm(&tm) })
+	e.DisarmTimer(&tm)
+	tm.n.fn = nil
+	mustPanicWith(t, "lost its callback", func() { e.sanOnDisarm(&tm) })
+}

@@ -99,6 +99,8 @@ const engineSection = "sim.engine"
 // state (queue internals are never serialised — restore re-pushes the
 // events, and any implementation realises the same total order).
 // Lazily-cancelled nodes are dropped: they have no observable future.
+// Armed timers are pending events like any other: an image does not
+// record whether an occurrence was a timer or a plain event.
 //
 // Every pending event must carry a tag (ScheduleTagged and friends);
 // an anonymous closure in flight is an error naming the offending
@@ -110,6 +112,9 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 			pending = append(pending, n)
 		}
 	})
+	for _, t := range e.timers {
+		pending = append(pending, &t.n)
+	}
 	sort.Slice(pending, func(i, j int) bool { return e.ord.less(pending[i], pending[j]) })
 
 	// Intern kind names in first-appearance order (deterministic: the
@@ -150,16 +155,20 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 	return nil
 }
 
-// RestoreState rewrites the engine to a snapshot's state: it drains and
-// recycles everything currently queued (the boot events of a freshly
-// reconstructed machine), then overwrites the clock, sequence counter,
+// RestoreState rewrites the engine to a snapshot's state: it disarms
+// every timer, drains and recycles everything currently queued (the
+// boot events of a freshly reconstructed machine), then overwrites the clock, sequence counter,
 // salt and RNG stream from the image. The snapshot's
 // pending events are returned, not queued — the caller rebuilds each
-// callback from its kind and pushes it back with RestoreEvent. Between
-// RestoreState and the first RestoreEvent the queue is empty, so a
+// callback from its kind and pushes it back with RestoreEvent, or
+// re-arms the owning timer with RestoreTimer. Between RestoreState and
+// the first RestoreEvent or RestoreTimer the queue is empty, so a
 // warm-start caller may install a different tie-break salt with
 // PerturbTiebreaks.
 func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
+	for len(e.timers) > 0 {
+		e.DisarmTimer(e.timers[len(e.timers)-1])
+	}
 	for e.q.len() > 0 {
 		n := e.q.pop()
 		e.sanOnPop(n)
@@ -218,8 +227,8 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 // The occurrence keeps its original sequence number, fire time, pinned
 // class and tag — so the restored engine dispatches
 // the identical (At, key, seq) total order the snapshotted one would
-// have. It returns the new handle for owners that hold one (timer
-// events, armed frame completions).
+// have. It returns the new handle; events whose owner re-arms them are
+// Timers and go through RestoreTimer instead.
 func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) Event {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: RestoreEvent %q with nil callback", rev.Kind))
@@ -257,11 +266,12 @@ func (e *Engine) NextEventInfo() (at Time, seq uint64, kind string, ok bool) {
 func init() {
 	snapshot.RegisterState(Engine{}, snapshot.Manifest{
 		"now":     "codec",
+		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; RestoreState disarms every timer and owners re-arm theirs with RestoreTimer",
 		"q":       "skip: queue internals are never serialised — restore re-pushes the pending events, and the ladder realises the identical eventOrder total order as the reference heap (diffqueue differential harness)",
 		"pool":    "skip: free-list contents, generation counters and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
 		"ord":     "codec",
 		"nextSeq": "codec",
-		"live":    "skip: derived — recomputed by RestoreEvent re-pushes",
+		"live":    "skip: derived — recomputed by RestoreEvent re-pushes and RestoreTimer re-arms",
 		"rng":     "codec",
 		"stopped": "skip: transient run-loop flag; restore clears it (a snapshot is taken between events, never inside Stop handling)",
 		"fired":   "codec",
@@ -269,6 +279,10 @@ func init() {
 	})
 	snapshot.RegisterState(RNG{}, snapshot.Manifest{
 		"state": "codec",
+	})
+	snapshot.RegisterState(Timer{}, snapshot.Manifest{
+		"n":    "codec", // an armed timer is one pending event in the sim.engine section; tag, pinned and fn are bound by Init
+		"hidx": "skip: timer-heap position, rebuilt when RestoreTimer pushes the timer",
 	})
 	snapshot.RegisterState(eventNode{}, snapshot.Manifest{
 		"At":     "codec",

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -16,15 +17,92 @@ type snapHarness struct {
 	eng     *Engine
 	counter uint64
 	log     []string
+	// The harness owns two timers ("test.timer", A0 = index; timer 0
+	// is pinned). plain models them as handles it cancels and
+	// reschedules, the way owned events worked before Timer existed;
+	// otherwise they are Timers.
+	plain   bool
+	timers  [2]Timer
+	handles [2]Event
 }
 
 var (
-	kindCount = RegisterEventKind("test.count")
-	kindSpawn = RegisterEventKind("test.spawn")
-	kindTick  = RegisterEventKind("test.tick")
+	kindCount   = RegisterEventKind("test.count")
+	kindSpawn   = RegisterEventKind("test.spawn")
+	kindTick    = RegisterEventKind("test.tick")
+	kindTimer   = RegisterEventKind("test.timer")
+	kindTimerOp = RegisterEventKind("test.timer-op")
 )
 
-func newSnapHarness(eng *Engine) *snapHarness { return &snapHarness{eng: eng} }
+func newSnapHarness(eng *Engine) *snapHarness {
+	h := &snapHarness{eng: eng}
+	for i := range h.timers {
+		i := i
+		h.timers[i].Init(kindTimer.Tag(uint64(i), 0, 0), i == 0, func() { h.timerFired(i) })
+	}
+	return h
+}
+
+// armTimer arms (or re-arms) timer i at at.
+func (h *snapHarness) armTimer(i int, at Time) {
+	if !h.plain {
+		h.eng.ArmTimer(&h.timers[i], at)
+		return
+	}
+	h.eng.Cancel(h.handles[i])
+	tag := kindTimer.Tag(uint64(i), 0, 0)
+	fn := func() { h.timerFired(i) }
+	if i == 0 {
+		h.handles[i] = h.eng.SchedulePinnedTagged(at, tag, fn)
+	} else {
+		h.handles[i] = h.eng.ScheduleTagged(at, tag, fn)
+	}
+}
+
+func (h *snapHarness) disarmTimer(i int) {
+	if h.plain {
+		h.eng.Cancel(h.handles[i])
+	} else {
+		h.eng.DisarmTimer(&h.timers[i])
+	}
+}
+
+func (h *snapHarness) timerArmed(i int) bool {
+	if h.plain {
+		return h.handles[i].Pending()
+	}
+	return h.timers[i].Armed()
+}
+
+// timerFired is timer i's body: it draws the RNG, and timer 0 is
+// periodic.
+func (h *snapHarness) timerFired(i int) {
+	h.counter += uint64(1000*(i+1)) + h.eng.RNG().Uint64()%7
+	h.log = append(h.log, fmt.Sprintf("timer%d@%d c=%d", i, h.eng.Now(), h.counter))
+	if i == 0 {
+		h.armTimer(0, h.eng.Now().Add(313))
+	}
+}
+
+// timerOp is the "test.timer-op" body: code picks timer code%2 and one
+// of arm at now+delay, arm now, disarm, or re-arm at now+delay if armed.
+func (h *snapHarness) timerOp(code, delay uint64) {
+	i := int(code % 2)
+	now := h.eng.Now()
+	h.log = append(h.log, fmt.Sprintf("timer-op@%d code=%d", now, code))
+	switch (code / 2) % 4 {
+	case 0:
+		h.armTimer(i, now.Add(Duration(delay)))
+	case 1:
+		h.armTimer(i, now)
+	case 2:
+		h.disarmTimer(i)
+	default:
+		if h.timerArmed(i) {
+			h.armTimer(i, now.Add(Duration(delay)))
+		}
+	}
+}
 
 // fire implements every test kind; restore rebuilds callbacks by
 // binding the same method to the restored tag.
@@ -45,6 +123,8 @@ func (h *snapHarness) fire(tag EventTag) func() {
 			h.counter++
 			h.log = append(h.log, fmt.Sprintf("tick@%d c=%d", h.eng.Now(), h.counter))
 			h.eng.AfterPinnedTagged(Duration(tag.A0), tag, h.fire(tag))
+		case kindTimerOp:
+			h.timerOp(tag.A0, tag.A1)
 		}
 	}
 }
@@ -75,8 +155,17 @@ func (h *snapHarness) snapshot() []byte {
 // drain).
 func restoreHarness(t *testing.T, img []byte, mkEngine func() *Engine) *snapHarness {
 	t.Helper()
+	return restoreHarnessPlain(t, img, mkEngine, false)
+}
+
+// restoreHarnessPlain is restoreHarness with the restored harness's
+// timer model chosen: Timers re-armed by RestoreTimer, or (plain)
+// handles re-queued by RestoreEvent.
+func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plain bool) *snapHarness {
+	t.Helper()
 	eng := mkEngine()
 	h := newSnapHarness(eng)
+	h.plain = plain
 	r, err := snapshot.OpenReader(img)
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
@@ -90,7 +179,16 @@ func restoreHarness(t *testing.T, img []byte, mkEngine func() *Engine) *snapHarn
 	}
 	for _, rev := range evs {
 		tag := EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-		eng.RestoreEvent(rev, h.fire(tag))
+		if tag.Kind != kindTimer {
+			eng.RestoreEvent(rev, h.fire(tag))
+			continue
+		}
+		i := int(rev.A0)
+		if plain {
+			h.handles[i] = eng.RestoreEvent(rev, func() { h.timerFired(i) })
+		} else if err := eng.RestoreTimer(&h.timers[i], rev); err != nil {
+			t.Fatalf("RestoreTimer: %v", err)
+		}
 	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("reader: %v", err)
@@ -99,7 +197,9 @@ func restoreHarness(t *testing.T, img []byte, mkEngine func() *Engine) *snapHarn
 }
 
 // seedHarness installs a deterministic mixed workload: recurring pinned
-// ticks, a spawn cascade, and same-instant unpinned counts.
+// ticks, a spawn cascade, same-instant unpinned counts, and timer ops
+// that arm, tie, re-arm and disarm both timers (timer 0 then ticks
+// periodically).
 func seedHarness(h *snapHarness) {
 	h.schedule(10, kindTick.Tag(500, 0, 0), true)
 	h.schedule(25, kindSpawn.Tag(6, 0, 0), false)
@@ -107,6 +207,13 @@ func seedHarness(h *snapHarness) {
 		h.schedule(300, kindCount.Tag(i, 0, 0), false) // same-instant ties
 	}
 	h.schedule(100_000, kindCount.Tag(99, 0, 0), false)
+	h.schedule(20, kindTimerOp.Tag(0, 280, 0), false)    // timer 0 at 300, tied with the counts
+	h.schedule(20, kindTimerOp.Tag(1, 1200, 0), false)   // timer 1 at 1220
+	h.schedule(290, kindTimerOp.Tag(3, 10, 0), false)    // timer 1 fires now, in the batch
+	h.schedule(300, kindTimerOp.Tag(1, 900, 0), false)   // timer 1 again at 1200
+	h.schedule(700, kindTimerOp.Tag(7, 40, 0), false)    // re-arm timer 1 to 740
+	h.schedule(5_000, kindTimerOp.Tag(4, 0, 0), false)   // stop the periodic timer 0
+	h.schedule(5_100, kindTimerOp.Tag(0, 500, 0), false) // and restart it at 5_600
 }
 
 func runSnapshotResume(t *testing.T, newEng func(seed uint64) *Engine, salt uint64, stopAt Time) {
@@ -148,7 +255,7 @@ func runSnapshotResume(t *testing.T, newEng func(seed uint64) *Engine, salt uint
 	if b.eng.RNG().State() != ref.eng.RNG().State() {
 		t.Errorf("rng state diverged")
 	}
-	if !reflect.DeepEqual(b.log, ref.log) {
+	if !slices.Equal(b.log, ref.log) {
 		t.Errorf("dispatch log diverged:\nresumed  %d entries\nreference %d entries", len(b.log), len(ref.log))
 		for i := range ref.log {
 			if i >= len(b.log) || b.log[i] != ref.log[i] {
@@ -403,13 +510,18 @@ func TestRestoredHandleLifecycle(t *testing.T) {
 // contract, in the style of FuzzDiffQueue: a fuzzed op stream seeds a
 // restorable workload, one engine runs it uninterrupted, a second is
 // snapshotted at a fuzzed point, restored into a third (qa and qb pick
-// the ladder or the reference heap for each side), and the two futures
-// must be identical — dispatch log, clock, fired count, counter and RNG stream.
+// the ladder with Timers or the reference heap with plain-event
+// timers for each side), and the two futures must be identical —
+// dispatch log, clock, fired count, counter and RNG stream. Timer ops
+// arm, re-arm and disarm the harness timers mid-run, so images carry
+// armed timers across the boundary, in both timer models.
 func FuzzSnapshotResume(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 2, 3, 4, 5, 6}, uint8(2), uint8(0), uint8(1))
 	f.Add(uint64(42), []byte{0xff, 0x01, 0x80, 0x7f, 0x33, 0x9a, 0x00, 0x10}, uint8(7), uint8(1), uint8(2))
 	f.Add(uint64(0xdead), []byte{9, 9, 9, 9}, uint8(0), uint8(2), uint8(0))
 	f.Add(uint64(7), []byte{5, 0, 5, 0, 5, 0, 200, 200, 200}, uint8(31), uint8(1), uint8(1))
+	// Timer ops (b%4 == 3): arm, arm-now, disarm and re-arm both timers.
+	f.Add(uint64(3), []byte{3, 7, 11, 15, 19, 23, 27, 31, 35, 39, 2, 1}, uint8(4), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte, stopByte, qa, qb uint8) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -421,40 +533,47 @@ func FuzzSnapshotResume(f *testing.F) {
 			}
 			return e
 		}
+		newHarness := func(q uint8, seed uint64) *snapHarness {
+			h := newSnapHarness(newEng(q, seed))
+			h.plain = q%2 == 1
+			return h
+		}
 		salt := seed % 3 // exercise salted and unsalted orders
 
 		seedOps := func(h *snapHarness) {
 			for i, b := range ops {
 				at := Time(uint64(b) * 17)
-				switch b % 3 {
+				switch b % 4 {
 				case 0:
 					h.schedule(at, kindCount.Tag(uint64(i), 0, 0), false)
 				case 1:
 					h.schedule(at, kindSpawn.Tag(uint64(b%5), 0, 0), false)
 				case 2:
 					h.schedule(at, kindTick.Tag(uint64(b)*13+1, 0, 0), true)
+				case 3:
+					h.schedule(at, kindTimerOp.Tag(uint64(b>>2), uint64(b)*3, 0), b&4 != 0)
 				}
 			}
 		}
 		const horizon = 50_000
 
-		ref := newSnapHarness(newEng(qa, seed))
+		ref := newHarness(qa, seed)
 		ref.eng.PerturbTiebreaks(salt)
 		seedOps(ref)
 		ref.eng.Run(horizon)
 
-		a := newSnapHarness(newEng(qa, seed))
+		a := newHarness(qa, seed)
 		a.eng.PerturbTiebreaks(salt)
 		seedOps(a)
 		a.eng.Run(Time(stopByte) * 100)
 		img := a.snapshot()
 
-		b := restoreHarness(t, img, func() *Engine {
+		b := restoreHarnessPlain(t, img, func() *Engine {
 			eng := newEng(qb, seed^0x55)
 			eng.Schedule(1, func() {})
 			eng.Schedule(10_000_000, func() {})
 			return eng
-		})
+		}, qb%2 == 1)
 		b.log = append([]string{}, a.log...)
 		b.eng.Run(horizon)
 
@@ -463,7 +582,7 @@ func FuzzSnapshotResume(f *testing.F) {
 			t.Fatalf("resume state diverged: now %v/%v fired %d/%d counter %d/%d",
 				b.eng.Now(), ref.eng.Now(), b.eng.Fired(), ref.eng.Fired(), b.counter, ref.counter)
 		}
-		if !reflect.DeepEqual(b.log, ref.log) {
+		if !slices.Equal(b.log, ref.log) {
 			for i := range ref.log {
 				if i >= len(b.log) || b.log[i] != ref.log[i] {
 					t.Fatalf("dispatch log diverged at %d: resumed %q, reference %q", i, at(b.log, i), ref.log[i])

@@ -1,0 +1,237 @@
+package sim
+
+import "fmt"
+
+// Timer is a re-armable, single-owner event. Its owner binds the
+// timer's identity once — snapshot tag, same-instant arbitration class
+// and body — and then arms, re-arms and disarms it for the rest of the
+// run. A Timer embeds its own node, so it never touches the event pool,
+// the ladder queue or lazy cancellation: armed timers sit in a small
+// indexed min-heap on the Engine (at most a few per simulated CPU), and
+// the dispatch loop takes whichever of the ladder head and the heap
+// head comes first in eventOrder.
+//
+// Arming takes a fresh sequence number exactly as Schedule does, and
+// disarming takes none, exactly as Cancel does. So arm, re-arm and
+// disarm realise the same (At, key, seq) total order as cancel plus
+// schedule would, under any tie-break salt: a timer is an event whose
+// owner holds it. See DESIGN.md §5 "Event queue internals".
+//
+// The zero Timer is disarmed and has no body; Init must run before the
+// first ArmTimer. A Timer must not be copied once initialised.
+type Timer struct {
+	// n is the timer's node: At and seq are the armed occurrence, tag,
+	// pinned and fn are bound by Init. state is nodePending while armed
+	// and nodeFree while disarmed; the node is never on a pool free
+	// list.
+	n eventNode
+	// hidx is the timer's position in Engine.timers while armed.
+	hidx int
+}
+
+// Init binds the timer's snapshot tag, arbitration class (pinned; see
+// SchedulePinned) and body. It panics on an armed timer or a nil body.
+func (t *Timer) Init(tag EventTag, pinned bool, fn func()) {
+	if t.Armed() {
+		panic("sim: Timer.Init on an armed timer")
+	}
+	if fn == nil {
+		panic("sim: Timer.Init with nil callback")
+	}
+	t.n = eventNode{tag: tag, pinned: pinned, fn: fn}
+}
+
+// Armed reports whether the timer is waiting to fire. A timer disarms
+// itself just before its body runs, so the body may re-arm it.
+func (t *Timer) Armed() bool { return t.n.state == nodePending }
+
+// ArmTimer arms t to fire at at, re-arming it if it is already armed.
+// Like schedule, it takes the next sequence number, so the timer's
+// place among same-instant events is that of an event scheduled now.
+// Arming in the past panics.
+//
+//simlint:hotpath
+func (e *Engine) ArmTimer(t *Timer, at Time) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: ArmTimer at %v before now %v", at, e.now))
+	}
+	if t.n.fn == nil {
+		panic("sim: ArmTimer on a timer without a body (Init not called)")
+	}
+	t.n.At = at
+	t.n.seq = e.nextSeq
+	e.nextSeq++
+	if t.Armed() {
+		e.timerFix(t.hidx)
+	} else {
+		t.n.state = nodePending
+		e.timerPush(t)
+		e.live++
+	}
+	e.sanOnSchedule(&t.n)
+}
+
+// DisarmTimer stops t from firing. Disarming a disarmed timer is a
+// no-op. The timer keeps its body and tag for the next ArmTimer.
+//
+//simlint:hotpath
+func (e *Engine) DisarmTimer(t *Timer) {
+	if !t.Armed() {
+		return
+	}
+	e.timerRemove(t.hidx)
+	t.n.state = nodeFree
+	e.live--
+	e.sanOnDisarm(t)
+}
+
+// fireTimer dispatches the timer-heap head, which peekLive returned as
+// the next pending event. The timer is disarmed before its body runs,
+// so a body that re-arms its own timer (a periodic tick) arms afresh.
+func (e *Engine) fireTimer() {
+	t := e.timers[0]
+	e.timerRemove(0)
+	e.live--
+	e.sanOnPop(&t.n)
+	t.n.state = nodeFree
+	e.fired++
+	t.n.fn()
+}
+
+// RestoreTimer re-arms a timer from a snapshot's pending event, keeping
+// the occurrence's original fire time and sequence number, like
+// RestoreEvent. The event must be the timer's own: same kind, arguments
+// and arbitration class, and the timer must be disarmed (RestoreState
+// disarms every timer); a mismatch is an error naming both.
+func (e *Engine) RestoreTimer(t *Timer, rev RestoredEvent) error {
+	if t.n.fn == nil {
+		panic(fmt.Sprintf("sim: RestoreTimer %q on a timer without a body", rev.Kind))
+	}
+	if rev.At < e.now {
+		panic(fmt.Sprintf("sim: RestoreTimer %q at %v before now %v", rev.Kind, rev.At, e.now))
+	}
+	if rev.Seq >= e.nextSeq {
+		panic(fmt.Sprintf("sim: RestoreTimer %q seq %d not below next sequence %d", rev.Kind, rev.Seq, e.nextSeq))
+	}
+	tag := t.n.tag
+	if tag.Kind.String() != rev.Kind || tag.A0 != rev.A0 || tag.A1 != rev.A1 || tag.A2 != rev.A2 || t.n.pinned != rev.Pinned {
+		return fmt.Errorf("sim: restore: event %s(%d,%d,%d) pinned=%v does not match its timer %s(%d,%d,%d) pinned=%v",
+			rev.Kind, rev.A0, rev.A1, rev.A2, rev.Pinned, tag.Kind, tag.A0, tag.A1, tag.A2, t.n.pinned)
+	}
+	if t.Armed() {
+		return fmt.Errorf("sim: restore: timer %s(%d,%d,%d) has two pending events", rev.Kind, rev.A0, rev.A1, rev.A2)
+	}
+	t.n.At = rev.At
+	t.n.seq = rev.Seq
+	t.n.state = nodePending
+	e.timerPush(t)
+	e.live++
+	e.sanOnSchedule(&t.n)
+	return nil
+}
+
+// --- timer heap: a binary min-heap over eventOrder with back-indices ---
+
+// timerLess orders heap positions i and j by eventOrder.
+func (e *Engine) timerLess(i, j int) bool {
+	return e.ord.less(&e.timers[i].n, &e.timers[j].n)
+}
+
+// timerSwap exchanges heap positions i and j and their back-indices.
+func (e *Engine) timerSwap(i, j int) {
+	h := e.timers
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx = i
+	h[j].hidx = j
+}
+
+// timerPush adds a disarmed timer to the heap.
+//
+//simlint:hotpath
+func (e *Engine) timerPush(t *Timer) {
+	t.hidx = len(e.timers)
+	//simlint:allow hotalloc amortised heap growth; the slice reaches its final size (a few timers per CPU) during boot
+	e.timers = append(e.timers, t)
+	e.timerUp(t.hidx)
+}
+
+// timerRemove takes heap position i out of the heap.
+//
+//simlint:hotpath
+func (e *Engine) timerRemove(i int) {
+	last := len(e.timers) - 1
+	if i != last {
+		e.timerSwap(i, last)
+	}
+	e.timers[last] = nil
+	e.timers = e.timers[:last]
+	if i != last {
+		e.timerFix(i)
+	}
+}
+
+// timerFix restores heap order after position i's key changed.
+//
+//simlint:hotpath
+func (e *Engine) timerFix(i int) {
+	if !e.timerUp(i) {
+		e.timerDown(i)
+	}
+}
+
+// timerUp sifts position i towards the root, reporting whether it moved.
+//
+//simlint:hotpath
+func (e *Engine) timerUp(i int) bool {
+	moved := false
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.timerLess(i, parent) {
+			break
+		}
+		e.timerSwap(i, parent)
+		i = parent
+		moved = true
+	}
+	return moved
+}
+
+// timerDown sifts position i towards the leaves.
+//
+//simlint:hotpath
+func (e *Engine) timerDown(i int) {
+	n := len(e.timers)
+	for {
+		min := 2*i + 1
+		if min >= n {
+			return
+		}
+		if right := min + 1; right < n && e.timerLess(right, min) {
+			min = right
+		}
+		if !e.timerLess(min, i) {
+			return
+		}
+		e.timerSwap(i, min)
+		i = min
+	}
+}
+
+// validateTimers checks the timer heap: order, back-indices and armed
+// state. Wired to the simsan periodic audit.
+func (e *Engine) validateTimers(fail func(string)) {
+	for i, t := range e.timers {
+		if t.hidx != i {
+			fail(fmt.Sprintf("timer heap: %s at position %d has hidx %d", t.n.tag.Kind, i, t.hidx))
+			return
+		}
+		if !t.Armed() || t.n.fn == nil {
+			fail(fmt.Sprintf("timer heap: %s at position %d is %s (callback %v)", t.n.tag.Kind, i, t.n.state, t.n.fn != nil))
+			return
+		}
+		if i > 0 && e.timerLess(i, (i-1)/2) {
+			fail(fmt.Sprintf("timer heap: order violated at position %d (parent %d)", i, (i-1)/2))
+			return
+		}
+	}
+}

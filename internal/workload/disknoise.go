@@ -52,7 +52,8 @@ func (d *DiskNoise) flush(bytes int) {
 // diskNoiseBehavior drives the shell loop; all state lives on the
 // DiskNoise component.
 type diskNoiseBehavior struct {
-	d *DiskNoise
+	d    *DiskNoise
+	call kernel.SyscallCall // fsSyscall's reusable definition
 }
 
 func (b *diskNoiseBehavior) Next(t *kernel.Task) kernel.Action {
@@ -90,16 +91,16 @@ func (b *diskNoiseBehavior) Next(t *kernel.Task) kernel.Action {
 		if d.size > 4<<20 {
 			// `rm *; echo boo >9`: reset, with a metadata burst.
 			d.size = 1024
-			return kernel.Syscall(fsSyscall(k, rng, "unlink*", rng.Uniform(100*sim.Microsecond, 600*sim.Microsecond)))
+			return kernel.Syscall(fsSyscall(&b.call, k, rng, "unlink*", rng.Uniform(100*sim.Microsecond, 600*sim.Microsecond)))
 		}
 		d.dirty += d.size / 2
-		return kernel.Syscall(fsSyscall(k, rng, "cat", residency))
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "cat", residency))
 	case 1:
 		// Shell forking/glob expansion: a bit of user CPU.
 		return kernel.Compute(rng.Uniform(100*sim.Microsecond, 500*sim.Microsecond))
 	default:
 		// expr, test, echo: short syscalls.
-		return kernel.Syscall(fsSyscall(k, rng, "sh-builtin", rng.Uniform(10*sim.Microsecond, 80*sim.Microsecond)))
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "sh-builtin", rng.Uniform(10*sim.Microsecond, 80*sim.Microsecond)))
 	}
 }
 

@@ -173,15 +173,18 @@ func init() {
 		"s": "skip: component back-pointer; mutable state in the wl.scp-flood section",
 	})
 	snapshot.RegisterState(diskNoiseBehavior{}, snapshot.Manifest{
-		"d": "skip: component back-pointer; mutable state in the wl.disknoise section",
+		"d":    "skip: component back-pointer; mutable state in the wl.disknoise section",
+		"call": "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(nfsCompile{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"s":             "skip: component back-pointer, immutable parameters only",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(ttcpTx{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"dataReady":     "skip: registered wait queue, serialised in kernel.waitqs",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(ttcpRx{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
@@ -199,13 +202,16 @@ func init() {
 	snapshot.RegisterState(fsStress{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"s":             "skip: component back-pointer, immutable parameters only",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(crashme{}, snapshot.Manifest{
-		"s": "skip: component back-pointer, immutable parameters only",
+		"s":    "skip: component back-pointer, immutable parameters only",
+		"call": "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(xserver{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"x":             "skip: component back-pointer; Batches rides in the behavior words",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(ttcpNetProc{}, snapshot.Manifest{})
 }

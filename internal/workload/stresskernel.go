@@ -70,7 +70,8 @@ func (b *phaseBehavior) SetBehaviorState(words []uint64) { b.phase = words[0] }
 // over loopback (local softirq work) and fs operations.
 type nfsCompile struct {
 	phaseBehavior
-	s *StressKernel
+	s    *StressKernel
+	call kernel.SyscallCall
 }
 
 func (b *nfsCompile) Next(t *kernel.Task) kernel.Action {
@@ -83,17 +84,17 @@ func (b *nfsCompile) Next(t *kernel.Task) kernel.Action {
 		return kernel.Compute(rng.Exp(25 * sim.Millisecond))
 	case 1: // read sources via NFS: RPC + protocol work locally
 		netSoftirqHere(t, kernel.SoftirqNetRx, rng.Uniform(20*sim.Microsecond, 120*sim.Microsecond))
-		return kernel.Syscall(fsSyscall(k, rng, "nfs-read",
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "nfs-read",
 			residencyTail(rng, 25*sim.Microsecond, 1.5, s.ResidencyCap/3)))
 	case 2: // write the object file back over NFS
 		netSoftirqHere(t, kernel.SoftirqNetTx, rng.Uniform(15*sim.Microsecond, 80*sim.Microsecond))
 		if s.disk != nil && rng.Bool(0.3) {
 			s.disk.Submit(64<<10, nil)
 		}
-		return kernel.Syscall(fsSyscall(k, rng, "nfs-write",
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "nfs-write",
 			residencyTail(rng, 22*sim.Microsecond, 1.5, s.ResidencyCap/3)))
 	default: // link/stat bookkeeping
-		return kernel.Syscall(fsSyscall(k, rng, "stat", rng.Uniform(5*sim.Microsecond, 60*sim.Microsecond)))
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "stat", rng.Uniform(5*sim.Microsecond, 60*sim.Microsecond)))
 	}
 }
 
@@ -115,6 +116,7 @@ const ttcpChunk = 64 << 10
 type ttcpTx struct {
 	phaseBehavior
 	dataReady *kernel.WaitQueue
+	call      kernel.SyscallCall // reused: one send in flight
 }
 
 func (b *ttcpTx) Next(t *kernel.Task) kernel.Action {
@@ -124,13 +126,10 @@ func (b *ttcpTx) Next(t *kernel.Task) kernel.Action {
 		// User-mode buffer fill between sends.
 		return kernel.Compute(rng.Uniform(80*sim.Microsecond, 400*sim.Microsecond))
 	}
-	return kernel.Syscall(&kernel.SyscallCall{
-		Name: "send(lo)",
-		Segments: []kernel.Segment{
-			{Kind: kernel.SegWork, D: rng.Uniform(20*sim.Microsecond, 90*sim.Microsecond),
-				Lock: t.Kernel().NamedLock("net")},
-		},
-	})
+	return kernel.Syscall(reuse(&b.call, "send(lo)", []kernel.Segment{
+		{Kind: kernel.SegWork, D: rng.Uniform(20*sim.Microsecond, 90*sim.Microsecond),
+			Lock: t.Kernel().NamedLock("net")},
+	}))
 }
 
 func (b *ttcpTx) ActionDone(t *kernel.Task, kind kernel.ActionKind, now sim.Time) {
@@ -263,7 +262,8 @@ func (s *StressKernel) startP3FPU(k *kernel.Kernel) {
 // heavy-tailed kernel residencies that dominate Figure 5's worst case.
 type fsStress struct {
 	phaseBehavior
-	s *StressKernel
+	s    *StressKernel
+	call kernel.SyscallCall
 }
 
 func (b *fsStress) Next(t *kernel.Task) kernel.Action {
@@ -278,13 +278,13 @@ func (b *fsStress) Next(t *kernel.Task) kernel.Action {
 		if s.disk != nil {
 			s.disk.Submit(256<<10, nil)
 		}
-		return kernel.Syscall(fsSyscall(k, rng, "truncate",
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "truncate",
 			residencyTail(rng, 150*sim.Microsecond, 0.95, s.ResidencyCap)))
 	case b.phase%2 == 0:
 		// Buffer preparation between file operations (user mode).
 		return kernel.Compute(rng.Uniform(100*sim.Microsecond, 800*sim.Microsecond))
 	default:
-		return kernel.Syscall(fsSyscall(k, rng, "fs-op",
+		return kernel.Syscall(fsSyscall(&b.call, k, rng, "fs-op",
 			residencyTail(rng, 18*sim.Microsecond, 1.5, s.ResidencyCap/6)))
 	}
 }
@@ -299,7 +299,8 @@ func (s *StressKernel) startFS(k *kernel.Kernel) {
 // faults the kernel must clean up, occasionally wedging into long
 // exception/teardown paths.
 type crashme struct {
-	s *StressKernel
+	s    *StressKernel
+	call kernel.SyscallCall // reused: one fault in flight
 }
 
 func (b *crashme) Next(t *kernel.Task) kernel.Action {
@@ -310,13 +311,10 @@ func (b *crashme) Next(t *kernel.Task) kernel.Action {
 	// Fault handling: mostly quick fixups, occasionally a heavy
 	// teardown (core dump-ish) with real residency.
 	res := residencyTail(rng, 20*sim.Microsecond, 1.25, b.s.ResidencyCap/2)
-	return kernel.Syscall(&kernel.SyscallCall{
-		Name: "fault",
-		Segments: []kernel.Segment{
-			{Kind: kernel.SegWork, D: res.Scale(0.6)},
-			{Kind: kernel.SegWork, D: res.Scale(0.4), NonPreempt: true},
-		},
-	})
+	return kernel.Syscall(reuse(&b.call, "fault", []kernel.Segment{
+		{Kind: kernel.SegWork, D: res.Scale(0.6)},
+		{Kind: kernel.SegWork, D: res.Scale(0.4), NonPreempt: true},
+	}))
 }
 
 func (b *crashme) BehaviorName() string            { return "wl.stress-crashme" }

@@ -29,17 +29,29 @@ type Workload interface {
 // RT read path only collides with holders of the *same* lock.
 var fsLocks = []string{"dcache", "inode", "pagecache"}
 
+// reuse fills buf with the syscall name executing segs, keeping buf's
+// segment storage, and returns buf. A behavior builds its segments in a
+// literal (which stays on the stack) and hands the kernel its one
+// reusable definition: a task has one call in flight, and the kernel
+// drops the definition at syscall exit, before it asks for the next
+// action.
+func reuse(buf *kernel.SyscallCall, name string, segs []kernel.Segment) *kernel.SyscallCall {
+	*buf = kernel.SyscallCall{Name: name, Segments: append(buf.Segments[:0], segs...)}
+	return buf
+}
+
 // fsSyscall builds a file-system syscall with the given total kernel
-// residency. A fraction of the residency holds one of the contended fs
-// locks; the rest is preemptible kernel work. Long residencies are
-// exactly the §6 pathology on stock kernels; on kernels with low-latency
-// work the engine splits them automatically.
-func fsSyscall(k *kernel.Kernel, rng *sim.RNG, name string, residency sim.Duration) *kernel.SyscallCall {
+// residency into the caller's reusable buf (see reuse). A fraction of
+// the residency holds one of the contended fs locks; the rest is
+// preemptible kernel work. Long residencies are exactly the §6
+// pathology on stock kernels; on kernels with low-latency work the
+// engine splits them automatically.
+func fsSyscall(buf *kernel.SyscallCall, k *kernel.Kernel, rng *sim.RNG, name string, residency sim.Duration) *kernel.SyscallCall {
 	lockFrac := 0.15 + 0.25*rng.Float64()
 	locked := residency.Scale(lockFrac)
 	rest := residency - locked
 	lock := k.NamedLock(fsLocks[rng.Intn(len(fsLocks))])
-	call := &kernel.SyscallCall{
+	call := kernel.SyscallCall{
 		Name: name,
 		Segments: []kernel.Segment{
 			//simlint:allow latbound the residency is the caller's heavy-tailed draw — the §6 pathology stock kernels cannot bound; capped kernels bound the hold via splitSegments
@@ -58,7 +70,9 @@ func fsSyscall(k *kernel.Kernel, rng *sim.RNG, name string, residency sim.Durati
 	if rng.Bool(bklProb) {
 		call.TakesBKL = true
 	}
-	return call
+	reuse(buf, name, call.Segments)
+	buf.TakesBKL = call.TakesBKL
+	return buf
 }
 
 // residencyTail draws a heavy-tailed kernel residency: most calls are

@@ -31,7 +31,8 @@ func (x *X11Perf) Name() string { return "x11perf" }
 // snapshot mid-ioctl still submits exactly once on the restored side.
 type xserver struct {
 	phaseBehavior
-	x *X11Perf
+	x    *X11Perf
+	call kernel.SyscallCall // fsSyscall's reusable definition
 }
 
 func (b *xserver) Next(t *kernel.Task) kernel.Action {
@@ -49,7 +50,7 @@ func (b *xserver) Next(t *kernel.Task) kernel.Action {
 			},
 		})
 	default: // handle client requests
-		return kernel.Syscall(fsSyscall(t.Kernel(), rng, "x11-sock",
+		return kernel.Syscall(fsSyscall(&b.call, t.Kernel(), rng, "x11-sock",
 			rng.Uniform(10*sim.Microsecond, 100*sim.Microsecond)))
 	}
 }
