@@ -90,6 +90,7 @@ bench-json:
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOps -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDiffQueue$$' -fuzztime 5s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzPerturbedSchedule$$' -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzParseMask$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzEffectiveAffinity$$' -fuzztime 5s

@@ -5,8 +5,10 @@
 // them) and nondeterminism never sees it.
 //
 // Purity is interprocedural. It roots the analysis at every function
-// value registered as a sim.Engine callback — Schedule, After, and
-// their Pinned variants — walks the module call graph, and requires
+// value registered as a simulation callback — the func() argument of
+// any exported repro/internal/sim function or method whose last
+// parameter is a func() (Schedule, ScheduleTagged, After, AfterTagged,
+// Timer.Init, RestoreEvent) — walks the module call graph, and requires
 // every transitively reachable function, in any package, to stay pure:
 // no wall clocks or environment lookups (the nondeterminism call
 // tables, applied transitively), no calls into math/rand, no writes to
@@ -28,13 +30,23 @@ import (
 	"repro/internal/analysis/nondeterminism"
 )
 
-// registrars are the sim.Engine methods whose final argument is an
-// event callback; those arguments are the analysis roots.
-var registrars = map[string]bool{
-	"(*repro/internal/sim.Engine).Schedule":       true,
-	"(*repro/internal/sim.Engine).SchedulePinned": true,
-	"(*repro/internal/sim.Engine).After":          true,
-	"(*repro/internal/sim.Engine).AfterPinned":    true,
+// simPkg is the package whose callback registrars root the analysis.
+const simPkg = "repro/internal/sim"
+
+// isRegistrar reports whether fn registers a simulation callback: it
+// is exported from simPkg and its last parameter is a func(). Deriving
+// the set instead of listing it means a new registrar is covered the
+// moment it is declared.
+func isRegistrar(fn *types.Func) bool {
+	if fn.Pkg() == nil || fn.Pkg().Path() != simPkg || !fn.Exported() {
+		return false
+	}
+	params := fn.Type().(*types.Signature).Params()
+	if params.Len() == 0 {
+		return false
+	}
+	cb, ok := params.At(params.Len() - 1).Type().(*types.Signature)
+	return ok && cb.Params().Len() == 0 && cb.Results().Len() == 0
 }
 
 // randPkgs are packages any call into which is impure, matching the
@@ -45,8 +57,9 @@ var randPkgs = []string{"math/rand", "math/rand/v2"}
 var Analyzer = &framework.Analyzer{
 	Name: "purity",
 	Doc: "require every function reachable from a sim.Engine callback to be deterministic\n\n" +
-		"Interprocedural companion to nondeterminism: event callbacks (Engine.Schedule/After/\n" +
-		"SchedulePinned/AfterPinned arguments) and everything they transitively call — in any\n" +
+		"Interprocedural companion to nondeterminism: event callbacks (the func() argument of\n" +
+		"every exported repro/internal/sim registrar: Schedule/After and their Tagged forms,\n" +
+		"Timer.Init, RestoreEvent) and everything they transitively call — in any\n" +
 		"package, not just the protected trees — must avoid wall clocks, env lookups, math/rand,\n" +
 		"writes to package-level variables, and reads of package-level variables mutated\n" +
 		"anywhere in the module. Diagnostics carry the call chain from the callback.",
@@ -95,11 +108,11 @@ func collectMutated(pass *framework.ModulePass) map[*types.Var]bool {
 	return mutated
 }
 
-// collectRoots finds every callback registered at a sim.Engine
-// registrar call site in a non-test file and resolves it to call-graph
-// nodes (through function-typed variables when needed, which is what
-// catches the `var tick func(); tick = func(){...}; AfterPinned(d,
-// tick)` self-rearming pattern).
+// collectRoots finds every callback registered at a registrar call
+// site in a non-test file and resolves it to call-graph nodes (through
+// function-typed variables and method values when needed, which is
+// what catches the `var tick func(); tick = func(){...}; After(d,
+// tick)` self-rearming pattern and `t.Init(tag, pinned, c.tick)`).
 func collectRoots(pass *framework.ModulePass) []*framework.CGNode {
 	var roots []*framework.CGNode
 	have := make(map[*framework.CGNode]bool)
@@ -119,7 +132,7 @@ func collectRoots(pass *framework.ModulePass) []*framework.CGNode {
 					return true
 				}
 				fn, ok := info.Uses[sel.Sel].(*types.Func)
-				if !ok || !registrars[fn.FullName()] {
+				if !ok || !isRegistrar(fn) {
 					return true
 				}
 				cb := call.Args[len(call.Args)-1]

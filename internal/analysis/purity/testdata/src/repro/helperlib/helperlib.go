@@ -5,6 +5,7 @@ package helperlib
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -16,6 +17,16 @@ func Stamp() int64 {
 // Rand launders the global math/rand stream.
 func Rand() int {
 	return rand.Int() // want `call into math/rand reachable from sim\.Engine callback \(func literal -> Rand\)`
+}
+
+// Elapsed launders a wall-clock interval.
+func Elapsed() time.Duration {
+	return time.Since(time.Time{}) // want `time\.Since reachable from sim\.Engine callback \(tagged -> Elapsed\)`
+}
+
+// Env launders an environment lookup.
+func Env() string {
+	return os.Getenv("HZ") // want `os\.Getenv reachable from sim\.Engine callback \(fire -> Env\)`
 }
 
 // Waived is impure but explicitly waived at the site, proving the

@@ -16,9 +16,13 @@ var counter int
 func Arm(e *sim.Engine) {
 	e.Schedule(0, tick)
 	e.After(5, bump)
-	e.SchedulePinned(7, readBack)
+	e.Schedule(7, readBack)
 	armLoop(e)
 	e.Schedule(9, waived)
+	e.AfterTagged(11, sim.EventTag{}, tagged)
+	d := &device{e: e}
+	d.timer.Init(sim.EventTag{}, true, d.fire)
+	e.ArmTimer(&d.timer, 13)
 }
 
 // tick launders a wall clock through an unprotected helper package —
@@ -45,13 +49,31 @@ func armLoop(e *sim.Engine) {
 	var loop func()
 	loop = func() {
 		_ = helperlib.Rand()
-		e.AfterPinned(1, loop)
+		e.After(1, loop)
 	}
-	e.AfterPinned(1, loop)
+	e.After(1, loop)
 }
 
 // waived reaches an impure helper whose site carries an allow
 // directive; no diagnostic may survive.
 func waived() {
 	_ = helperlib.Waived()
+}
+
+// tagged is registered through a Tagged schedule variant, which the
+// analysis must root at like the plain one.
+func tagged() {
+	_ = helperlib.Elapsed()
+}
+
+// device owns a periodic timer; its body is bound once by Timer.Init,
+// the registrar every kernel timer goes through.
+type device struct {
+	e     *sim.Engine
+	timer sim.Timer
+}
+
+func (d *device) fire() {
+	_ = helperlib.Env()
+	d.e.ArmTimer(&d.timer, d.e.Now().Add(10))
 }

@@ -349,7 +349,9 @@ func (f *fxReplica) Restore(img []byte) error {
 			return fmt.Errorf("core: fixture image has unknown event kind %q", ev.Kind)
 		}
 		handler := id
-		f.eng.RestoreEvent(ev, func() { f.fire(handler) })
+		if err := f.eng.RestoreEvent(ev, func() { f.fire(handler) }); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 
 // The headline property of the whole perturbation design: every figure
 // is invariant under permuted same-instant tie-breaks, because each
-// schedule site whose simultaneity order matters is pinned
-// (sim.Engine.SchedulePinned) and everything else genuinely commutes.
+// event whose simultaneity order matters is a pinned timer
+// (sim.Timer.Init) and everything else genuinely commutes.
 // A failure here means someone added an order-sensitive collision
 // without declaring its arbitration.
 func TestRunPerturbFiguresInvariant(t *testing.T) {

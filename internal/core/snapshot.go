@@ -327,7 +327,7 @@ func SnapshotChecks(seed uint64) []CheckResult {
 		// Golden post-boot image hash: identical whether the machine
 		// boots on a fresh event pool or on one already warmed by a
 		// previous boot — the per-worker pool reuse of runner and simd.
-		// Node identity and generations never serialise.
+		// Node identity never serialises.
 		pool := sim.NewEventPool()
 		sharedImg, imgErr := bootImage(ref, seed, pool)
 		var warmImg []byte

@@ -295,7 +295,7 @@ func (c *CPU) frameDone() {
 	c.finishTop(f)
 }
 
-// suspendTop pauses the top frame: accrue progress, cancel its event.
+// suspendTop pauses the top frame: accrue progress, disarm its timer.
 // Spin frames have no work to accrue but their wall time is accounted.
 //
 //simlint:hotpath

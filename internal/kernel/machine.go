@@ -58,8 +58,9 @@ type Kernel struct {
 	// getFrame/putFrame).
 	frames []*frame
 
-	// onGlobalTick is the globalTick event body, bound once in New.
-	onGlobalTick func()
+	// globalTimer is the PIT's IRQ0: a pinned periodic timer whose body
+	// is globalTick, bound once in New.
+	globalTimer sim.Timer
 }
 
 // New builds a machine for the given config. seed makes the run
@@ -85,7 +86,8 @@ func New(cfg Config, seed uint64) *Kernel {
 	}
 	k.rng = k.Eng.RNG().Fork()
 	k.wheel = newTimerWheel(k)
-	k.onGlobalTick = k.globalTick
+	// Pinned: see Start for the local-APIC-before-PIT order.
+	k.globalTimer.Init(evGlobalTick.Tag(0, 0, 0), true, k.globalTick)
 
 	n := cfg.NumCPUs()
 	k.cpus = make([]*CPU, n)
@@ -270,7 +272,7 @@ func (k *Kernel) Start() {
 	// (both at exact multiples of the period), so the simultaneity is
 	// pinned: the local APIC tick is dispatched before the PIT's IRQ0,
 	// in schedule order. See "Tie-break determinism" in DESIGN.md §8.
-	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.onGlobalTick)
+	k.Eng.ArmTimer(&k.globalTimer, k.Now().Add(k.tickPeriod()))
 	if k.Cfg.InvariantPeriod > 0 {
 		k.SampleInvariants(k.Cfg.InvariantPeriod, nil)
 	}
@@ -288,11 +290,11 @@ func (k *Kernel) tickPeriod() sim.Duration {
 	return sim.Duration(int64(sim.Second) / int64(k.Cfg.LocalTimerHz))
 }
 
-// globalTick is the PIT interrupt (IRQ0) event body: raise the timer
-// line and re-arm for the next period.
+// globalTick is the globalTimer body, the PIT interrupt (IRQ0): raise
+// the timer line and re-arm for the next period.
 func (k *Kernel) globalTick() {
 	k.Raise(k.timerIRQ)
-	k.Eng.AfterPinnedTagged(k.tickPeriod(), evGlobalTick.Tag(0, 0, 0), k.onGlobalTick)
+	k.Eng.ArmTimer(&k.globalTimer, k.Now().Add(k.tickPeriod()))
 }
 
 // makeRunnable enqueues t and kicks the chosen CPU. preferred, when

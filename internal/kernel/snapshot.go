@@ -874,7 +874,7 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 		}
 	}
 	for _, rev := range evs {
-		t, err := k.cpuTimer(rev)
+		t, err := k.ownedTimer(rev)
 		if err != nil {
 			return err
 		}
@@ -888,7 +888,9 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 		if err != nil {
 			return err
 		}
-		k.Eng.RestoreEvent(rev, fn)
+		if err := k.Eng.RestoreEvent(rev, fn); err != nil {
+			return err
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -1283,11 +1285,15 @@ func (k *Kernel) taskByID(pid int64) *Task {
 	return k.byPID[int(pid)]
 }
 
-// cpuTimer returns the CPU timer that owns a pending event of one of
-// the CPU timer kinds (frame-done, idle-dispatch, cpu-tick), or nil for
-// every other kind. A frame-done event needs an armed top frame.
-func (k *Kernel) cpuTimer(rev sim.RestoredEvent) (*sim.Timer, error) {
+// ownedTimer returns the timer that owns a pending event of one of the
+// timer kinds — the machine's global tick, or a CPU's frame-done,
+// idle-dispatch or cpu-tick — or nil for every other kind. A frame-done
+// event needs an armed top frame.
+func (k *Kernel) ownedTimer(rev sim.RestoredEvent) (*sim.Timer, error) {
 	kind := sim.RegisterEventKind(rev.Kind)
+	if kind == evGlobalTick {
+		return &k.globalTimer, nil
+	}
 	if kind != evFrameDone && kind != evIdleDispatch && kind != evCPUTick {
 		return nil, nil
 	}
@@ -1311,8 +1317,6 @@ func (k *Kernel) cpuTimer(rev sim.RestoredEvent) (*sim.Timer, error) {
 // tag: kernel kinds inline, everything else through the registry.
 func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64) (func(), error) {
 	switch sim.RegisterEventKind(kind) {
-	case evGlobalTick:
-		return k.onGlobalTick, nil
 	case evBusResample:
 		if a0 >= uint64(len(k.cpus)) {
 			return nil, fmt.Errorf("kernel: restore: event %q cpu %d out of range", kind, a0)

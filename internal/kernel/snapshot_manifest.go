@@ -33,7 +33,7 @@ func init() {
 		"waitqs":       "codec",
 		"comps":        "codec", // one section per registered component, in registration order
 		"frames":       "skip: free list of finished frames, no live state; a restored machine refills it as frames finish",
-		"onGlobalTick": "skip: globalTick bound once in New; rebuildEvent hands it to the restored k.global-tick event",
+		"globalTimer":  "codec", // a pending "k.global-tick" event in the engine section; restore re-arms it with RestoreTimer
 	})
 	snapshot.RegisterState(CPU{}, snapshot.Manifest{
 		"ID":            "skip: construction identity",

@@ -153,6 +153,32 @@ func TestRestoreRejectsConstructionMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsStrayPinnedEvent: only timers are pinned, so an
+// image whose pending list holds a pinned event no timer owns is
+// corrupt. Images reach a restore from outside the process, so
+// RestoreImage must return an error naming the kind, not panic. The
+// stray event here is a pinned timer outside the kernel wearing a
+// one-shot kernel kind.
+func TestRestoreRejectsStrayPinnedEvent(t *testing.T) {
+	a := buildSnapMachine(42)
+	a.Start()
+	a.Eng.Run(sim.Time(5 * sim.Millisecond))
+	var stray sim.Timer
+	stray.Init(evBusResample.Tag(0, 0, 0), true, func() {})
+	a.Eng.ArmTimer(&stray, a.Now().Add(sim.Millisecond))
+	img, err := a.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+
+	b := buildSnapMachine(42)
+	b.Start()
+	err = b.RestoreImage(img)
+	if err == nil || !strings.Contains(err.Error(), "pinned event k.bus-resample") {
+		t.Fatalf("restore of a stray pinned event: err = %v, want one naming k.bus-resample", err)
+	}
+}
+
 // --- timer wheel satellite: restore mid-cascade at a wrap boundary ---
 
 // probeKind identifies the test's wheel timers; the registered

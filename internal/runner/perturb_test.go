@@ -24,15 +24,17 @@ func racyScenario(salt uint64) string {
 }
 
 // pinnedScenario is the same collision with the arbitration declared:
-// pinned events keep FIFO order under every salt, so the "race" is part
+// pinned timers keep FIFO order under every salt, so the "race" is part
 // of the model and the harness must stay quiet.
 func pinnedScenario(salt uint64) string {
 	e := sim.NewEngine(3)
 	e.PerturbTiebreaks(salt)
 	out := ""
-	for i := 0; i < 8; i++ {
+	var timers [8]sim.Timer
+	for i := range timers {
 		i := i
-		e.SchedulePinned(sim.Time(sim.Millisecond), func() { out += fmt.Sprint(i) })
+		timers[i].Init(sim.EventTag{}, true, func() { out += fmt.Sprint(i) })
+		e.ArmTimer(&timers[i], sim.Time(sim.Millisecond))
 	}
 	e.RunAll()
 	return out

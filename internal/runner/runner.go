@@ -112,7 +112,7 @@ func MapSeeded[T any](workers int, base uint64, n int, fn func(i int, seed uint6
 // Pool ownership follows the same discipline as engines and RNGs:
 // worker-local, never shared across goroutines. Which replications
 // share a pool depends on work-stealing order — which is exactly why
-// pools must be invisible in results (generation numbers and free-list
+// pools must be invisible in results (node identity and free-list
 // order never enter the dispatch order). The determinism contract above
 // is unchanged: output depends only on (base, n, fn), and the core
 // golden tests run workers=1 vs workers=N to hold pooled replication to

@@ -17,16 +17,16 @@ import (
 // Callbacks are a pure function of the slot number they were created
 // with, so both machines generate the same nested work: some slots
 // schedule children at the same instant (joining the live batch in
-// tie-break order), some schedule delayed children, and some cancel an
-// earlier handle mid-dispatch (the cancel-during-dispatch path of the
-// Engine.Cancel contract).
+// tie-break order), some schedule delayed children, and some arm or
+// disarm a timer mid-dispatch.
 //
 // Each machine also owns diffTimers timers. The ladder machine runs
 // them as Timers (ArmTimer/DisarmTimer, the timer heap); the heap
-// machine models each as a handle it cancels and reschedules — the
-// order argument behind Timer says the two must dispatch identically.
-// Timer bodies re-arm and disarm timers themselves, so arm, re-arm,
-// disarm and fire also happen mid-dispatch.
+// machine runs the reference model, refTimer, which removes a queued
+// occurrence and schedules a new one — the order argument behind Timer
+// says the two must dispatch identically. Timer bodies re-arm and
+// disarm timers themselves, so arm, re-arm, disarm and fire also happen
+// mid-dispatch.
 
 // fireRec is one dispatched event in a machine's trace.
 type fireRec struct {
@@ -40,20 +40,19 @@ const diffTimers = 3
 // diffMachine drives one engine through the interpreted op stream.
 type diffMachine struct {
 	e     *Engine
-	live  []Event
 	fires []fireRec
 	slots int
-	// plain models the timers as cancel plus schedule of handles
-	// (the reference side); otherwise they are Timers.
-	plain   bool
-	timers  [diffTimers]Timer
-	handles [diffTimers]Event
+	// plain runs the timers as refTimers (the reference side);
+	// otherwise they are Timers.
+	plain  bool
+	timers [diffTimers]Timer
+	refs   [diffTimers]refTimer
 	// tfires counts each timer's firings, bounding self re-arms.
 	tfires [diffTimers]int
 }
 
 // newDiffMachine builds a machine on the ladder with real timers, or on
-// the reference heap with plain-event timers when heap is set.
+// the reference heap with refTimers when heap is set.
 func newDiffMachine(heap bool, salt uint64) *diffMachine {
 	e := NewEngine(7)
 	if heap {
@@ -63,6 +62,7 @@ func newDiffMachine(heap bool, salt uint64) *diffMachine {
 	for i := range m.timers {
 		i := i
 		m.timers[i].Init(EventTag{}, diffTimerPinned(i), func() { m.timerFired(i) })
+		m.refs[i].init(EventTag{}, diffTimerPinned(i), func() { m.timerFired(i) })
 	}
 	if salt != 0 {
 		m.e.PerturbTiebreaks(salt)
@@ -75,22 +75,16 @@ func diffTimerPinned(i int) bool { return i != 1 }
 
 // armTimer arms (or re-arms) timer i at at.
 func (m *diffMachine) armTimer(i int, at Time) {
-	if !m.plain {
-		m.e.ArmTimer(&m.timers[i], at)
-		return
-	}
-	m.e.Cancel(m.handles[i])
-	fn := func() { m.timerFired(i) }
-	if diffTimerPinned(i) {
-		m.handles[i] = m.e.SchedulePinned(at, fn)
+	if m.plain {
+		m.refs[i].arm(m.e, at)
 	} else {
-		m.handles[i] = m.e.Schedule(at, fn)
+		m.e.ArmTimer(&m.timers[i], at)
 	}
 }
 
 func (m *diffMachine) disarmTimer(i int) {
 	if m.plain {
-		m.e.Cancel(m.handles[i])
+		m.refs[i].disarm(m.e)
 	} else {
 		m.e.DisarmTimer(&m.timers[i])
 	}
@@ -98,7 +92,7 @@ func (m *diffMachine) disarmTimer(i int) {
 
 func (m *diffMachine) timerArmed(i int) bool {
 	if m.plain {
-		return m.handles[i].Pending()
+		return m.refs[i].armed()
 	}
 	return m.timers[i].Armed()
 }
@@ -122,7 +116,7 @@ func (m *diffMachine) timerFired(i int) {
 	case 2:
 		m.disarmTimer(0)
 		if m.slots < 4096 {
-			m.schedule(m.e.Now(), false)
+			m.schedule(m.e.Now())
 		}
 	}
 }
@@ -136,28 +130,22 @@ func (m *diffMachine) fn(slot int) func() {
 		case slot%5 == 3 && m.slots < 4096:
 			// Same-instant child: joins the currently draining batch at
 			// its tie-break position.
-			m.schedule(m.e.Now(), slot%2 == 0)
+			m.schedule(m.e.Now())
 		case slot%7 == 4 && m.slots < 4096:
-			m.schedule(m.e.Now().Add(Duration(slot%11)*Microsecond), false)
-		case slot%13 == 9 && len(m.live) > 0:
-			// Cancel-during-dispatch: the target may be pending, already
-			// fired, or this very event — all must be quiet no-ops or
-			// real cancellations, identically on both machines.
-			m.e.Cancel(m.live[slot%len(m.live)])
+			m.schedule(m.e.Now().Add(Duration(slot%11) * Microsecond))
+		case slot%13 == 9:
+			// Timer op during dispatch: arm, re-arm or disarm a timer
+			// that may be pending, already fired, or tied with this
+			// very batch.
+			m.timerOp(slot % 16)
 		}
 	}
 }
 
-func (m *diffMachine) schedule(at Time, pinned bool) {
+func (m *diffMachine) schedule(at Time) {
 	slot := m.slots
 	m.slots++
-	var ev Event
-	if pinned {
-		ev = m.e.SchedulePinned(at, m.fn(slot))
-	} else {
-		ev = m.e.Schedule(at, m.fn(slot))
-	}
-	m.live = append(m.live, ev)
+	m.e.Schedule(at, m.fn(slot))
 }
 
 // exec interprets one op byte.
@@ -165,26 +153,23 @@ func (m *diffMachine) exec(op byte) {
 	arg := int(op >> 3)
 	switch op % 8 {
 	case 0: // near-future schedule (same ladder slot or next few)
-		m.schedule(m.e.Now().Add(Duration(arg)*Microsecond), false)
+		m.schedule(m.e.Now().Add(Duration(arg) * Microsecond))
 	case 1: // spread across many slots; arg ≥ 24 reaches the far heap
-		m.schedule(m.e.Now().Add(Duration(arg)*700*Microsecond), false)
-	case 2: // pinned ties at a handful of instants
-		m.schedule(m.e.Now().Add(Duration(arg%4)*Microsecond), true)
-	case 3: // same-instant burst: ties between pinned and unpinned
+		m.schedule(m.e.Now().Add(Duration(arg) * 700 * Microsecond))
+	case 2: // ties at a handful of instants
+		m.schedule(m.e.Now().Add(Duration(arg%4) * Microsecond))
+	case 3: // same-instant burst: one-shots tied with the pinned timers
 		for i := 0; i <= arg%5; i++ {
-			m.schedule(m.e.Now(), i%2 == 1)
-		}
-	case 4: // cancel (double-cancels and stale handles included)
-		if len(m.live) > 0 {
-			m.e.Cancel(m.live[arg%len(m.live)])
-		}
-	case 5: // reschedule, preserving arbitration class
-		if len(m.live) > 0 {
-			i := arg % len(m.live)
-			if ev := m.e.Reschedule(m.live[i], m.e.Now().Add(Duration(arg)*Microsecond)); ev.Valid() {
-				m.live[i] = ev
+			if i%2 == 1 {
+				m.armTimer(i%4-1, m.e.Now()) // timers 0 and 2
+			} else {
+				m.schedule(m.e.Now())
 			}
 		}
+	case 4: // disarm (double disarms and fired timers included)
+		m.disarmTimer(arg % diffTimers)
+	case 5: // arm or re-arm, keeping the timer's arbitration class
+		m.armTimer(arg%diffTimers, m.e.Now().Add(Duration(arg)*Microsecond))
 	case 6:
 		if arg >= 16 {
 			m.timerOp(arg - 16)
@@ -265,12 +250,12 @@ func diffRun(t *testing.T, ops []byte, salt uint64) []fireRec {
 }
 
 // FuzzDiffQueue is the differential fuzz target: arbitrary op streams
-// under arbitrary tie-break salts, heap vs ladder (plain-event timers
-// vs Timers), identical dispatch order required. The seeded corpus
+// under arbitrary tie-break salts, heap vs ladder (refTimers vs
+// Timers), identical dispatch order required. The seeded corpus
 // (testdata/fuzz/FuzzDiffQueue) pins the structurally interesting
 // paths: equal-At pinned/unpinned mixes, far-heap overflow, the rewind
-// after an idle Run, double-cancel, cancel-during-dispatch, and timer
-// arm/re-arm/disarm/fire against same-instant ties.
+// after an idle Run, double disarm, timer ops during dispatch, and
+// timer arm/re-arm/disarm/fire against same-instant ties.
 func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x08, 0x10, 0x18}, uint64(0))
 	// Same-instant bursts (op 3) mixing pinned and unpinned, salted.
@@ -279,7 +264,7 @@ func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0xf9, 0xf1, 0xe9, 0x01, 0x1e}, uint64(3))
 	// Idle run past queued slots, then near schedule: the rewind path.
 	f.Add([]byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, uint64(0))
-	// Cancel/reschedule churn, double-cancels included.
+	// Disarm/re-arm churn, double disarms included.
 	f.Add([]byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16}, uint64(42))
 	// Timers: arm now and near, re-arm, disarm, amid same-instant bursts.
 	f.Add([]byte{0x86, 0x8e, 0x96, 0x23, 0xa6, 0x06, 0xde, 0x1e, 0xe6, 0x1e}, uint64(0x71e))

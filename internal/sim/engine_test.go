@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -59,46 +60,69 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Schedule(50, func() {})
 }
 
+// One-shot events are fire-and-forget; cancelling is disarming a Timer.
 func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
+	var tm Timer
+	tm.Init(EventTag{}, false, func() { fired = true })
+	e.DisarmTimer(&tm) // never armed: no-op
+	e.ArmTimer(&tm, 10)
+	e.DisarmTimer(&tm)
+	e.DisarmTimer(&tm) // double disarm: no-op
 	e.RunAll()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("disarmed timer fired")
 	}
-	// Double-cancel and cancel of the zero handle must be no-ops.
-	e.Cancel(ev)
-	e.Cancel(Event{})
 }
 
 func TestCancelFromWithinEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	var victim Event
-	e.Schedule(5, func() { e.Cancel(victim) })
-	victim = e.Schedule(10, func() { fired = true })
+	var victim Timer
+	victim.Init(EventTag{}, false, func() { fired = true })
+	e.Schedule(5, func() { e.DisarmTimer(&victim) })
+	e.ArmTimer(&victim, 10)
 	e.RunAll()
 	if fired {
-		t.Fatal("event cancelled from an earlier event still fired")
+		t.Fatal("timer disarmed from an earlier event still fired")
 	}
 }
 
+// A timer body disarming its own timer is a no-op: the timer disarms
+// itself before its body runs.
+func TestCancelSelfDuringDispatchIsNoOp(t *testing.T) {
+	e := NewEngine(1)
+	var self Timer
+	ran := 0
+	self.Init(EventTag{}, false, func() {
+		ran++
+		e.DisarmTimer(&self)
+	})
+	e.ArmTimer(&self, 1)
+	e.RunAll()
+	if ran != 1 || self.Armed() || e.Pending() != 0 {
+		t.Fatalf("ran %d times, armed=%v, pending=%d; want one quiet fire", ran, self.Armed(), e.Pending())
+	}
+}
+
+// Rescheduling is re-arming a Timer.
 func TestReschedule(t *testing.T) {
 	e := NewEngine(1)
 	var at Time = -1
-	ev := e.Schedule(10, func() { at = e.Now() })
-	ev = e.Reschedule(ev, 25)
-	if !ev.Valid() {
-		t.Fatal("Reschedule returned the zero Event for a pending event")
+	var tm Timer
+	tm.Init(EventTag{}, false, func() { at = e.Now() })
+	e.ArmTimer(&tm, 10)
+	e.ArmTimer(&tm, 25)
+	if !tm.Armed() || e.Pending() != 1 {
+		t.Fatalf("re-armed timer: armed=%v pending=%d", tm.Armed(), e.Pending())
 	}
 	e.RunAll()
 	if at != 25 {
-		t.Fatalf("rescheduled event fired at %v, want 25", at)
+		t.Fatalf("re-armed timer fired at %v, want 25", at)
 	}
-	if e.Reschedule(ev, 99).Valid() {
-		t.Fatal("Reschedule of a fired event should return the zero Event")
+	if tm.Armed() {
+		t.Fatal("fired timer still armed")
 	}
 }
 
@@ -199,31 +223,29 @@ func TestQuickEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: cancelling an arbitrary subset leaves exactly the complement to
-// fire, still in order.
+// Property: disarming an arbitrary subset of armed timers leaves
+// exactly the complement to fire, still in order.
 func TestQuickCancelSubset(t *testing.T) {
 	f := func(times []uint16, mask []bool) bool {
 		e := NewEngine(7)
-		fired := map[int]bool{}
-		events := make([]Event, len(times))
+		var fired []int
+		timers := make([]Timer, len(times))
 		for i, u := range times {
 			i := i
-			events[i] = e.Schedule(Time(u), func() { fired[i] = true })
+			timers[i].Init(EventTag{}, false, func() { fired = append(fired, i) })
+			e.ArmTimer(&timers[i], Time(u))
 		}
-		cancelled := map[int]bool{}
-		for i := range events {
+		var want []int
+		for i := range timers {
 			if i < len(mask) && mask[i] {
-				e.Cancel(events[i])
-				cancelled[i] = true
+				e.DisarmTimer(&timers[i])
+			} else {
+				want = append(want, i)
 			}
 		}
+		sort.SliceStable(want, func(a, b int) bool { return times[want[a]] < times[want[b]] })
 		e.RunAll()
-		for i := range times {
-			if fired[i] == cancelled[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(fired, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -231,28 +253,34 @@ func TestQuickCancelSubset(t *testing.T) {
 }
 
 func TestCancelInteriorEvents(t *testing.T) {
-	// Cancel events scattered through the queue interior; lazy
-	// cancellation must skip exactly those at dispatch time.
+	// Disarm timers scattered through the timer heap's interior; the
+	// rest must still fire in time order.
 	e := NewEngine(1)
-	var events []Event
-	for i := 100; i > 0; i-- {
-		events = append(events, e.Schedule(Time(i), func() {}))
+	timers := make([]Timer, 100)
+	for i := range timers {
+		timers[i].Init(EventTag{}, false, func() {})
+		e.ArmTimer(&timers[i], Time(100-i))
 	}
-	// Remove every third event.
+	// Remove every third timer.
 	removed := 0
-	for i := 0; i < len(events); i += 3 {
-		e.Cancel(events[i])
+	for i := 0; i < len(timers); i += 3 {
+		e.DisarmTimer(&timers[i])
 		removed++
 	}
+	e.validateTimers(func(msg string) { t.Fatal(msg) })
 	if got := e.Pending(); got != 100-removed {
 		t.Fatalf("Pending() = %d, want %d", got, 100-removed)
 	}
-	last := Time(-1)
+	last, steps := Time(-1), 0
 	for e.Step() {
 		if e.Now() < last {
 			t.Fatal("time went backwards after interior removals")
 		}
 		last = e.Now()
+		steps++
+	}
+	if steps != 100-removed {
+		t.Fatalf("%d timers fired, want %d", steps, 100-removed)
 	}
 }
 
@@ -265,18 +293,20 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleDispatchPinned covers the pinned-arbitration path
-// plus the sanitizer hooks on the hot schedule/pop sequence. In the
-// default (untagged) build sanState is a zero-size no-op whose methods
-// compile away, so this bench doubles as the guard that enabling the
-// simsan plumbing costs nothing unless `-tags simsan` asks for it:
-// compare `go test -bench ScheduleDispatch ./internal/sim` against the
-// same with `-tags simsan` to see the (opt-in) overhead.
-func BenchmarkScheduleDispatchPinned(b *testing.B) {
+// BenchmarkTimerDispatchPinned covers the pinned-arbitration path (only
+// Timers are pinned) plus the sanitizer hooks on the hot arm/fire
+// sequence. In the default (untagged) build sanState is a zero-size
+// no-op whose methods compile away, so this bench doubles as the guard
+// that enabling the simsan plumbing costs nothing unless `-tags simsan`
+// asks for it: compare `go test -bench Dispatch ./internal/sim` against
+// the same with `-tags simsan` to see the (opt-in) overhead.
+func BenchmarkTimerDispatchPinned(b *testing.B) {
 	e := NewEngine(1)
+	var tm Timer
+	tm.Init(EventTag{}, true, func() {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.AfterPinned(Duration(i%64), func() {})
+		e.ArmTimer(&tm, e.Now().Add(Duration(i%64)))
 		e.Step()
 	}
 }

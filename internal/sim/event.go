@@ -1,75 +1,25 @@
 package sim
 
-// Event is a handle to one scheduled callback occurrence. Handles are
-// returned by Engine.Schedule and friends and are plain values: copying
-// one copies the reference, and the zero Event references nothing.
-//
-// The engine recycles event storage through a free-list pool
-// (EventPool), so a handle does not own its node — it carries the
-// node's generation number from the moment it was scheduled. Every
-// engine operation checks that generation first: a handle whose
-// occurrence has fired or been cancelled (and whose node may since have
-// been reused for an unrelated event) is *stale*, and stale handles are
-// always detected — Cancel degrades to a no-op, Reschedule returns the
-// zero Event, and the pool panics on any attempt to free the node
-// twice. See DESIGN.md §2 "Event queue internals".
-type Event struct {
-	n   *eventNode
-	gen uint64
-}
-
-// Valid reports whether the handle references an occurrence at all
-// (pending, fired, or cancelled). The zero Event is not valid.
-func (ev Event) Valid() bool { return ev.n != nil }
-
-// Pending reports whether the occurrence is still queued: its node is
-// live, on its original generation, and neither fired nor cancelled.
-func (ev Event) Pending() bool {
-	return ev.n != nil && ev.n.gen == ev.gen && ev.n.state == nodePending
-}
-
-// Pinned reports whether a still-pending occurrence uses pinned
-// same-instant arbitration (SchedulePinned/AfterPinned). It is false
-// for the zero handle and for stale handles.
-func (ev Event) Pinned() bool {
-	return ev.Pending() && ev.n.pinned
-}
-
-// When returns the occurrence's fire time while it is pending, and
-// NoTime for the zero handle or a stale one.
-func (ev Event) When() Time {
-	if !ev.Pending() {
-		return NoTime
-	}
-	return ev.n.At
-}
-
 // nodeState tracks an eventNode through its pool lifecycle.
 type nodeState uint8
 
 const (
-	// nodeFree: on the pool free list, owned by nobody.
+	// nodeFree: on the pool free list, owned by nobody (or a disarmed
+	// Timer's node).
 	nodeFree nodeState = iota
-	// nodePending: queued, waiting to fire.
+	// nodePending: queued (or an armed Timer), waiting to fire.
 	nodePending
-	// nodeCancelled: still physically queued (cancellation is lazy) but
-	// the callback will never run; the node is freed when the queue
-	// reaches its position.
-	nodeCancelled
 )
 
 func (s nodeState) String() string {
-	switch s {
-	case nodeFree:
+	if s == nodeFree {
 		return "free"
-	case nodePending:
-		return "pending"
-	default:
-		return "cancelled"
 	}
+	return "pending"
 }
 
-// eventNode is the pooled storage behind an Event handle.
+// eventNode is the storage behind one pending event: a pooled node for
+// a one-shot event, or the node a Timer embeds.
 type eventNode struct {
 	// At is the virtual time the event fires.
 	At Time
@@ -77,21 +27,17 @@ type eventNode struct {
 	// earlier-scheduled events fire first (FIFO at equal time) unless a
 	// tie-break perturbation re-keys them.
 	seq uint64
-	// gen is the node's generation, bumped every time the node is
-	// returned to the pool. A handle is live only while its captured
-	// generation equals the node's.
-	gen uint64
-	// fn is the callback; nil once fired or cancelled.
+	// fn is the callback; nil on a free pool node.
 	fn func()
 	// state is the pool lifecycle state.
 	state nodeState
 	// pinned declares that this event's same-instant arbitration order
 	// (FIFO) is part of the model, not an accident: under a tie-break
 	// perturbation (Engine.PerturbTiebreaks) pinned events keep their
-	// FIFO order among themselves while unpinned ties are permuted. The
-	// few pinned sites in internal/kernel are the dynamic analogue of a
-	// //simlint:allow directive — each one documents the hardware
-	// arbitration it models.
+	// FIFO order among themselves while unpinned ties are permuted. Only
+	// Timers are pinned (Timer.Init); the few pinned timers in
+	// internal/kernel are the dynamic analogue of a //simlint:allow
+	// directive — each one documents the hardware arbitration it models.
 	pinned bool
 	// tag is the event's registered kind plus its constructor arguments
 	// (ScheduleTagged and friends). A tagged event can be serialised and

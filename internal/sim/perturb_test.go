@@ -1,22 +1,25 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
-// tieOrder schedules n same-instant events (pinned or not) under the
-// given salt and returns the dispatch order as the original schedule
-// indices.
+// tieOrder schedules n same-instant events (or, when pinned, arms n
+// pinned timers) under the given salt and returns the dispatch order as
+// the original schedule indices.
 func tieOrder(t *testing.T, n int, salt uint64, pinned bool) []int {
 	t.Helper()
 	e := NewEngine(1)
 	e.PerturbTiebreaks(salt)
 	var order []int
+	timers := make([]Timer, n)
 	for i := 0; i < n; i++ {
 		i := i
 		fn := func() { order = append(order, i) }
 		if pinned {
-			e.SchedulePinned(5, fn)
+			timers[i].Init(EventTag{}, true, fn)
+			e.ArmTimer(&timers[i], 5)
 		} else {
 			e.Schedule(5, fn)
 		}
@@ -85,18 +88,20 @@ func TestPerturbPinnedTiesStayFIFO(t *testing.T) {
 	}
 }
 
-// Mixed pinned and unpinned events at one instant: the pinned events
-// must keep their relative FIFO order among themselves regardless of
-// where the perturbed unpinned events land between them.
+// Mixed pinned timers and unpinned events at one instant: the pinned
+// timers must keep their relative FIFO order among themselves
+// regardless of where the perturbed unpinned events land between them.
 func TestPerturbMixedTiesKeepPinnedSubsequence(t *testing.T) {
 	for salt := uint64(1); salt <= 8; salt++ {
 		e := NewEngine(1)
 		e.PerturbTiebreaks(salt)
 		var pinnedOrder []int
+		var timers [20]Timer
 		for i := 0; i < 20; i++ {
 			i := i
 			if i%2 == 0 {
-				e.SchedulePinned(5, func() { pinnedOrder = append(pinnedOrder, i) })
+				timers[i].Init(EventTag{}, true, func() { pinnedOrder = append(pinnedOrder, i) })
+				e.ArmTimer(&timers[i], 5)
 			} else {
 				e.Schedule(5, func() {})
 			}
@@ -141,29 +146,26 @@ func TestPerturbAfterScheduleArmsPanics(t *testing.T) {
 	e.PerturbTiebreaks(1)
 }
 
+// Re-arming a timer keeps the arbitration class Init bound: a re-armed
+// pinned timer still dispatches FIFO against other pinned timers under
+// a salt, behind one armed before the re-arm.
 func TestReschedulePreservesPinned(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.SchedulePinned(10, func() {})
-	ev = e.Reschedule(ev, 20)
-	if !ev.Valid() || !ev.Pinned() {
-		t.Fatal("Reschedule dropped the pinned arbitration class")
-	}
-	ev2 := e.Schedule(10, func() {})
-	ev2 = e.Reschedule(ev2, 20)
-	if !ev2.Valid() || ev2.Pinned() {
-		t.Fatal("Reschedule pinned an unpinned event")
-	}
-}
-
-func TestAfterPinnedClampsNegative(t *testing.T) {
-	e := NewEngine(1)
-	e.Schedule(50, func() {})
-	e.Run(50)
-	fired := false
-	e.AfterPinned(-10, func() { fired = true })
-	e.RunAll()
-	if !fired {
-		t.Fatal("AfterPinned with negative duration did not fire")
+	for salt := uint64(1); salt <= 8; salt++ {
+		e := NewEngine(1)
+		e.PerturbTiebreaks(salt)
+		var order []int
+		var timers [8]Timer
+		for i := range timers {
+			i := i
+			timers[i].Init(EventTag{}, true, func() { order = append(order, i) })
+			e.ArmTimer(&timers[i], 10)
+		}
+		e.ArmTimer(&timers[0], 20)
+		e.ArmTimer(&timers[0], 10) // re-armed last: fires last
+		e.RunAll()
+		if want := []int{1, 2, 3, 4, 5, 6, 7, 0}; !slices.Equal(order, want) {
+			t.Fatalf("salt %d: order %v, want %v", salt, order, want)
+		}
 	}
 }
 
@@ -195,11 +197,13 @@ func perturbedScheduleRun(ops []byte, salt uint64) ([]Time, uint64, Time) {
 	for i := range times {
 		times[i] = -1
 	}
+	timers := make([]Timer, len(ops))
 	for i, op := range ops {
 		i, op := i, op
 		at := Time(op&0x0f) * Time(Microsecond)
 		if op&0x10 != 0 {
-			e.SchedulePinned(at, func() { times[i] = e.Now() })
+			timers[i].Init(EventTag{}, true, func() { times[i] = e.Now() })
+			e.ArmTimer(&timers[i], at)
 			continue
 		}
 		e.Schedule(at, func() {

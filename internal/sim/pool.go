@@ -5,7 +5,7 @@ import "fmt"
 // EventPool is a free list of eventNodes. The engine's hot path
 // (schedule → fire) would otherwise allocate one node per event; with a
 // pool, steady-state simulation runs at zero allocations per event
-// because every fired or cancelled node is recycled.
+// because every fired node is recycled.
 //
 // A pool is single-goroutine state, exactly like the Engine that uses
 // it. The parallel replication runner gives each worker its own pool
@@ -13,19 +13,19 @@ import "fmt"
 // warm nodes while workers never share anything — the same ownership
 // discipline the runner already applies to engines and RNGs.
 //
-// Recycling is only safe because it is *checked*: every put bumps the
-// node's generation so outstanding Event handles go stale, and the pool
-// panics loudly (all messages contain "generation mismatch") on any
-// double-free or free of a node the pool does not own. Determinism is
-// unaffected by pooling: node identity and generation numbers are never
-// part of the dispatch order (see eventOrder), so pooled and fresh
-// allocations produce bit-identical results — a property the workers=1
-// vs workers=N golden tests exercise directly.
+// One-shot events are fire-and-forget, so nothing outside the engine
+// ever holds a node: a node is owned by the queue from schedule until
+// dispatch, and by the pool afterwards. The pool still checks that
+// ownership by node state and panics loudly (all messages start with
+// "sim: event pool:") on a double free or on a free-list node mutated
+// after release. Determinism is unaffected by pooling: node identity is
+// never part of the dispatch order (see eventOrder), so pooled and
+// fresh allocations produce bit-identical results — a property the
+// workers=1 vs workers=N golden tests exercise directly.
 type EventPool struct {
 	free []*eventNode
-	// disabled makes put recycle nothing (nodes still have their
-	// generation bumped, so handle staleness checks behave identically)
-	// and get always allocate. Only the in-package tests set it: it is
+	// disabled makes put recycle nothing (the state checks behave
+	// identically) and get always allocate. Only the in-package tests set it: it is
 	// the alloc-per-event reference for the pooled-vs-alloc benchmarks.
 	disabled bool
 
@@ -64,8 +64,8 @@ func (p *EventPool) get() *eventNode {
 		p.free = p.free[:n-1]
 		if nd.state != nodeFree {
 			panic(fmt.Sprintf(
-				"sim: event pool generation mismatch: free-list node (gen %d) is %s, not free — node mutated after release",
-				nd.gen, nd.state))
+				"sim: event pool: free-list node (seq %d) is %s, not free — node mutated after release",
+				nd.seq, nd.state))
 		}
 		nd.state = nodePending
 		p.reuses++
@@ -76,19 +76,16 @@ func (p *EventPool) get() *eventNode {
 	return &eventNode{state: nodePending}
 }
 
-// put returns a node to the pool. The node must be in nodePending or
-// nodeCancelled state (i.e. currently owned by an engine); putting a
-// free node is a double-free and panics. The generation bump is what
-// invalidates every outstanding handle to this occurrence.
+// put returns a node to the pool. The node must be in nodePending state
+// (i.e. currently owned by an engine); putting a free node is a
+// double-free and panics.
 //
 //simlint:hotpath
 func (p *EventPool) put(nd *eventNode) {
 	if nd.state == nodeFree {
 		panic(fmt.Sprintf(
-			"sim: event pool generation mismatch: double free of event node (gen %d, seq %d)",
-			nd.gen, nd.seq))
+			"sim: event pool: double free of event node (seq %d)", nd.seq))
 	}
-	nd.gen++
 	nd.fn = nil
 	nd.state = nodeFree
 	nd.pinned = false
@@ -109,11 +106,11 @@ func (p *EventPool) validate(fail func(string)) {
 			return
 		}
 		if nd.state != nodeFree {
-			fail(fmt.Sprintf("event pool: free[%d] (gen %d) has state %s, want free", i, nd.gen, nd.state))
+			fail(fmt.Sprintf("event pool: free[%d] (seq %d) has state %s, want free", i, nd.seq, nd.state))
 			return
 		}
 		if nd.fn != nil {
-			fail(fmt.Sprintf("event pool: free[%d] (gen %d) retains a callback", i, nd.gen))
+			fail(fmt.Sprintf("event pool: free[%d] (seq %d) retains a callback", i, nd.seq))
 			return
 		}
 	}

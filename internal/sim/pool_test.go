@@ -22,22 +22,15 @@ func mustPanicContaining(t *testing.T, substr string, fn func()) {
 }
 
 // Reuse-after-fire: once an event fires its node belongs to the pool;
-// freeing it again must fail loudly with a generation mismatch.
+// freeing it again must fail loudly as a double free.
 func TestPoolReuseAfterFirePanics(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.Schedule(1, func() {})
+	e.Schedule(1, func() {})
 	e.RunAll()
-	mustPanicContaining(t, "generation mismatch", func() { e.pool.put(ev.n) })
-}
-
-// Reuse-after-cancel: a cancelled node is freed when the queue drains
-// past it; a second free is the same double-free.
-func TestPoolReuseAfterCancelPanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(1, func() {})
-	e.Cancel(ev)
-	e.Run(10) // drains the lazily-cancelled node and recycles it
-	mustPanicContaining(t, "generation mismatch", func() { e.pool.put(ev.n) })
+	if len(e.pool.free) != 1 {
+		t.Fatalf("free list holds %d nodes after one fire, want 1", len(e.pool.free))
+	}
+	mustPanicContaining(t, "double free", func() { e.pool.put(e.pool.free[0]) })
 }
 
 // A free-list node that was mutated behind the pool's back is detected
@@ -50,76 +43,7 @@ func TestPoolGetDetectsCorruptedFreeNode(t *testing.T) {
 		t.Fatal("expected a recycled node on the free list")
 	}
 	e.pool.free[len(e.pool.free)-1].state = nodePending
-	mustPanicContaining(t, "generation mismatch", func() { e.pool.get() })
-}
-
-// A handle claiming a generation its node has not reached is forged or
-// corrupt; Cancel and Reschedule must refuse it loudly.
-func TestAheadGenerationHandlePanics(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(1, func() {})
-	forged := Event{n: ev.n, gen: ev.gen + 1}
-	mustPanicContaining(t, "generation mismatch", func() { e.Cancel(forged) })
-	mustPanicContaining(t, "generation mismatch", func() { e.Reschedule(forged, 5) })
-}
-
-// The load-bearing safety property of pooling: a stale handle whose
-// node has been recycled for an unrelated event must not be able to
-// touch the new occupant.
-func TestStaleHandleCannotCancelRecycledNode(t *testing.T) {
-	e := NewEngine(1)
-	old := e.Schedule(1, func() {})
-	e.RunAll() // fires; node goes back to the pool
-	fired := false
-	fresh := e.Schedule(2, func() { fired = true })
-	if fresh.n != old.n {
-		t.Fatal("pool did not recycle the node; test premise broken")
-	}
-	e.Cancel(old) // stale: one generation behind
-	if !fresh.Pending() {
-		t.Fatal("stale Cancel reached the recycled node's new occupant")
-	}
-	if ev := e.Reschedule(old, 9); ev.Valid() {
-		t.Fatal("stale Reschedule returned a live handle")
-	}
-	e.RunAll()
-	if !fired {
-		t.Fatal("recycled event did not fire after stale-handle operations")
-	}
-}
-
-// A callback cancelling its own (already firing) event is a stale
-// no-op — the node was recycled before the callback ran.
-func TestCancelSelfDuringDispatchIsNoOp(t *testing.T) {
-	e := NewEngine(1)
-	var self Event
-	ran := false
-	self = e.Schedule(1, func() {
-		ran = true
-		e.Cancel(self) // our own node, already freed: must be quiet
-	})
-	e.RunAll()
-	if !ran {
-		t.Fatal("event did not fire")
-	}
-}
-
-// Double-cancel across a dispatch boundary: cancel, let the queue drain
-// the node, cancel again once the node has a new occupant.
-func TestDoubleCancelAcrossRecycle(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.Schedule(1, func() { t.Fatal("cancelled event fired") })
-	e.Cancel(ev)
-	e.Cancel(ev) // immediate double-cancel: no-op
-	e.Run(5)     // drain + recycle
-	fired := false
-	fresh := e.Schedule(6, func() { fired = true })
-	e.Cancel(ev) // stale double-cancel against the recycled node
-	e.RunAll()
-	if !fired {
-		t.Fatal("fresh event was killed by a stale double-cancel")
-	}
-	_ = fresh
+	mustPanicContaining(t, "mutated after release", func() { e.pool.get() })
 }
 
 // Steady-state churn must run entirely off the free list: after the
@@ -140,14 +64,14 @@ func TestPoolSteadyStateReuses(t *testing.T) {
 }
 
 // The alloc pool is the alloc-per-event reference: the free list stays
-// empty and every get allocates, while handle-staleness semantics are
-// unchanged (gen still bumps on put).
+// empty and every get allocates, while put still checks and clears the
+// node it is handed.
 func TestAllocPoolAllocatesEveryEvent(t *testing.T) {
 	e := withAllocPool(NewEngine(1))
-	ev := e.Schedule(1, func() {})
+	e.Schedule(1, func() {})
 	e.RunAll()
-	if ev.Pending() {
-		t.Fatal("fired event still pending in alloc-pool mode")
+	if e.Pending() != 0 || e.pool.puts != 1 {
+		t.Fatalf("alloc-pool engine: %d pending, %d puts after one fire", e.Pending(), e.pool.puts)
 	}
 	for i := 0; i < 100; i++ {
 		e.After(Duration(i%8)*Microsecond, func() {})
@@ -180,7 +104,7 @@ func TestSharedPoolAcrossSequentialEnginesIsInvisible(t *testing.T) {
 	}
 	pool := NewEventPool()
 	a := run(pool) // cold pool
-	b := run(pool) // warm pool: recycled nodes, bumped gens
+	b := run(pool) // warm pool: recycled nodes
 	c := run(nil)  // private pool
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
@@ -195,19 +119,18 @@ func TestSharedPoolAcrossSequentialEnginesIsInvisible(t *testing.T) {
 
 // Property: for any op stream, pool counters balance — every node is
 // either free or live, puts never exceed gets, and the free list never
-// holds a pending node.
+// holds a pending node. Timer traffic never touches the pool.
 func TestQuickPoolAccounting(t *testing.T) {
 	f := func(ops []byte) bool {
 		e := NewEngine(3)
-		var live []Event
+		var tm Timer
+		tm.Init(EventTag{}, false, func() {})
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
-				live = append(live, e.After(Duration(op)*Microsecond, func() {}))
+				e.After(Duration(op)*Microsecond, func() {})
 			case 1:
-				if len(live) > 0 {
-					e.Cancel(live[int(op)%len(live)])
-				}
+				e.ArmTimer(&tm, e.Now().Add(Duration(op)*Microsecond))
 			case 2:
 				e.Step()
 			}

@@ -10,8 +10,6 @@ type sanState struct{}
 
 func (e *Engine) sanOnSchedule(n *eventNode) {}
 
-func (e *Engine) sanOnCancel(n *eventNode) {}
-
 func (e *Engine) sanOnDisarm(t *Timer) {}
 
 func (e *Engine) sanOnAdvance(at Time) {}

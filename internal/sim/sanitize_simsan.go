@@ -21,8 +21,8 @@ import "fmt"
 //     periodically, so corruption is caught near its cause rather than
 //     at the end),
 //   - the event pool stays consistent: free-list nodes are actually
-//     free and callback-less, and the engine's live-event count matches
-//     a fresh count over the queue.
+//     free and callback-less, and every queued node is pending with a
+//     callback.
 //
 // A violation panics with the evidence; simsan is a test configuration
 // (CI's sanitize job runs `go test -tags simsan ./...`), so failing loud
@@ -43,10 +43,10 @@ func (e *Engine) sanOnSchedule(n *eventNode) {
 		panic(fmt.Sprintf("simsan: event scheduled at %v, before now %v", n.At, e.now))
 	}
 	if n.state != nodePending {
-		panic(fmt.Sprintf("simsan: scheduled node (gen %d) in state %s, want pending", n.gen, n.state))
+		panic(fmt.Sprintf("simsan: scheduled node (seq %d) in state %s, want pending", n.seq, n.state))
 	}
 	if n.fn == nil {
-		panic(fmt.Sprintf("simsan: scheduled node (gen %d) has no callback", n.gen))
+		panic(fmt.Sprintf("simsan: scheduled node (seq %d) has no callback", n.seq))
 	}
 	// A callback may legally schedule a new event for the current
 	// instant whose perturbed tie-break key sorts below the event just
@@ -60,20 +60,8 @@ func (e *Engine) sanOnSchedule(n *eventNode) {
 	}
 }
 
-func (e *Engine) sanOnCancel(n *eventNode) {
-	if n.state != nodeCancelled {
-		panic(fmt.Sprintf("simsan: cancelled node (gen %d) in state %s, want cancelled", n.gen, n.state))
-	}
-	if n.fn != nil {
-		panic(fmt.Sprintf("simsan: cancelled node (gen %d) retains its callback", n.gen))
-	}
-	if e.live < 0 {
-		panic(fmt.Sprintf("simsan: live event count went negative (%d)", e.live))
-	}
-}
-
-// sanOnDisarm checks a disarmed timer: unlike a cancelled node it keeps
-// its body for the next arm, and it must have left the timer heap.
+// sanOnDisarm checks a disarmed timer: it keeps its body for the next
+// arm, and it must have left the timer heap.
 func (e *Engine) sanOnDisarm(t *Timer) {
 	if t.Armed() {
 		panic(fmt.Sprintf("simsan: disarmed timer %s still in state %s", t.n.tag.Kind, t.n.state))
@@ -83,9 +71,6 @@ func (e *Engine) sanOnDisarm(t *Timer) {
 	}
 	if t.hidx < len(e.timers) && e.timers[t.hidx] == t {
 		panic(fmt.Sprintf("simsan: disarmed timer %s still in the timer heap at %d", t.n.tag.Kind, t.hidx))
-	}
-	if e.live < 0 {
-		panic(fmt.Sprintf("simsan: live event count went negative (%d)", e.live))
 	}
 }
 
@@ -98,19 +83,16 @@ func (e *Engine) sanOnAdvance(at Time) {
 }
 
 func (e *Engine) sanOnPop(n *eventNode) {
-	// Cancelled nodes are exempt from the clock check: cancellation is
-	// lazy, so a node cancelled behind an idle clock advancement (Run
-	// past it with nothing to do) legitimately drains with At < now.
-	if n.At < e.now && n.state != nodeCancelled {
+	if n.At < e.now {
 		panic(fmt.Sprintf("simsan: popped event at %v, before now %v — virtual clock would regress", n.At, e.now))
 	}
 	if n.state == nodeFree {
-		panic(fmt.Sprintf("simsan: popped node (gen %d) is on the free list", n.gen))
+		panic(fmt.Sprintf("simsan: popped node (seq %d) is on the free list", n.seq))
 	}
 	// Local minimality: a pop must never leave a smaller node behind in
 	// either the ladder or the timer heap. This holds for every pop —
-	// pending or cancelled, ladder node or timer — because the engine
-	// only removes the lesser of the two surfaces.
+	// ladder node or timer — because the engine only removes the lesser
+	// of the two surfaces.
 	if m := e.q.peek(); m != nil && e.ord.less(m, n) {
 		panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while (%v, key %d) still queued",
 			n.At, e.ord.key(n), m.At, e.ord.key(m)))
@@ -122,15 +104,6 @@ func (e *Engine) sanOnPop(n *eventNode) {
 		}
 	}
 	key := e.ord.key(n)
-	if n.state == nodeCancelled {
-		// A cancelled node drains when it surfaces as the queue minimum,
-		// which can be far ahead of the clock; events scheduled after
-		// the drain may then legitimately pop behind it. Cancelled pops
-		// therefore leave the global (At, key) watermark untouched — the
-		// local-minimality check above still pins their ordering.
-		e.sanCountPop()
-		return
-	}
 	if e.san.popped && (n.At < e.san.lastAt || (n.At == e.san.lastAt && key < e.san.lastKey)) {
 		panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) after (%v, key %d)",
 			n.At, key, e.san.lastAt, e.san.lastKey))
@@ -162,34 +135,21 @@ func (e *Engine) sanCountPop() {
 
 // sanValidate runs the full O(n) structural audit: queue-implementation
 // invariants, timer-heap order and back-indices, pool free-list
-// consistency, and the live-count cross-check.
+// consistency, and the state of every queued node.
 func (e *Engine) sanValidate() {
 	fail := func(msg string) { panic("simsan: " + msg) }
 	e.q.validate(fail)
 	e.validateTimers(fail)
 	e.pool.validate(fail)
-	live, queued := len(e.timers), 0
+	queued := 0
 	e.q.each(func(n *eventNode) {
 		queued++
-		switch n.state {
-		case nodePending:
-			if n.fn == nil {
-				fail(fmt.Sprintf("pending node at %v (gen %d) has no callback", n.At, n.gen))
-			}
-			live++
-		case nodeCancelled:
-			if n.fn != nil {
-				fail(fmt.Sprintf("cancelled node at %v (gen %d) retains its callback", n.At, n.gen))
-			}
-		default:
-			fail(fmt.Sprintf("queued node at %v (gen %d) in state %s", n.At, n.gen, n.state))
+		if n.state != nodePending || n.fn == nil {
+			fail(fmt.Sprintf("queued node at %v (seq %d) is %s (callback %v)", n.At, n.seq, n.state, n.fn != nil))
 		}
 	})
 	if queued != e.q.len() {
 		fail(fmt.Sprintf("queue len %d != visited %d", e.q.len(), queued))
-	}
-	if live != e.live {
-		fail(fmt.Sprintf("engine live count %d != queue live count plus armed timers %d", e.live, live))
 	}
 }
 

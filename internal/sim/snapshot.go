@@ -98,7 +98,6 @@ const engineSection = "sim.engine"
 // reference heap produce the identical section for the same simulation
 // state (queue internals are never serialised — restore re-pushes the
 // events, and any implementation realises the same total order).
-// Lazily-cancelled nodes are dropped: they have no observable future.
 // Armed timers are pending events like any other: an image does not
 // record whether an occurrence was a timer or a plain event.
 //
@@ -106,12 +105,8 @@ const engineSection = "sim.engine"
 // an anonymous closure in flight is an error naming the offending
 // instant, because no process can rebuild it.
 func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
-	var pending []*eventNode
-	e.q.each(func(n *eventNode) {
-		if n.state == nodePending {
-			pending = append(pending, n)
-		}
-	})
+	pending := make([]*eventNode, 0, e.Pending())
+	e.q.each(func(n *eventNode) { pending = append(pending, n) })
 	for _, t := range e.timers {
 		pending = append(pending, &t.n)
 	}
@@ -172,9 +167,6 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 	for e.q.len() > 0 {
 		n := e.q.pop()
 		e.sanOnPop(n)
-		if n.state == nodePending {
-			e.live--
-		}
 		e.pool.put(n)
 	}
 	e.sanOnRestore()
@@ -224,12 +216,17 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 }
 
 // RestoreEvent re-queues one snapshot event with its rebuilt callback.
-// The occurrence keeps its original sequence number, fire time, pinned
-// class and tag — so the restored engine dispatches
-// the identical (At, key, seq) total order the snapshotted one would
-// have. It returns the new handle; events whose owner re-arms them are
-// Timers and go through RestoreTimer instead.
-func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) Event {
+// The occurrence keeps its original sequence number, fire time and tag
+// — so the restored engine dispatches the identical (At, key, seq)
+// total order the snapshotted one would have. Only Timers are pinned,
+// so a pinned event belongs to a timer and goes through RestoreTimer;
+// RestoreEvent refuses one with an error naming its kind, since images
+// reach a restore from outside the process.
+func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) error {
+	if rev.Pinned {
+		return fmt.Errorf("sim: restore: pinned event %s(%d,%d,%d) at %v has no owning timer",
+			rev.Kind, rev.A0, rev.A1, rev.A2, rev.At)
+	}
 	if fn == nil {
 		panic(fmt.Sprintf("sim: RestoreEvent %q with nil callback", rev.Kind))
 	}
@@ -243,12 +240,10 @@ func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) Event {
 	n.At = rev.At
 	n.seq = rev.Seq
 	n.fn = fn
-	n.pinned = rev.Pinned
 	n.tag = EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
 	e.q.push(n)
-	e.live++
 	e.sanOnSchedule(n)
-	return Event{n: n, gen: n.gen}
+	return nil
 }
 
 // NextEventInfo returns the identity of the next pending event — fire
@@ -268,10 +263,9 @@ func init() {
 		"now":     "codec",
 		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; RestoreState disarms every timer and owners re-arm theirs with RestoreTimer",
 		"q":       "skip: queue internals are never serialised — restore re-pushes the pending events, and the ladder realises the identical eventOrder total order as the reference heap (diffqueue differential harness)",
-		"pool":    "skip: free-list contents, generation counters and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
+		"pool":    "skip: free-list contents and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
 		"ord":     "codec",
 		"nextSeq": "codec",
-		"live":    "skip: derived — recomputed by RestoreEvent re-pushes and RestoreTimer re-arms",
 		"rng":     "codec",
 		"stopped": "skip: transient run-loop flag; restore clears it (a snapshot is taken between events, never inside Stop handling)",
 		"fired":   "codec",
@@ -287,9 +281,8 @@ func init() {
 	snapshot.RegisterState(eventNode{}, snapshot.Manifest{
 		"At":     "codec",
 		"seq":    "codec",
-		"gen":    "skip: node identity and generation never enter eventOrder; restored events get fresh nodes and owners get fresh handles via RestoreEvent",
 		"fn":     "codec", // rebuilt via the tag's registered kind constructor
-		"state":  "skip: only pending nodes are serialised; cancelled nodes have no observable future and free nodes are pool storage",
+		"state":  "skip: only pending nodes are serialised; free nodes are pool storage or disarmed timers",
 		"pinned": "codec",
 		"tag":    "codec",
 	})

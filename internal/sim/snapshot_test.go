@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/snapshot"
@@ -18,12 +19,15 @@ type snapHarness struct {
 	counter uint64
 	log     []string
 	// The harness owns two timers ("test.timer", A0 = index; timer 0
-	// is pinned). plain models them as handles it cancels and
-	// reschedules, the way owned events worked before Timer existed;
-	// otherwise they are Timers.
-	plain   bool
-	timers  [2]Timer
-	handles [2]Event
+	// is pinned). plain runs them as refTimers on the reference heap,
+	// the remove-plus-schedule model of a Timer; otherwise they are
+	// Timers.
+	plain  bool
+	timers [2]Timer
+	refs   [2]refTimer
+	// ticks are pinned periodic timers ("test.tick", A0 = period, A1 =
+	// index), Timers in both models.
+	ticks []*Timer
 }
 
 var (
@@ -38,30 +42,25 @@ func newSnapHarness(eng *Engine) *snapHarness {
 	h := &snapHarness{eng: eng}
 	for i := range h.timers {
 		i := i
-		h.timers[i].Init(kindTimer.Tag(uint64(i), 0, 0), i == 0, func() { h.timerFired(i) })
+		tag := kindTimer.Tag(uint64(i), 0, 0)
+		h.timers[i].Init(tag, i == 0, func() { h.timerFired(i) })
+		h.refs[i].init(tag, i == 0, func() { h.timerFired(i) })
 	}
 	return h
 }
 
 // armTimer arms (or re-arms) timer i at at.
 func (h *snapHarness) armTimer(i int, at Time) {
-	if !h.plain {
-		h.eng.ArmTimer(&h.timers[i], at)
-		return
-	}
-	h.eng.Cancel(h.handles[i])
-	tag := kindTimer.Tag(uint64(i), 0, 0)
-	fn := func() { h.timerFired(i) }
-	if i == 0 {
-		h.handles[i] = h.eng.SchedulePinnedTagged(at, tag, fn)
+	if h.plain {
+		h.refs[i].arm(h.eng, at)
 	} else {
-		h.handles[i] = h.eng.ScheduleTagged(at, tag, fn)
+		h.eng.ArmTimer(&h.timers[i], at)
 	}
 }
 
 func (h *snapHarness) disarmTimer(i int) {
 	if h.plain {
-		h.eng.Cancel(h.handles[i])
+		h.refs[i].disarm(h.eng)
 	} else {
 		h.eng.DisarmTimer(&h.timers[i])
 	}
@@ -69,9 +68,33 @@ func (h *snapHarness) disarmTimer(i int) {
 
 func (h *snapHarness) timerArmed(i int) bool {
 	if h.plain {
-		return h.handles[i].Pending()
+		return h.refs[i].armed()
 	}
 	return h.timers[i].Armed()
+}
+
+// startTick starts a new tick timer with the given period, first
+// firing at at.
+func (h *snapHarness) startTick(at Time, period uint64) {
+	h.eng.ArmTimer(h.tick(len(h.ticks), period), at)
+}
+
+// tick returns tick timer i, binding it on first use. Each firing
+// bumps the counter and re-arms the timer one period on.
+func (h *snapHarness) tick(i int, period uint64) *Timer {
+	for len(h.ticks) <= i {
+		h.ticks = append(h.ticks, nil)
+	}
+	if h.ticks[i] == nil {
+		tm := new(Timer)
+		tm.Init(kindTick.Tag(period, uint64(i), 0), true, func() {
+			h.counter++
+			h.log = append(h.log, fmt.Sprintf("tick@%d c=%d", h.eng.Now(), h.counter))
+			h.eng.ArmTimer(tm, h.eng.Now().Add(Duration(period)))
+		})
+		h.ticks[i] = tm
+	}
+	return h.ticks[i]
 }
 
 // timerFired is timer i's body: it draws the RNG, and timer 0 is
@@ -119,22 +142,32 @@ func (h *snapHarness) fire(tag EventTag) func() {
 				h.eng.AfterTagged(d, kindSpawn.Tag(tag.A0-1, uint64(d), 0), h.fire(kindSpawn.Tag(tag.A0-1, uint64(d), 0)))
 				h.eng.AfterTagged(d/2, kindCount.Tag(tag.A0, 0, 0), h.fire(kindCount.Tag(tag.A0, 0, 0)))
 			}
-		case kindTick:
-			h.counter++
-			h.log = append(h.log, fmt.Sprintf("tick@%d c=%d", h.eng.Now(), h.counter))
-			h.eng.AfterPinnedTagged(Duration(tag.A0), tag, h.fire(tag))
 		case kindTimerOp:
 			h.timerOp(tag.A0, tag.A1)
 		}
 	}
 }
 
-func (h *snapHarness) schedule(at Time, tag EventTag, pinned bool) {
-	if pinned {
-		h.eng.SchedulePinnedTagged(at, tag, h.fire(tag))
-	} else {
-		h.eng.ScheduleTagged(at, tag, h.fire(tag))
+func (h *snapHarness) schedule(at Time, tag EventTag) {
+	h.eng.ScheduleTagged(at, tag, h.fire(tag))
+}
+
+// restore re-queues one restored event: timer kinds re-arm their
+// timer (a refTimer in the plain model), every other kind is rebuilt
+// through fire.
+func (h *snapHarness) restore(rev RestoredEvent) error {
+	tag := EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
+	switch tag.Kind {
+	case kindTick:
+		return h.eng.RestoreTimer(h.tick(int(rev.A1), rev.A0), rev)
+	case kindTimer:
+		if h.plain {
+			h.refs[rev.A0].restore(h.eng, rev.At, rev.Seq)
+			return nil
+		}
+		return h.eng.RestoreTimer(&h.timers[rev.A0], rev)
 	}
+	return h.eng.RestoreEvent(rev, h.fire(tag))
 }
 
 const harnessSection = "test.harness"
@@ -160,7 +193,7 @@ func restoreHarness(t *testing.T, img []byte, mkEngine func() *Engine) *snapHarn
 
 // restoreHarnessPlain is restoreHarness with the restored harness's
 // timer model chosen: Timers re-armed by RestoreTimer, or (plain)
-// handles re-queued by RestoreEvent.
+// refTimers, which need mkEngine to build a reference-heap engine.
 func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plain bool) *snapHarness {
 	t.Helper()
 	eng := mkEngine()
@@ -178,16 +211,8 @@ func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plai
 		t.Fatalf("RestoreState: %v", err)
 	}
 	for _, rev := range evs {
-		tag := EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-		if tag.Kind != kindTimer {
-			eng.RestoreEvent(rev, h.fire(tag))
-			continue
-		}
-		i := int(rev.A0)
-		if plain {
-			h.handles[i] = eng.RestoreEvent(rev, func() { h.timerFired(i) })
-		} else if err := eng.RestoreTimer(&h.timers[i], rev); err != nil {
-			t.Fatalf("RestoreTimer: %v", err)
+		if err := h.restore(rev); err != nil {
+			t.Fatalf("restore %s: %v", rev.Kind, err)
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -196,24 +221,24 @@ func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plai
 	return h
 }
 
-// seedHarness installs a deterministic mixed workload: recurring pinned
-// ticks, a spawn cascade, same-instant unpinned counts, and timer ops
-// that arm, tie, re-arm and disarm both timers (timer 0 then ticks
+// seedHarness installs a deterministic mixed workload: a recurring
+// pinned tick, a spawn cascade, same-instant unpinned counts, and timer
+// ops that arm, tie, re-arm and disarm both timers (timer 0 then ticks
 // periodically).
 func seedHarness(h *snapHarness) {
-	h.schedule(10, kindTick.Tag(500, 0, 0), true)
-	h.schedule(25, kindSpawn.Tag(6, 0, 0), false)
+	h.startTick(10, 500)
+	h.schedule(25, kindSpawn.Tag(6, 0, 0))
 	for i := uint64(0); i < 5; i++ {
-		h.schedule(300, kindCount.Tag(i, 0, 0), false) // same-instant ties
+		h.schedule(300, kindCount.Tag(i, 0, 0)) // same-instant ties
 	}
-	h.schedule(100_000, kindCount.Tag(99, 0, 0), false)
-	h.schedule(20, kindTimerOp.Tag(0, 280, 0), false)    // timer 0 at 300, tied with the counts
-	h.schedule(20, kindTimerOp.Tag(1, 1200, 0), false)   // timer 1 at 1220
-	h.schedule(290, kindTimerOp.Tag(3, 10, 0), false)    // timer 1 fires now, in the batch
-	h.schedule(300, kindTimerOp.Tag(1, 900, 0), false)   // timer 1 again at 1200
-	h.schedule(700, kindTimerOp.Tag(7, 40, 0), false)    // re-arm timer 1 to 740
-	h.schedule(5_000, kindTimerOp.Tag(4, 0, 0), false)   // stop the periodic timer 0
-	h.schedule(5_100, kindTimerOp.Tag(0, 500, 0), false) // and restart it at 5_600
+	h.schedule(100_000, kindCount.Tag(99, 0, 0))
+	h.schedule(20, kindTimerOp.Tag(0, 280, 0))    // timer 0 at 300, tied with the counts
+	h.schedule(20, kindTimerOp.Tag(1, 1200, 0))   // timer 1 at 1220
+	h.schedule(290, kindTimerOp.Tag(3, 10, 0))    // timer 1 fires now, in the batch
+	h.schedule(300, kindTimerOp.Tag(1, 900, 0))   // timer 1 again at 1200
+	h.schedule(700, kindTimerOp.Tag(7, 40, 0))    // re-arm timer 1 to 740
+	h.schedule(5_000, kindTimerOp.Tag(4, 0, 0))   // stop the periodic timer 0
+	h.schedule(5_100, kindTimerOp.Tag(0, 500, 0)) // and restart it at 5_600
 }
 
 func runSnapshotResume(t *testing.T, newEng func(seed uint64) *Engine, salt uint64, stopAt Time) {
@@ -328,16 +353,18 @@ func TestSnapshotUntaggedEventErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotSkipsCancelled: lazily-cancelled nodes must not appear in
-// the image (they have no observable future), and snapshots taken
-// before/after draining them are byte-identical.
+// TestSnapshotSkipsCancelled: a disarmed timer has no observable
+// future, so it is not in the image — not even an untagged one, which
+// could not be serialised.
 func TestSnapshotSkipsCancelled(t *testing.T) {
 	h := newSnapHarness(NewEngine(7))
-	tag := kindCount.Tag(1, 0, 0)
-	keep := h.eng.ScheduleTagged(50, tag, h.fire(tag))
-	drop := h.eng.Schedule(20, func() {}) // untagged, but cancelled: must not error either
-	h.eng.Cancel(drop)
-	_ = keep
+	h.schedule(50, kindCount.Tag(1, 0, 0))
+	var untagged Timer
+	untagged.Init(EventTag{}, false, func() {})
+	h.eng.ArmTimer(&untagged, 20)
+	h.eng.DisarmTimer(&untagged)
+	h.armTimer(1, 30)
+	h.disarmTimer(1)
 	img := h.snapshot()
 	b := restoreHarness(t, img, func() *Engine { return NewEngine(0) })
 	if got := b.eng.Pending(); got != 1 {
@@ -359,11 +386,11 @@ func TestRestoreLadderOverflowRewind(t *testing.T) {
 	// Near-future cluster plus deep far-future events (>> one ladder
 	// window of 256 * 65536ns).
 	for i := uint64(0); i < 8; i++ {
-		h.schedule(Time(1000+i*10), kindCount.Tag(i, 0, 0), false)
+		h.schedule(Time(1000+i*10), kindCount.Tag(i, 0, 0))
 	}
-	h.schedule(40_000_000, kindCount.Tag(100, 0, 0), false) // overflow heap
-	h.schedule(90_000_000, kindTick.Tag(1000, 0, 0), true)  // overflow heap, pinned
-	h.eng.Run(500)                                          // fires nothing; clock at 500
+	h.schedule(40_000_000, kindCount.Tag(100, 0, 0)) // overflow heap
+	h.schedule(90_000_000, kindSpawn.Tag(3, 0, 0))   // overflow heap
+	h.eng.Run(500)                                   // fires nothing; clock at 500
 	img := h.snapshot()
 
 	ref := restoreHarness(t, img, func() *Engine { return NewEngine(0) })
@@ -395,9 +422,9 @@ func TestRestoreWarmSaltOverride(t *testing.T) {
 	const salt = 0xabcdef
 	seed := func(h *snapHarness) {
 		for i := uint64(0); i < 6; i++ {
-			h.schedule(777, kindCount.Tag(i, 0, 0), false)
+			h.schedule(777, kindCount.Tag(i, 0, 0))
 		}
-		h.schedule(777, kindTick.Tag(100_000, 0, 0), true)
+		h.startTick(777, 100_000)
 	}
 
 	cold := newSnapHarness(NewEngine(11))
@@ -425,8 +452,9 @@ func TestRestoreWarmSaltOverride(t *testing.T) {
 	}
 	warm.eng.PerturbTiebreaks(salt)
 	for _, rev := range evs {
-		tag := EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-		warm.eng.RestoreEvent(rev, warm.fire(tag))
+		if err := warm.restore(rev); err != nil {
+			t.Fatalf("restore %s: %v", rev.Kind, err)
+		}
 	}
 	warm.eng.Run(800)
 
@@ -451,7 +479,7 @@ func TestRestoreEventValidation(t *testing.T) {
 		fn()
 	}
 	h := newSnapHarness(NewEngine(5))
-	h.schedule(100, kindCount.Tag(0, 0, 0), false)
+	h.schedule(100, kindCount.Tag(0, 0, 0))
 	img := h.snapshot()
 	b := restoreHarness(t, img, func() *Engine { return NewEngine(0) })
 	mustPanic("seq >= nextSeq", func() {
@@ -463,46 +491,54 @@ func TestRestoreEventValidation(t *testing.T) {
 	})
 }
 
-// TestRestoredHandleLifecycle: handles returned by RestoreEvent are
-// first-class — Cancel and Reschedule keep their contracts (and
-// Reschedule preserves the tag, so a moved event still snapshots).
+// TestRestoreEventRejectsPinned: only Timers are pinned, so a pinned
+// event in an image belongs to a timer. RestoreEvent refuses one with
+// an error naming its kind — images come from outside the process, so
+// a stray one must not panic or be queued.
+func TestRestoreEventRejectsPinned(t *testing.T) {
+	h := newSnapHarness(NewEngine(5))
+	h.armTimer(0, 100) // timer 0 is pinned
+	img := h.snapshot()
+	eng := NewEngine(0)
+	evs, err := eng.RestoreState(harnessReader(t, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 || !evs[0].Pinned {
+		t.Fatalf("restored events %+v, want one pinned timer event", evs)
+	}
+	err = eng.RestoreEvent(evs[0], func() {})
+	if err == nil || !strings.Contains(err.Error(), "pinned event test.timer") {
+		t.Fatalf("RestoreEvent of a pinned event: err %v, want one naming test.timer", err)
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("rejected event was queued (%d pending)", eng.Pending())
+	}
+}
+
+// TestRestoredHandleLifecycle: timers re-armed by RestoreTimer are
+// first-class — disarm and re-arm keep their contracts, and a moved
+// timer keeps its tag, so it still snapshots.
 func TestRestoredHandleLifecycle(t *testing.T) {
 	h := newSnapHarness(NewEngine(5))
-	h.schedule(100, kindCount.Tag(0, 0, 0), false)
-	h.schedule(120, kindCount.Tag(1, 0, 0), false)
+	h.armTimer(0, 100)
+	h.armTimer(1, 120)
 	img := h.snapshot()
 
-	eng := NewEngine(0)
-	h2 := newSnapHarness(eng)
-	r, err := snapshot.OpenReader(img)
-	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
+	b := restoreHarness(t, img, func() *Engine { return NewEngine(0) })
+	b.disarmTimer(0)
+	b.armTimer(1, 500)
+	if !b.timerArmed(1) || b.eng.Pending() != 1 {
+		t.Fatalf("re-armed restored timer: armed=%v pending=%d", b.timerArmed(1), b.eng.Pending())
 	}
-	r.Section(harnessSection)
-	h2.counter = r.U64(1)
-	r.EndSection()
-	evs, err := eng.RestoreState(r)
-	if err != nil {
-		t.Fatalf("RestoreState: %v", err)
-	}
-	var handles []Event
-	for _, rev := range evs {
-		tag := EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-		handles = append(handles, eng.RestoreEvent(rev, h2.fire(tag)))
-	}
-	eng.Cancel(handles[0])
-	moved := eng.Reschedule(handles[1], 500)
-	if !moved.Pending() {
-		t.Fatalf("rescheduled restored event not pending")
-	}
-	// The moved event kept its tag: snapshotting again must succeed.
+	// The moved timer kept its tag: snapshotting again must succeed.
 	w := snapshot.NewWriter()
-	if err := eng.SnapshotTo(w); err != nil {
-		t.Fatalf("snapshot after reschedule: %v", err)
+	if err := b.eng.SnapshotTo(w); err != nil {
+		t.Fatalf("snapshot after re-arm: %v", err)
 	}
-	eng.RunAll()
-	if len(h2.log) != 1 {
-		t.Fatalf("dispatched %d events, want 1 (one cancelled)", len(h2.log))
+	b.eng.RunAll()
+	if len(b.log) != 1 || !strings.HasPrefix(b.log[0], "timer1@500 ") {
+		t.Fatalf("dispatched %q, want timer 1 alone at 500 (timer 0 disarmed)", b.log)
 	}
 }
 
@@ -510,8 +546,8 @@ func TestRestoredHandleLifecycle(t *testing.T) {
 // contract, in the style of FuzzDiffQueue: a fuzzed op stream seeds a
 // restorable workload, one engine runs it uninterrupted, a second is
 // snapshotted at a fuzzed point, restored into a third (qa and qb pick
-// the ladder with Timers or the reference heap with plain-event
-// timers for each side), and the two futures must be identical —
+// the ladder with Timers or the reference heap with refTimers for each
+// side), and the two futures must be identical —
 // dispatch log, clock, fired count, counter and RNG stream. Timer ops
 // arm, re-arm and disarm the harness timers mid-run, so images carry
 // armed timers across the boundary, in both timer models.
@@ -545,13 +581,13 @@ func FuzzSnapshotResume(f *testing.F) {
 				at := Time(uint64(b) * 17)
 				switch b % 4 {
 				case 0:
-					h.schedule(at, kindCount.Tag(uint64(i), 0, 0), false)
+					h.schedule(at, kindCount.Tag(uint64(i), 0, 0))
 				case 1:
-					h.schedule(at, kindSpawn.Tag(uint64(b%5), 0, 0), false)
+					h.schedule(at, kindSpawn.Tag(uint64(b%5), 0, 0))
 				case 2:
-					h.schedule(at, kindTick.Tag(uint64(b)*13+1, 0, 0), true)
+					h.startTick(at, uint64(b)*13+1)
 				case 3:
-					h.schedule(at, kindTimerOp.Tag(uint64(b>>2), uint64(b)*3, 0), b&4 != 0)
+					h.schedule(at, kindTimerOp.Tag(uint64(b>>2), uint64(b)*3, 0))
 				}
 			}
 		}

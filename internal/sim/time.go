@@ -22,8 +22,8 @@ const (
 	Second      Duration = 1000 * Millisecond
 )
 
-// NoTime is the sentinel Event.When returns for a handle with no
-// pending occurrence. It precedes every valid instant.
+// NoTime is the "no instant yet" sentinel. It precedes every valid
+// instant.
 const NoTime Time = -1
 
 // Add returns the time d after t.

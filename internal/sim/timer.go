@@ -5,17 +5,21 @@ import "fmt"
 // Timer is a re-armable, single-owner event. Its owner binds the
 // timer's identity once — snapshot tag, same-instant arbitration class
 // and body — and then arms, re-arms and disarms it for the rest of the
-// run. A Timer embeds its own node, so it never touches the event pool,
-// the ladder queue or lazy cancellation: armed timers sit in a small
-// indexed min-heap on the Engine (at most a few per simulated CPU), and
+// run. It is the engine's only owned, cancellable or pinned kind of
+// event: one-shot events (Schedule/After) are fire-and-forget. A Timer
+// embeds its own node, so it never touches the event pool or the
+// ladder queue: armed timers sit in a small indexed min-heap on the
+// Engine (a few per simulated CPU, plus the machine's global tick), and
 // the dispatch loop takes whichever of the ladder head and the heap
 // head comes first in eventOrder.
 //
 // Arming takes a fresh sequence number exactly as Schedule does, and
-// disarming takes none, exactly as Cancel does. So arm, re-arm and
-// disarm realise the same (At, key, seq) total order as cancel plus
-// schedule would, under any tie-break salt: a timer is an event whose
-// owner holds it. See DESIGN.md §5 "Event queue internals".
+// disarming takes none. So arm, re-arm and disarm realise the same
+// (At, key, seq) total order as removing a queued event and scheduling
+// a new one would, under any tie-break salt: a timer is an event whose
+// owner holds it. The tests hold Timer to exactly that model on the
+// reference heap (diffqueue_test.go, snapshot_test.go). See DESIGN.md
+// §5 "Event queue internals".
 //
 // The zero Timer is disarmed and has no body; Init must run before the
 // first ArmTimer. A Timer must not be copied once initialised.
@@ -29,8 +33,11 @@ type Timer struct {
 	hidx int
 }
 
-// Init binds the timer's snapshot tag, arbitration class (pinned; see
-// SchedulePinned) and body. It panics on an armed timer or a nil body.
+// Init binds the timer's snapshot tag, arbitration class and body. A
+// pinned timer keeps FIFO order against other pinned events at the same
+// instant under a tie-break perturbation (see PerturbTiebreaks); pin
+// only a timer that models a concrete hardware arbitration, and say
+// which at the Init site. It panics on an armed timer or a nil body.
 func (t *Timer) Init(tag EventTag, pinned bool, fn func()) {
 	if t.Armed() {
 		panic("sim: Timer.Init on an armed timer")
@@ -66,7 +73,6 @@ func (e *Engine) ArmTimer(t *Timer, at Time) {
 	} else {
 		t.n.state = nodePending
 		e.timerPush(t)
-		e.live++
 	}
 	e.sanOnSchedule(&t.n)
 }
@@ -81,7 +87,6 @@ func (e *Engine) DisarmTimer(t *Timer) {
 	}
 	e.timerRemove(t.hidx)
 	t.n.state = nodeFree
-	e.live--
 	e.sanOnDisarm(t)
 }
 
@@ -91,7 +96,6 @@ func (e *Engine) DisarmTimer(t *Timer) {
 func (e *Engine) fireTimer() {
 	t := e.timers[0]
 	e.timerRemove(0)
-	e.live--
 	e.sanOnPop(&t.n)
 	t.n.state = nodeFree
 	e.fired++
@@ -125,7 +129,6 @@ func (e *Engine) RestoreTimer(t *Timer, rev RestoredEvent) error {
 	t.n.seq = rev.Seq
 	t.n.state = nodePending
 	e.timerPush(t)
-	e.live++
 	e.sanOnSchedule(&t.n)
 	return nil
 }
