@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fmt vet simlint analyze sarif bounds bounds-check sanitize perturb test race bench bench-json fuzz figures trace snapshot simd soak clean
+.PHONY: all build lint fmt vet simlint analyze sarif bounds bounds-check sanitize perturb test race bench bench-layers fuzz figures trace snapshot simd soak clean
 
 all: lint test build
 
@@ -74,17 +74,19 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench = the CI bench job's microbenchmark smoke: every testing.B
+# body runs once, so they keep building and running; no number is
+# gated.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-json regenerates the engine performance baseline
-# (BENCH_engine.json): pooled-ladder churn, serial and parallel
-# full-system throughput, the snapshot codec and simd request latency,
-# as one JSON document. Run it when the engine hot path changes;
-# EXPERIMENTS.md explains how to read it. The ladder-vs-heap and
-# pooled-vs-alloc comparison is `go test -bench EngineChurn ./internal/sim`.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_engine.json
+# bench-layers = the CI bench job's per-layer record: a short traced
+# figures run of the end-to-end benchmark, every layer probe armed
+# (bench/README.md names each metric). The last line is the JSON
+# record; the target fails unless it reports "correct": true.
+bench-layers:
+	bash bench/run.sh --workload figures --trace 1 --seconds 3 | tee bench-layers-ci.txt
+	tail -n 1 bench-layers-ci.txt | grep -q '"correct": *true'
 
 # fuzz = the CI fuzz-smoke job, shortened for local runs.
 fuzz:
@@ -144,4 +146,4 @@ soak:
 
 clean:
 	rm -rf artifacts
-	rm -f bounds-ci.json simlint.sarif
+	rm -f bounds-ci.json bench-layers-ci.txt simlint.sarif

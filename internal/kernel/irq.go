@@ -109,14 +109,6 @@ func (k *Kernel) Raise(l *IRQLine) {
 	c.raiseIRQ(l)
 }
 
-// RaiseOn delivers one occurrence directly to a specific CPU, for tests
-// and for devices modelling per-CPU delivery.
-func (k *Kernel) RaiseOn(l *IRQLine, cpu int) {
-	l.Raised++
-	k.Trace.IRQRaise(k.Now(), cpu, l.Num, l.Name, cpu)
-	k.cpus[cpu].raiseIRQ(l)
-}
-
 // SoftirqVec identifies a bottom-half class, after the 2.4 softirq
 // vectors.
 type SoftirqVec uint8

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -208,64 +207,3 @@ func maxU64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// Reservoir keeps an exact, bounded sample of observations for cases where
-// exact percentiles of modest streams are wanted (e.g. per-iteration loop
-// times in the determinism test, where the stream is small).
-type Reservoir struct {
-	samples []sim.Duration
-	sorted  bool
-}
-
-// NewReservoir returns an empty exact-sample container.
-func NewReservoir() *Reservoir { return &Reservoir{} }
-
-// Add records one observation.
-func (r *Reservoir) Add(d sim.Duration) {
-	r.samples = append(r.samples, d)
-	r.sorted = false
-}
-
-// Len returns the number of observations.
-func (r *Reservoir) Len() int { return len(r.samples) }
-
-// Quantile returns the exact q-quantile (0 <= q <= 1) by nearest-rank.
-func (r *Reservoir) Quantile(q float64) sim.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-	idx := int(q*float64(len(r.samples))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.samples) {
-		idx = len(r.samples) - 1
-	}
-	return r.samples[idx]
-}
-
-// Min returns the smallest observation.
-func (r *Reservoir) Min() sim.Duration { return r.Quantile(0) }
-
-// Max returns the largest observation.
-func (r *Reservoir) Max() sim.Duration { return r.Quantile(1) }
-
-// Mean returns the arithmetic mean.
-func (r *Reservoir) Mean() sim.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range r.samples {
-		sum += float64(s)
-	}
-	return sim.Duration(sum / float64(len(r.samples)))
-}
-
-// Samples returns the raw observations (not a copy; callers must not
-// mutate).
-func (r *Reservoir) Samples() []sim.Duration { return r.samples }

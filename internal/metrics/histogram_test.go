@@ -203,34 +203,6 @@ func TestQuickHistogramConservation(t *testing.T) {
 	}
 }
 
-func TestReservoir(t *testing.T) {
-	r := NewReservoir()
-	for _, v := range []sim.Duration{30, 10, 20, 40, 50} {
-		r.Add(v)
-	}
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if r.Min() != 10 || r.Max() != 50 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
-	if r.Mean() != 30 {
-		t.Fatalf("Mean = %v", r.Mean())
-	}
-	if got := r.Quantile(0.5); got != 20 && got != 30 {
-		t.Fatalf("median = %v", got)
-	}
-	// Adding after a sorted read must still work.
-	r.Add(5)
-	if r.Min() != 5 {
-		t.Fatalf("Min after re-add = %v", r.Min())
-	}
-	empty := NewReservoir()
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty reservoir should report zeros")
-	}
-}
-
 // Property: Merge is equivalent to adding all samples into one histogram.
 func TestQuickMergeEquivalence(t *testing.T) {
 	f := func(a, b []uint32) bool {

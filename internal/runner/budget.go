@@ -1,23 +1,15 @@
 package runner
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
+import "fmt"
 
-	"repro/internal/sim"
-)
-
-// BudgetError is the typed refusal a budgeted fan-out (or any caller
-// using CheckBudget, like the simd admission layer) returns when a
-// request asks for more work than its budget allows. It is always
-// returned before any work starts: an oversized request fails fast with
-// a machine-readable error instead of hanging a worker pool or running
-// partially.
+// BudgetError is the typed refusal CheckBudget returns (the simd
+// admission layer is its caller) when a request asks for more work
+// than its budget allows. It is always returned before any work
+// starts: an oversized request fails fast with a machine-readable
+// error instead of hanging a worker pool or running partially.
 type BudgetError struct {
-	// Requested and Budget are in Unit ("replications" for the map
-	// variants; callers with other cost models name their own unit).
+	// Requested and Budget are in Unit, which the caller names after
+	// its cost model ("virtual-ms" for simd).
 	Requested int64
 	Budget    int64
 	Unit      string
@@ -34,86 +26,4 @@ func CheckBudget(requested, budget int64, unit string) error {
 		return &BudgetError{Requested: requested, Budget: budget, Unit: unit}
 	}
 	return nil
-}
-
-// MapSeededPooledCtx is MapSeededPooled with cooperative cancellation:
-// once ctx is done, workers stop picking up new replications and the
-// call returns (nil, ctx.Err()). Replications already in flight finish
-// first — a simulation run is not interruptible mid-run — so the call
-// returns promptly after at most one replication per worker, never
-// hangs, and never returns a partial result slice: results are all or
-// nothing, because a partial merge would not be deterministic.
-//
-// When ctx is never cancelled the output is byte-for-byte identical to
-// MapSeededPooled(workers, base, n, fn) — same seeds, same index-ordered
-// placement, same per-worker pool ownership.
-func MapSeededPooledCtx[T any](ctx context.Context, workers int, base uint64, n int, fn func(i int, seed uint64, pool *sim.EventPool) T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([]T, n)
-	if w == 1 {
-		pool := sim.NewEventPool()
-		for i := range out {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = fn(i, sim.DeriveSeed(base, uint64(i)), pool)
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			pool := sim.NewEventPool()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i, sim.DeriveSeed(base, uint64(i)), pool)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapSeededPooledBudget is MapSeededPooledCtx behind a replication
-// budget: when n exceeds budget the typed *BudgetError comes back
-// immediately and fn never runs. This is the per-request admission
-// contract the simd service builds on — an oversized request is refused
-// up front, not discovered by a stuck worker. budget <= 0 means
-// unlimited.
-func MapSeededPooledBudget[T any](ctx context.Context, workers int, base uint64, n, budget int, fn func(i int, seed uint64, pool *sim.EventPool) T) ([]T, error) {
-	if err := CheckBudget(int64(n), int64(budget), "replications"); err != nil {
-		return nil, err
-	}
-	return MapSeededPooledCtx(ctx, workers, base, n, fn)
 }

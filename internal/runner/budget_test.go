@@ -12,7 +12,7 @@ import (
 )
 
 // TestMapSeededPooledCtxEquivalence: with a never-cancelled context the
-// budgeted/cancellable variant must produce byte-identical output to
+// cancellable variant must produce byte-identical output to
 // MapSeededPooled for every worker count — same derived seeds, same
 // index order.
 func TestMapSeededPooledCtxEquivalence(t *testing.T) {
@@ -91,39 +91,6 @@ func TestMapSeededPooledCtxCancelledBeforeStart(t *testing.T) {
 		}
 		if out != nil || ran {
 			t.Fatalf("workers=%d: fn ran under a dead context", workers)
-		}
-	}
-}
-
-// TestMapSeededPooledBudget: a request over budget returns the typed
-// *BudgetError immediately — fn never runs, nothing blocks — while a
-// request within budget (or with an unlimited budget) runs normally.
-func TestMapSeededPooledBudget(t *testing.T) {
-	ran := false
-	out, err := MapSeededPooledBudget(context.Background(), 2, 1, 10, 4, func(i int, seed uint64, pool *sim.EventPool) int {
-		ran = true
-		return i
-	})
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BudgetError", err)
-	}
-	if be.Requested != 10 || be.Budget != 4 || be.Unit != "replications" {
-		t.Fatalf("BudgetError = %+v, want {10 4 replications}", *be)
-	}
-	if out != nil || ran {
-		t.Fatal("over-budget request ran anyway")
-	}
-
-	for _, budget := range []int{10, 0, -1} { // exactly at budget, and unlimited
-		got, err := MapSeededPooledBudget(context.Background(), 2, 1, 10, budget, func(i int, seed uint64, pool *sim.EventPool) int {
-			return i * i
-		})
-		if err != nil {
-			t.Fatalf("budget=%d: unexpected error %v", budget, err)
-		}
-		if len(got) != 10 || got[3] != 9 {
-			t.Fatalf("budget=%d: wrong results %v", budget, got)
 		}
 	}
 }

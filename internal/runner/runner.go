@@ -23,6 +23,7 @@
 package runner
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,52 +47,7 @@ func Workers(n int) int {
 // worker computed what. A panic in fn is re-raised on the caller's
 // goroutine after the remaining workers drain.
 func Map[T any](workers, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	out := make([]T, n)
-	if w == 1 {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+	out, _ := fanOut(context.Background(), workers, n, func(i int, _ *sim.EventPool) T { return fn(i) })
 	return out
 }
 
@@ -118,8 +74,32 @@ func MapSeeded[T any](workers int, base uint64, n int, fn func(i int, seed uint6
 // golden tests run workers=1 vs workers=N to hold pooled replication to
 // bit-identical figures.
 func MapSeededPooled[T any](workers int, base uint64, n int, fn func(i int, seed uint64, pool *sim.EventPool) T) []T {
+	out, _ := MapSeededPooledCtx(context.Background(), workers, base, n, fn)
+	return out
+}
+
+// MapSeededPooledCtx is MapSeededPooled with cooperative cancellation:
+// once ctx is done, workers stop picking up new replications and the
+// call returns (nil, ctx.Err()). Replications already in flight finish
+// first — a simulation run is not interruptible mid-run — so the call
+// returns promptly after at most one replication per worker, never
+// hangs, and never returns a partial result slice: results are all or
+// nothing, because a partial merge would not be deterministic.
+func MapSeededPooledCtx[T any](ctx context.Context, workers int, base uint64, n int, fn func(i int, seed uint64, pool *sim.EventPool) T) ([]T, error) {
+	return fanOut(ctx, workers, n, func(i int, pool *sim.EventPool) T {
+		return fn(i, sim.DeriveSeed(base, uint64(i)), pool)
+	})
+}
+
+// fanOut is the one worker loop behind every entry point. It runs
+// fn(i, pool) for every i in [0, n) on up to workers goroutines, each
+// owning one sim.EventPool, and places results by index. Once ctx is
+// done no new index is started and the call returns (nil, ctx.Err()).
+// A panic in fn is re-raised on the caller's goroutine after the
+// remaining workers drain, and takes precedence over cancellation.
+func fanOut[T any](ctx context.Context, workers, n int, fn func(i int, pool *sim.EventPool) T) ([]T, error) {
 	if n <= 0 {
-		return nil
+		return nil, ctx.Err()
 	}
 	w := Workers(workers)
 	if w > n {
@@ -129,9 +109,12 @@ func MapSeededPooled[T any](workers int, base uint64, n int, fn func(i int, seed
 	if w == 1 {
 		pool := sim.NewEventPool()
 		for i := range out {
-			out[i] = fn(i, sim.DeriveSeed(base, uint64(i)), pool)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			out[i] = fn(i, pool)
 		}
-		return out
+		return out, nil
 	}
 	var (
 		next     atomic.Int64
@@ -153,12 +136,12 @@ func MapSeededPooled[T any](workers int, base uint64, n int, fn func(i int, seed
 				}
 			}()
 			pool := sim.NewEventPool()
-			for {
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i] = fn(i, sim.DeriveSeed(base, uint64(i)), pool)
+				out[i] = fn(i, pool)
 			}
 		}()
 	}
@@ -166,7 +149,10 @@ func MapSeededPooled[T any](workers int, base uint64, n int, fn func(i int, seed
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	return out
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Do runs the given heterogeneous jobs on up to workers goroutines and

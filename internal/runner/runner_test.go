@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -186,34 +188,59 @@ func TestMapSeededPooledEmpty(t *testing.T) {
 	}
 }
 
-func TestMapSeededPooledPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	MapSeededPooled(4, 1, 16, func(i int, seed uint64, pool *sim.EventPool) int {
-		if i == 7 {
-			panic("boom")
-		}
-		return i
-	})
-	t.Fatal("MapSeededPooled returned despite panic")
-}
-
+// TestMapPanicPropagates: a panic in any replication is re-raised on
+// the caller's goroutine, through every entry point and on both the
+// serial and the goroutine path — including when the panicking
+// replication has also cancelled the context, because a panic takes
+// precedence over cancellation.
 func TestMapPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	Map(4, 16, func(i int) int {
+	boom := func(i int) int {
 		if i == 7 {
 			panic("boom")
 		}
 		return i
-	})
-	t.Fatal("Map returned despite panic")
+	}
+	pooled := func(i int, seed uint64, pool *sim.EventPool) int { return boom(i) }
+	entries := []struct {
+		name string
+		run  func(workers int)
+	}{
+		{"Map", func(w int) { Map(w, 16, boom) }},
+		{"MapSeededPooled", func(w int) { MapSeededPooled(w, 1, 16, pooled) }},
+		{"MapSeededPooledCtx", func(w int) {
+			_, _ = MapSeededPooledCtx(context.Background(), w, 1, 16, pooled)
+		}},
+		{"MapSeededPooledCtx/cancelled", func(w int) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, _ = MapSeededPooledCtx(ctx, w, 1, 16, func(i int, seed uint64, pool *sim.EventPool) int {
+				if i == 7 {
+					cancel()
+				}
+				return boom(i)
+			})
+		}},
+		{"Do", func(w int) {
+			jobs := make([]func(), 16)
+			for i := range jobs {
+				jobs[i] = func() { boom(i) }
+			}
+			Do(w, jobs...)
+		}},
+	}
+	for _, e := range entries {
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.name, w), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("recovered %v, want boom", r)
+					}
+				}()
+				e.run(w)
+				t.Fatal("returned despite panic")
+			})
+		}
+	}
 }
 
 func TestDoRunsAllJobs(t *testing.T) {

@@ -29,6 +29,11 @@ type ScenarioRequest struct {
 	Workers  int     `json:"workers,omitempty"`
 }
 
+// maxRequestBytes caps a POST /v1/scenarios body. A real request is
+// about 100 bytes; anything past the cap is refused with 413 before it
+// is buffered.
+const maxRequestBytes = 64 << 10
+
 // JobState is the lifecycle of one admitted scenario run.
 type JobState string
 

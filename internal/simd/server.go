@@ -324,7 +324,12 @@ func (s *Server) writeResult(w http.ResponseWriter, cache string, body []byte) {
 // for the result bytes; otherwise the response is a JobStatus.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request body: " + err.Error()})
 		return
 	}

@@ -228,6 +228,35 @@ func TestBudgetRefusal(t *testing.T) {
 	readAll(t, ok)
 }
 
+// TestOversizedBodyRefused: a request body past maxRequestBytes is
+// refused with 413 and the JSON error body instead of being buffered
+// whole, and the server goes on serving normal requests.
+func TestOversizedBodyRefused(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1}, func(core.Scenario, *sim.EventPool) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	huge := `{"figure":"` + strings.Repeat("a", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(readAll(t, resp), &eb); err != nil {
+		t.Fatalf("413 body is not the JSON error shape: %v", err)
+	}
+	if !strings.Contains(eb.Error, fmt.Sprint(maxRequestBytes)) {
+		t.Fatalf("413 error %q does not name the %d-byte limit", eb.Error, maxRequestBytes)
+	}
+
+	ok := post(t, ts, "/v1/scenarios?wait=1", ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 1, RunForMS: 10})
+	if got := string(readAll(t, ok)); ok.StatusCode != http.StatusOK || got != "ok" {
+		t.Fatalf("normal request after a refused one: status %d body %q", ok.StatusCode, got)
+	}
+}
+
 // TestDrainFinishesInflight: Drain refuses new work with 503 but waits
 // for queued and running jobs to complete — no job is abandoned.
 func TestDrainFinishesInflight(t *testing.T) {
