@@ -151,6 +151,19 @@ func RunDeterminism(cfg DeterminismConfig) DeterminismResult {
 // determinismPass runs `runs` timed loops, with or without load, and
 // returns the per-loop elapsed times.
 func determinismPass(cfg DeterminismConfig, runs int, loaded bool) []sim.Duration {
+	return buildDeterminismPass(cfg, runs, loaded).run()
+}
+
+// detPass is one determinism pass's started machine and its timed loop.
+type detPass struct {
+	s       *System
+	loop    *detLoop
+	horizon sim.Time
+}
+
+// buildDeterminismPass constructs, starts and (optionally) shields the
+// machine for one pass, with its clock still at 0.
+func buildDeterminismPass(cfg DeterminismConfig, runs int, loaded bool) *detPass {
 	opts := SystemOptions{}
 	if loaded {
 		opts.Loads = []string{LoadScpFlood, LoadDiskNoise}
@@ -177,8 +190,16 @@ func determinismPass(cfg DeterminismConfig, runs int, loaded bool) []sim.Duratio
 			panic(err)
 		}
 	}
-	// Generous horizon: runs × loop × worst-case slowdown.
+	// The loop stops the engine once its last run is timed; the horizon
+	// (runs × loop × worst-case slowdown) is only a safety bound.
 	horizon := sim.Time(cfg.LoopWork) * sim.Time(runs+2) * 2
-	k.Eng.Run(horizon)
-	return loop.elapsed
+	return &detPass{s: s, loop: loop, horizon: horizon}
+}
+
+// run simulates the pass until its last loop completes.
+func (p *detPass) run() []sim.Duration {
+	eng := p.s.K.Eng
+	eng.Run(p.horizon)
+	mustFinish(eng, "determinism pass", len(p.loop.elapsed), p.loop.runs)
+	return p.loop.elapsed
 }

@@ -7,13 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// Regenerate with: go test ./internal/core -run TestFigureGoldenHashes -update
-var updateGoldens = flag.Bool("update", false, "rewrite testdata golden figure hashes from this run")
+// Regenerate with: go test ./internal/core -run 'Golden' -update
+var updateGoldens = flag.Bool("update", false, "rewrite testdata golden figure and experiment hashes from this run")
 
 // goldenScale/goldenSeed pin the scaled-down runs the golden hashes are
 // computed from. Changing either (or anything that feeds the simulation)
@@ -80,7 +81,6 @@ func TestFigureGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	path := filepath.Join("testdata", "figure_hashes.txt")
 	got := map[string]string{}
 	for _, id := range goldenFigures {
 		csv, err := FigureCSV(id, goldenScale, goldenSeed, 0)
@@ -89,17 +89,54 @@ func TestFigureGoldenHashes(t *testing.T) {
 		}
 		got[id] = fnv1a(csv)
 	}
+	checkGoldenHashes(t, "figure_hashes.txt",
+		"# FNV-1a hashes of FigureCSV(id, scale=0.05, seed=7).\n"+
+			"# Regenerate: go test ./internal/core -run TestFigureGoldenHashes -update\n",
+		goldenFigures, got)
+}
 
+// TestExperimentGoldenHashes pins, byte for byte, the consumers the
+// figure goldens do not cover: every non-figure experiment report (the
+// ablations and extensions) and every sweep table, at the same pinned
+// scale and seed. Several of them (ablate-hyperthreading and the
+// ht-slowdown, bus-contention and softirq-netcost sweeps) run
+// RunDeterminism with their own loop sizes.
+func TestExperimentGoldenHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	var ids []string
+	got := map[string]string{}
+	for _, e := range Experiments() {
+		if slices.Contains(goldenFigures, e.ID) {
+			continue
+		}
+		ids = append(ids, e.ID)
+		got[e.ID] = fnv1a(e.Run(goldenScale, goldenSeed, 0))
+	}
+	for _, s := range Sweeps() {
+		id := "sweep:" + s.ID
+		ids = append(ids, id)
+		got[id] = fnv1a(RunSweep(s, goldenScale, goldenSeed, 0))
+	}
+	checkGoldenHashes(t, "experiment_hashes.txt",
+		"# FNV-1a hashes of Experiment.Run (non-figure ids) and RunSweep (sweep:id), scale=0.05, seed=7.\n"+
+			"# Regenerate: go test ./internal/core -run TestExperimentGoldenHashes -update\n",
+		ids, got)
+}
+
+// checkGoldenHashes compares got against testdata/name for every id, or
+// rewrites the file (header, then one sorted "id hash" line per id)
+// under -update.
+func checkGoldenHashes(t *testing.T, name, header string, ids []string, got map[string]string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGoldens {
 		var b strings.Builder
-		b.WriteString("# FNV-1a hashes of FigureCSV(id, scale=0.05, seed=7).\n")
-		b.WriteString("# Regenerate: go test ./internal/core -run TestFigureGoldenHashes -update\n")
-		ids := make([]string, 0, len(got))
-		for id := range got {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		b.WriteString(header)
+		sorted := append([]string(nil), ids...)
+		sort.Strings(sorted)
+		for _, id := range sorted {
 			fmt.Fprintf(&b, "%s %s\n", id, got[id])
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -128,13 +165,13 @@ func TestFigureGoldenHashes(t *testing.T) {
 		}
 		want[parts[0]] = parts[1]
 	}
-	for _, id := range goldenFigures {
+	for _, id := range ids {
 		if want[id] == "" {
 			t.Errorf("%s: no committed golden; run with -update", id)
 			continue
 		}
 		if got[id] != want[id] {
-			t.Errorf("%s: CSV hash %s, golden %s — simulation output changed; if intended, rerun with -update",
+			t.Errorf("%s: output hash %s, golden %s — simulation output changed; if intended, rerun with -update",
 				id, got[id], want[id])
 		}
 	}

@@ -148,6 +148,7 @@ func RunRCIM(cfg RCIMConfig) ResponseResult {
 	}
 	horizon := sim.Time(cfg.Samples+cfg.Samples/4+1000) * sim.Time(cfg.Period)
 	k.Eng.Run(horizon)
+	mustFinish(k.Eng, "RCIM run", samples, cfg.Samples)
 
 	name := fmt.Sprintf("%s RCIM response", cfg.Kernel.Name)
 	if cfg.Shield {

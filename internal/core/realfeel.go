@@ -293,6 +293,7 @@ func RunRealfeelModes(cfg RealfeelConfig, shieldProcs, shieldIRQs, shieldLTimer,
 	// Horizon: samples at Hz, generously padded for tail latencies.
 	horizon := sim.Time(cfg.Samples+cfg.Samples/4+2048) * sim.Time(period)
 	k.Eng.Run(horizon)
+	mustFinish(k.Eng, "realfeel run", samples, cfg.Samples)
 
 	name := fmt.Sprintf("%s realfeel @%dHz", cfg.Kernel.Name, cfg.Hz)
 	if shieldProcs && shieldIRQs && shieldLTimer {
@@ -321,5 +322,14 @@ func RunRealfeelModes(cfg RealfeelConfig, shieldProcs, shieldIRQs, shieldLTimer,
 func mustDo(err error) {
 	if err != nil {
 		panic(err)
+	}
+}
+
+// mustFinish is the guard after every experiment's Run(horizon): each
+// measurement stops the engine once it has its last sample, so an
+// engine that ran to its horizon instead cut the measurement short.
+func mustFinish(e *sim.Engine, what string, got, want int) {
+	if !e.Stopped() {
+		panic(fmt.Sprintf("core: %s reached its horizon after %d of %d measurements", what, got, want))
 	}
 }

@@ -213,6 +213,8 @@ func (s Scenario) CostVirtualMS() int64 {
 		if cfg, ok := figDeterminismConfig(s.Figure, s.Scale, s.Seed, 0); ok {
 			// Six placements of max(Runs/6, 3) timed loops plus the
 			// three-run unloaded calibration pass (see RunDeterminism).
+			// Each pass stops at its last timed loop, so this tracks the
+			// simulated time to within loop jitter.
 			per := cfg.Runs / 6
 			if per < 3 {
 				per = 3

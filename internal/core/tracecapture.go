@@ -47,5 +47,6 @@ func CaptureTrace(scale float64, seed uint64) *trace.Buffer {
 	}
 	horizon := sim.Time(cfg.Samples+cfg.Samples/4+1000) * sim.Time(cfg.Period)
 	k.Eng.Run(horizon)
+	mustFinish(k.Eng, "trace capture", samples, cfg.Samples)
 	return buf
 }

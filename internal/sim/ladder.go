@@ -69,7 +69,21 @@ type ladderQueue struct {
 	size int
 }
 
-func newLadderQueue() *ladderQueue { return &ladderQueue{} }
+// ladderBucketCap is each bucket's initial capacity. All buckets are
+// carved from one slab, so a fresh engine's window starts warm with a
+// single allocation instead of growing 256 buckets from empty; a bucket
+// that outgrows its share reallocates on its own.
+const ladderBucketCap = 2
+
+func newLadderQueue() *ladderQueue {
+	q := &ladderQueue{}
+	const c = ladderBucketCap
+	slab := make([]*eventNode, ladderBuckets*c)
+	for i := range q.buckets {
+		q.buckets[i] = slab[i*c : i*c : (i+1)*c]
+	}
+	return q
+}
 
 func (q *ladderQueue) setSalt(salt uint64) {
 	q.ord.salt = salt
