@@ -37,8 +37,9 @@ func runCheck(t *testing.T, bin string, args ...string) (stdout, stderr string, 
 // TestReprocheckFlagValidation: out-of-range values, unreadable inputs
 // and undefined flags exit 2 with an error naming the problem — same
 // contract as rtsim, pinned per binary because each owns its flag
-// parsing. The ladder is the only event queue, so invocations that set
-// the retired -queue/-engine/-shards knobs must be refused, not ignored.
+// parsing. The engine has one event queue and no modes, so invocations
+// that set the retired -queue/-engine/-shards knobs must be refused, not
+// ignored.
 func TestReprocheckFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")

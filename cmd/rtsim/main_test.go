@@ -37,9 +37,9 @@ func runBin(t *testing.T, bin string, args ...string) (stdout, stderr string, ex
 
 // TestRtsimFlagValidation pins the e2e flag contract: out-of-range
 // -parallel and -scale values, and flags the binary does not define,
-// exit 2 with an error that names the problem. The ladder is the only
-// event queue, so invocations that set the retired -queue/-engine/-shards
-// knobs must be refused, not ignored.
+// exit 2 with an error that names the problem. The engine has one
+// event queue and no modes, so invocations that set the retired
+// -queue/-engine/-shards knobs must be refused, not ignored.
 func TestRtsimFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")

@@ -45,9 +45,16 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/simd"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers. Without it, a client that stops mid-header holds
+// its connection, and a goroutine, open forever. It starts at the
+// request's first byte, so idle keep-alive connections are unaffected.
+const readHeaderTimeout = 5 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port; the bound address is printed on startup)")
@@ -81,7 +88,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	fmt.Printf("simd listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -122,6 +124,37 @@ func startSimd(t *testing.T, bin string, extraArgs ...string) (baseURL string, s
 		}
 	})
 	return baseURL, stop
+}
+
+// TestSimdClosesSlowHeader: a client that sends part of a request
+// header and then stalls is disconnected once readHeaderTimeout
+// passes, instead of holding its connection open indefinitely.
+func TestSimdClosesSlowHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration (builds binary)")
+	}
+	bin := buildSimd(t)
+	baseURL, stop := startSimd(t, bin)
+	defer stop()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(baseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/stats HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	const margin = 5 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + margin))
+	_, err = io.Copy(io.Discard, conn) // returns at EOF, i.e. once the server closes
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with a stalled header still open after %v (read header timeout %v)",
+			time.Since(start).Round(time.Millisecond), readHeaderTimeout)
+	}
+	t.Logf("server closed the stalled connection after %v (err %v)", time.Since(start).Round(time.Millisecond), err)
 }
 
 func postScenario(t *testing.T, baseURL, body string) (*http.Response, []byte) {

@@ -5,14 +5,10 @@ import (
 	"testing"
 )
 
-// churnEngine builds an engine for the churn matrix: the ladder or the
-// reference heap, with the free-list pool or the alloc-per-event
-// reference pool.
-func churnEngine(heap, alloc bool) *Engine {
+// churnEngine builds an engine for the churn matrix: with the free-list
+// pool, or with the alloc-per-event reference pool.
+func churnEngine(alloc bool) *Engine {
 	e := NewEngine(1)
-	if heap {
-		withRefHeap(e)
-	}
 	if alloc {
 		withAllocPool(e)
 	}
@@ -20,9 +16,7 @@ func churnEngine(heap, alloc bool) *Engine {
 }
 
 // churnPrime fills e to a steady-state queue depth. Pending events are
-// spread ~1 µs apart, the density the kernel cadence produces, so depth
-// controls queue length without collapsing the calendar into a handful
-// of over-full slots.
+// spread ~1 µs apart, the density the kernel cadence produces.
 func churnPrime(e *Engine, depth int, fn func()) {
 	for i := 0; i < depth; i++ {
 		e.After(Duration(i%depth)*Microsecond, fn)
@@ -36,46 +30,39 @@ func churnStep(e *Engine, i, depth int, fn func()) {
 	e.Step()
 }
 
-// BenchmarkEngineChurn is the queue/pool microbenchmark matrix:
-// {ladder, heap} × {pooled, alloc} at shallow and deep steady-state
-// queue depths. ns/op is the per-event engine overhead and allocs/op is
-// the pooling contract (0 for pooled modes after warm-up, ≥1 for the
-// alloc reference). The heap and alloc rows are the references the
-// production ladder+pool configuration is measured against.
+// BenchmarkEngineChurn is the one-shot queue/pool microbenchmark
+// matrix: {pooled, alloc} at shallow and deep steady-state queue
+// depths. ns/op is the per-event engine overhead and allocs/op is the
+// pooling contract (0 for the pooled mode after warm-up, ≥1 for the
+// alloc reference).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, q := range []struct {
-		name string
-		heap bool
-	}{{"ladder", false}, {"heap", true}} {
-		for _, p := range []struct {
-			name  string
-			alloc bool
-		}{{"pooled", false}, {"alloc", true}} {
-			for _, depth := range []int{16, 1024, 16384} {
-				q, p, depth := q, p, depth
-				b.Run(fmt.Sprintf("%s/%s/depth=%d", q.name, p.name, depth), func(b *testing.B) {
-					e := churnEngine(q.heap, p.alloc)
-					fn := func() {}
-					churnPrime(e, depth, fn)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						churnStep(e, i, depth, fn)
-					}
-				})
-			}
+	for _, p := range []struct {
+		name  string
+		alloc bool
+	}{{"pooled", false}, {"alloc", true}} {
+		for _, depth := range []int{16, 1024, 16384} {
+			p, depth := p, depth
+			b.Run(fmt.Sprintf("%s/depth=%d", p.name, depth), func(b *testing.B) {
+				e := churnEngine(p.alloc)
+				fn := func() {}
+				churnPrime(e, depth, fn)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					churnStep(e, i, depth, fn)
+				}
+			})
 		}
 	}
 }
 
-// TestChurnAllocsVsReference pins the deterministic half of the engine
-// overhaul's acceptance bar: at depth 1024, pooled-ladder churn
-// allocates at most half what the alloc-per-event heap reference (the
-// engine before the ladder/pool overhaul) does.
+// TestChurnAllocsVsReference pins the deterministic half of the pool's
+// acceptance bar: at depth 1024, pooled churn allocates at most half
+// what the alloc-per-event reference does.
 func TestChurnAllocsVsReference(t *testing.T) {
 	const depth = 1024
-	allocs := func(heap, alloc bool) float64 {
-		e := churnEngine(heap, alloc)
+	allocs := func(alloc bool) float64 {
+		e := churnEngine(alloc)
 		fn := func() {}
 		churnPrime(e, depth, fn)
 		i := 0
@@ -84,11 +71,11 @@ func TestChurnAllocsVsReference(t *testing.T) {
 			i++
 		})
 	}
-	ladder, ref := allocs(false, false), allocs(true, true)
+	pooled, ref := allocs(false), allocs(true)
 	if ref < 1 {
-		t.Fatalf("heap+alloc reference allocated %.2f/op, want >= 1 (one node per event)", ref)
+		t.Fatalf("alloc-pool reference allocated %.2f/op, want >= 1 (one node per event)", ref)
 	}
-	if ladder > 0.5*ref {
-		t.Fatalf("pooled ladder churn allocates %.2f/op, more than 0.5x the reference's %.2f/op", ladder, ref)
+	if pooled > 0.5*ref {
+		t.Fatalf("pooled churn allocates %.2f/op, more than 0.5x the reference's %.2f/op", pooled, ref)
 	}
 }

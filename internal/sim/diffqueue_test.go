@@ -1,32 +1,34 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// Differential harness: the reference binary heap (refHeap) and the
-// ladder queue (ladderQueue) must produce word-for-word identical
-// dispatch sequences for ANY operation stream — that equivalence is
-// what lets the engine swap queue implementations without any golden
-// hash moving. Two engines, one per implementation, execute the same
-// interpreted op stream in lockstep; after every op the clocks and
-// pending counts must agree, and at the end the full (slot, fire time)
-// dispatch traces must be identical.
+// Differential harness: a Timer and its reference model, refTimer,
+// must produce word-for-word identical dispatch sequences for ANY
+// operation stream — that equivalence is what lets the kernel own
+// re-armable timers without any golden hash moving. Two engines
+// execute the same interpreted op stream in lockstep, one running its
+// timers as Timers (ArmTimer/DisarmTimer, the timer heap), the other as
+// refTimers, which remove a queued one-shot occurrence and schedule a
+// new one. After every op the clocks and pending counts must agree, and
+// at the end the full (slot, fire time) dispatch traces must be
+// identical.
+//
+// Both sides run on the same heap type (nodeHeap), so agreement alone
+// cannot catch a heap defect both share. After every op each machine's
+// one-shot queue and timer heap are therefore also checked by a linear
+// scan that does not use the heap code: every back-index names its
+// own position, and the root is the eventOrder minimum.
 //
 // Callbacks are a pure function of the slot number they were created
 // with, so both machines generate the same nested work: some slots
 // schedule children at the same instant (joining the live batch in
 // tie-break order), some schedule delayed children, and some arm or
-// disarm a timer mid-dispatch.
-//
-// Each machine also owns diffTimers timers. The ladder machine runs
-// them as Timers (ArmTimer/DisarmTimer, the timer heap); the heap
-// machine runs the reference model, refTimer, which removes a queued
-// occurrence and schedules a new one — the order argument behind Timer
-// says the two must dispatch identically. Timer bodies re-arm and
-// disarm timers themselves, so arm, re-arm, disarm and fire also happen
-// mid-dispatch.
+// disarm a timer mid-dispatch. Timer bodies re-arm and disarm timers
+// themselves, so arm, re-arm, disarm and fire also happen mid-dispatch.
 
 // fireRec is one dispatched event in a machine's trace.
 type fireRec struct {
@@ -51,14 +53,10 @@ type diffMachine struct {
 	tfires [diffTimers]int
 }
 
-// newDiffMachine builds a machine on the ladder with real timers, or on
-// the reference heap with refTimers when heap is set.
-func newDiffMachine(heap bool, salt uint64) *diffMachine {
-	e := NewEngine(7)
-	if heap {
-		withRefHeap(e)
-	}
-	m := &diffMachine{e: e, plain: heap}
+// newDiffMachine builds a machine with real timers, or with refTimers
+// when plain is set.
+func newDiffMachine(plain bool, salt uint64) *diffMachine {
+	m := &diffMachine{e: NewEngine(7), plain: plain}
 	for i := range m.timers {
 		i := i
 		m.timers[i].Init(EventTag{}, diffTimerPinned(i), func() { m.timerFired(i) })
@@ -152,9 +150,9 @@ func (m *diffMachine) schedule(at Time) {
 func (m *diffMachine) exec(op byte) {
 	arg := int(op >> 3)
 	switch op % 8 {
-	case 0: // near-future schedule (same ladder slot or next few)
+	case 0: // near-future schedule
 		m.schedule(m.e.Now().Add(Duration(arg) * Microsecond))
-	case 1: // spread across many slots; arg ≥ 24 reaches the far heap
+	case 1: // spread up to ~22 ms ahead
 		m.schedule(m.e.Now().Add(Duration(arg) * 700 * Microsecond))
 	case 2: // ties at a handful of instants
 		m.schedule(m.e.Now().Add(Duration(arg%4) * Microsecond))
@@ -181,15 +179,15 @@ func (m *diffMachine) exec(op byte) {
 				break
 			}
 		}
-	case 7: // bounded run; can advance the clock idly past queued slots,
-		// which is what later forces the ladder's rewind path
+	case 7: // bounded run; can advance the clock idly, so later
+		// schedules land behind events already queued further out
 		m.e.Run(m.e.Now().Add(Duration(arg) * 600 * Microsecond))
 	}
 }
 
 // timerOp interprets a timer op: a in [0, 16) picks timer a%3 and one
-// of arm now (a same-instant tie), arm near, arm far (past the ladder
-// window), disarm, re-arm near if armed, or disarm every timer.
+// of arm now (a same-instant tie), arm near, arm far (tens of ms out),
+// disarm, re-arm near if armed, or disarm every timer.
 func (m *diffMachine) timerOp(a int) {
 	i := a % diffTimers
 	now := m.e.Now()
@@ -213,56 +211,90 @@ func (m *diffMachine) timerOp(a int) {
 	}
 }
 
-// diffRun drives both machines, asserts lockstep equivalence and
-// returns the common dispatch trace.
+// scanHeap checks h by linear scan, without the heap code: every
+// node's hidx is its position and the root is the eventOrder minimum.
+// It returns a description of the first defect, or "".
+func scanHeap(o eventOrder, h *nodeHeap) string {
+	for i, n := range h.items {
+		if n.hidx != i {
+			return fmt.Sprintf("node at position %d (seq %d) has hidx %d", i, n.seq, n.hidx)
+		}
+		if i > 0 && o.less(n, h.items[0]) {
+			return fmt.Sprintf("node at position %d (%v, seq %d) precedes the root (%v, seq %d)",
+				i, n.At, n.seq, h.items[0].At, h.items[0].seq)
+		}
+	}
+	return ""
+}
+
+// scan runs scanHeap over both of the machine's heaps.
+func (m *diffMachine) scan() string {
+	if msg := scanHeap(m.e.ord, &m.e.q); msg != "" {
+		return "event queue: " + msg
+	}
+	if msg := scanHeap(m.e.ord, &m.e.timers); msg != "" {
+		return "timer heap: " + msg
+	}
+	return ""
+}
+
+// diffRun drives both machines, asserts lockstep equivalence and heap
+// shape, and returns the common dispatch trace.
 func diffRun(t *testing.T, ops []byte, salt uint64) []fireRec {
 	t.Helper()
-	h := newDiffMachine(true, salt)
-	l := newDiffMachine(false, salt)
+	ref := newDiffMachine(true, salt)
+	tim := newDiffMachine(false, salt)
 	for i, op := range ops {
-		h.exec(op)
-		l.exec(op)
-		if h.e.Now() != l.e.Now() {
-			t.Fatalf("op %d (%#x): clocks diverged: heap %v, ladder %v", i, op, h.e.Now(), l.e.Now())
+		ref.exec(op)
+		tim.exec(op)
+		if ref.e.Now() != tim.e.Now() {
+			t.Fatalf("op %d (%#x): clocks diverged: refTimer %v, Timer %v", i, op, ref.e.Now(), tim.e.Now())
 		}
-		if h.e.Pending() != l.e.Pending() {
-			t.Fatalf("op %d (%#x): pending diverged: heap %d, ladder %d", i, op, h.e.Pending(), l.e.Pending())
+		if ref.e.Pending() != tim.e.Pending() {
+			t.Fatalf("op %d (%#x): pending diverged: refTimer %d, Timer %d", i, op, ref.e.Pending(), tim.e.Pending())
 		}
-	}
-	h.e.RunAll()
-	l.e.RunAll()
-	if h.e.Fired() != l.e.Fired() {
-		t.Fatalf("fired diverged: heap %d, ladder %d", h.e.Fired(), l.e.Fired())
-	}
-	if h.e.Now() != l.e.Now() {
-		t.Fatalf("final clocks diverged: heap %v, ladder %v", h.e.Now(), l.e.Now())
-	}
-	if len(h.fires) != len(l.fires) {
-		t.Fatalf("trace length diverged: heap %d, ladder %d", len(h.fires), len(l.fires))
-	}
-	for i := range h.fires {
-		if h.fires[i] != l.fires[i] {
-			t.Fatalf("dispatch %d diverged: heap fired slot %d at %v, ladder slot %d at %v",
-				i, h.fires[i].slot, h.fires[i].at, l.fires[i].slot, l.fires[i].at)
+		if msg := ref.scan(); msg != "" {
+			t.Fatalf("op %d (%#x): refTimer machine: %s", i, op, msg)
+		}
+		if msg := tim.scan(); msg != "" {
+			t.Fatalf("op %d (%#x): Timer machine: %s", i, op, msg)
 		}
 	}
-	return l.fires
+	ref.e.RunAll()
+	tim.e.RunAll()
+	if ref.e.Fired() != tim.e.Fired() {
+		t.Fatalf("fired diverged: refTimer %d, Timer %d", ref.e.Fired(), tim.e.Fired())
+	}
+	if ref.e.Now() != tim.e.Now() {
+		t.Fatalf("final clocks diverged: refTimer %v, Timer %v", ref.e.Now(), tim.e.Now())
+	}
+	if len(ref.fires) != len(tim.fires) {
+		t.Fatalf("trace length diverged: refTimer %d, Timer %d", len(ref.fires), len(tim.fires))
+	}
+	for i := range ref.fires {
+		if ref.fires[i] != tim.fires[i] {
+			t.Fatalf("dispatch %d diverged: refTimer fired slot %d at %v, Timer slot %d at %v",
+				i, ref.fires[i].slot, ref.fires[i].at, tim.fires[i].slot, tim.fires[i].at)
+		}
+	}
+	return tim.fires
 }
 
 // FuzzDiffQueue is the differential fuzz target: arbitrary op streams
-// under arbitrary tie-break salts, heap vs ladder (refTimers vs
-// Timers), identical dispatch order required. The seeded corpus
+// under arbitrary tie-break salts, refTimers vs Timers, identical
+// dispatch order and scan-checked heaps required. The seeded corpus
 // (testdata/fuzz/FuzzDiffQueue) pins the structurally interesting
-// paths: equal-At pinned/unpinned mixes, far-heap overflow, the rewind
-// after an idle Run, double disarm, timer ops during dispatch, and
-// timer arm/re-arm/disarm/fire against same-instant ties.
+// paths: equal-At pinned/unpinned mixes, schedules tens of ms out,
+// schedules behind far events after an idle Run, double disarm, timer
+// ops during dispatch, and timer arm/re-arm/disarm/fire against
+// same-instant ties.
 func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x08, 0x10, 0x18}, uint64(0))
 	// Same-instant bursts (op 3) mixing pinned and unpinned, salted.
 	f.Add([]byte{0x23, 0x23, 0x23, 0x06}, uint64(0xdeadbeef))
-	// Far-heap overflow: large op-1 deltas, then drain.
+	// Far schedules: large op-1 deltas, then drain.
 	f.Add([]byte{0xf9, 0xf1, 0xe9, 0x01, 0x1e}, uint64(3))
-	// Idle run past queued slots, then near schedule: the rewind path.
+	// Idle run towards a far event, then near schedules behind it.
 	f.Add([]byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, uint64(0))
 	// Disarm/re-arm churn, double disarms included.
 	f.Add([]byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16}, uint64(42))
@@ -286,8 +318,8 @@ func TestDiffQueueScenarios(t *testing.T) {
 	}{
 		{"near_schedules", []byte{0x00, 0x08, 0x10, 0x18, 0x1e}, 0},
 		{"equal_instant_pinned_mix", []byte{0x23, 0x2b, 0x23, 0x1a, 0x06}, 0xdeadbeef},
-		{"far_overflow", []byte{0xf9, 0xf1, 0xe9, 0xd9, 0x01, 0x1e}, 3},
-		{"rewind_after_idle_run", []byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, 0},
+		{"far_schedules", []byte{0xf9, 0xf1, 0xe9, 0xd9, 0x01, 0x1e}, 3},
+		{"schedule_after_idle_run", []byte{0xf9, 0xff, 0x00, 0x08, 0x1e}, 0},
 		{"cancel_churn", []byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16, 0x1e}, 42},
 		{"kitchen_sink_salted", []byte{0x23, 0xf9, 0x0c, 0x2b, 0xff, 0x08, 0x05, 0x16, 0x1e, 0x23}, 0x5eed},
 		// Timers armed now, near and far, then re-armed, disarmed and
@@ -316,8 +348,8 @@ func TestDiffQueueScenarios(t *testing.T) {
 }
 
 // TestDiffQueueSaltSweep pushes one dense op stream through a sweep of
-// salts: every salt permutes ties differently, and heap and ladder must
-// agree on every permutation.
+// salts: every salt permutes ties differently, and Timers and refTimers
+// must agree on every permutation.
 func TestDiffQueueSaltSweep(t *testing.T) {
 	ops := []byte{0x23, 0x00, 0x23, 0x08, 0x2b, 0x06, 0x23, 0x1e}
 	for salt := uint64(0); salt < 16; salt++ {

@@ -6,19 +6,18 @@ import "fmt"
 // use: the whole simulation is single-threaded and deterministic by design
 // (real SMP hardware is modelled, not exploited).
 //
-// The hot path is allocation-free: event storage comes from a free-list
-// pool (EventPool) and the queue is a two-level ladder (ladderQueue)
-// with O(1) amortised push/pop. Both are invisible in results — the
-// dispatch order is the eventOrder total order regardless of node
-// recycling, and the in-package tests hold the ladder to a reference
-// heap to prove it.
+// The hot path is allocation-free: one-shot event storage comes from a
+// free-list pool (EventPool), Timers embed their own node, and both
+// kinds wait in indexed binary heaps (nodeHeap) with O(log n) push and
+// pop. None of it is visible in results — the dispatch order is the
+// eventOrder total order regardless of node recycling or heap layout.
 type Engine struct {
 	now Time
-	// q holds the pending one-shot events.
-	q eventQueue
-	// timers is the min-heap of armed Timers, ordered by ord; each
-	// timer's hidx is its position. Dispatch merges its head with q's.
-	timers []*Timer
+	// q holds the pending one-shot events, ordered by ord.
+	q nodeHeap
+	// timers holds the armed Timers' embedded nodes, ordered by ord.
+	// Dispatch merges its head with q's.
+	timers nodeHeap
 	// pool recycles event nodes; possibly shared with other engines on
 	// the same goroutine (see runner.MapSeededPooled).
 	pool *EventPool
@@ -50,7 +49,7 @@ func NewEngineWithPool(seed uint64, pool *EventPool) *Engine {
 	if pool == nil {
 		pool = NewEventPool()
 	}
-	return &Engine{q: newLadderQueue(), pool: pool, rng: NewRNG(seed)}
+	return &Engine{pool: pool, rng: NewRNG(seed)}
 }
 
 // NextEventTime returns the fire time of the earliest pending event or
@@ -81,11 +80,10 @@ func (e *Engine) PoolStats() PoolStats { return e.pool.Stats() }
 // queue is ordered by the tie-break key, so changing the key under queued
 // events would corrupt it); installing it later panics.
 func (e *Engine) PerturbTiebreaks(salt uint64) {
-	if e.q.len() > 0 || len(e.timers) > 0 {
+	if e.Pending() > 0 {
 		panic("sim: PerturbTiebreaks after events were scheduled")
 	}
 	e.ord.salt = salt
-	e.q.setSalt(salt)
 }
 
 // Now returns the current virtual time.
@@ -143,7 +141,7 @@ func (e *Engine) schedule(at Time, fn func(), tag EventTag) {
 	n.fn = fn
 	n.tag = tag
 	e.nextSeq++
-	e.q.push(n)
+	e.q.push(e.ord, n)
 	e.sanOnSchedule(n)
 }
 
@@ -164,27 +162,25 @@ func (e *Engine) AfterTagged(d Duration, tag EventTag, fn func()) {
 }
 
 // peekLive returns the next pending node without removing it: the
-// lesser in eventOrder of the ladder head and the timer-heap head.
+// lesser in eventOrder of the one-shot head and the timer-heap head.
 func (e *Engine) peekLive() *eventNode {
 	n := e.q.peek()
-	if len(e.timers) > 0 {
-		if t := &e.timers[0].n; n == nil || e.ord.less(t, n) {
-			return t
-		}
+	if t := e.timers.peek(); t != nil && (n == nil || e.ord.less(t, n)) {
+		return t
 	}
 	return n
 }
 
 // fireHead dispatches n, the pending node peekLive just returned: the
-// timer-heap head or the ladder head. A ladder node is recycled
+// timer-heap head or the one-shot head. A one-shot node is recycled
 // *before* the callback runs, so the callback may schedule into the
 // node it came from.
 func (e *Engine) fireHead(n *eventNode) {
-	if len(e.timers) > 0 && n == &e.timers[0].n {
-		e.fireTimer()
+	if n == e.timers.peek() {
+		e.fireTimer(n)
 		return
 	}
-	e.q.pop()
+	e.q.remove(e.ord, 0)
 	e.sanOnPop(n)
 	fn := n.fn
 	e.fired++
@@ -265,4 +261,4 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued events, armed timers included.
-func (e *Engine) Pending() int { return e.q.len() + len(e.timers) }
+func (e *Engine) Pending() int { return len(e.q.items) + len(e.timers.items) }

@@ -267,7 +267,7 @@ func TestCancelInteriorEvents(t *testing.T) {
 		e.DisarmTimer(&timers[i])
 		removed++
 	}
-	e.validateTimers(func(msg string) { t.Fatal(msg) })
+	e.timers.validate(e.ord, "timer heap", func(msg string) { t.Fatal(msg) })
 	if got := e.Pending(); got != 100-removed {
 		t.Fatalf("Pending() = %d, want %d", got, 100-removed)
 	}
@@ -281,6 +281,42 @@ func TestCancelInteriorEvents(t *testing.T) {
 	}
 	if steps != 100-removed {
 		t.Fatalf("%d timers fired, want %d", steps, 100-removed)
+	}
+}
+
+func TestSameInstantInsertDuringDrain(t *testing.T) {
+	// Events scheduled for the current instant while its batch drains
+	// must join the batch in tie-break position — under salts too. The
+	// parent (seq 0) and its sibling (seq 1) fire in key order; the 24
+	// children the parent schedules mid-batch (seqs 2..25) then fire
+	// with whatever of the sibling is left, again in key order.
+	for salt := uint64(0); salt < 8; salt++ {
+		e := NewEngine(1)
+		e.PerturbTiebreaks(salt)
+		var order []uint64 // seqs in dispatch order
+		parent := -1
+		e.Schedule(5, func() {
+			parent = len(order)
+			order = append(order, 0)
+			for i := uint64(2); i < 26; i++ {
+				e.Schedule(5, func() { order = append(order, i) })
+			}
+		})
+		e.Schedule(5, func() { order = append(order, 1) })
+		e.RunAll()
+		if len(order) != 26 {
+			t.Fatalf("salt %d: fired %d same-instant events, want 26", salt, len(order))
+		}
+		if e.Now() != 5 {
+			t.Fatalf("salt %d: clock at %v after same-instant batch, want 5", salt, e.Now())
+		}
+		key := func(seq uint64) uint64 { return e.ord.key(&eventNode{seq: seq}) }
+		for i := 1; i < len(order); i++ {
+			if i != parent+1 && key(order[i]) <= key(order[i-1]) {
+				t.Fatalf("salt %d: dispatch %d (seq %d) out of tie-break order after seq %d: %v",
+					salt, i, order[i], order[i-1], order)
+			}
+		}
 	}
 }
 

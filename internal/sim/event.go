@@ -39,6 +39,9 @@ type eventNode struct {
 	// internal/kernel are the dynamic analogue of a //simlint:allow
 	// directive — each one documents the hardware arbitration it models.
 	pinned bool
+	// hidx is the node's position in the engine heap holding it (the
+	// one-shot queue or the timer heap) while pending.
+	hidx int
 	// tag is the event's registered kind plus its constructor arguments
 	// (ScheduleTagged and friends). A tagged event can be serialised and
 	// rebuilt across a snapshot/restore boundary; an untagged one (zero
@@ -47,11 +50,12 @@ type eventNode struct {
 	tag EventTag
 }
 
-// eventOrder is the total dispatch order the queue must realise: (At,
+// eventOrder is the total dispatch order the engine realises: (At,
 // tie-break key, seq). seq is unique per engine, so the order is total —
-// which is what makes the ladder queue and the test-only reference heap
-// produce bit-identical pop sequences (the differential harness in
-// diffqueue_test.go enforces it mechanically).
+// which is what makes the pop sequence independent of the heaps' internal
+// layout, and a Timer dispatch identically to its remove-plus-schedule
+// model (the differential harness in diffqueue_test.go enforces it
+// mechanically).
 //
 // With salt == 0 (the default) the tie-break key is the scheduling
 // sequence number, i.e. FIFO at equal time. With salt != 0 the key of an

@@ -6,23 +6,19 @@ import "fmt"
 
 // sanState is the simsan shadow checker (-tags simsan): a second,
 // independent bookkeeper of the engine's ordering contract. The event
-// queue is the simulator's one piece of load-bearing cleverness (a
-// ladder/calendar queue plus a pooled allocator on the hottest path),
-// so the sanitizer re-checks its externally visible guarantees on every
-// operation instead of trusting it:
+// heaps and the pooled allocator sit on the hottest path, so the
+// sanitizer re-checks their externally visible guarantees on every
+// operation instead of trusting them:
 //
 //   - virtual time is monotone: no event fires before the clock,
 //   - pops are globally ordered: every queue minimum removed is >= the
 //     previous one in (At, tie-break key), and nothing smaller is left
-//     behind in either the ladder or the timer heap,
-//   - the queue's internal shape stays valid — ladder window/bucket/far
-//     invariants or the reference heap property, via eventQueue.validate
-//     — and the timer heap's order and back-indices (checked in full
-//     periodically, so corruption is caught near its cause rather than
-//     at the end),
+//     behind in either the one-shot queue or the timer heap,
+//   - both heaps stay valid — order, back-indices, and every node
+//     pending with a callback (checked in full periodically, so
+//     corruption is caught near its cause rather than at the end),
 //   - the event pool stays consistent: free-list nodes are actually
-//     free and callback-less, and every queued node is pending with a
-//     callback.
+//     free and callback-less.
 //
 // A violation panics with the evidence; simsan is a test configuration
 // (CI's sanitize job runs `go test -tags simsan ./...`), so failing loud
@@ -69,8 +65,8 @@ func (e *Engine) sanOnDisarm(t *Timer) {
 	if t.n.fn == nil {
 		panic(fmt.Sprintf("simsan: disarmed timer %s lost its callback", t.n.tag.Kind))
 	}
-	if t.hidx < len(e.timers) && e.timers[t.hidx] == t {
-		panic(fmt.Sprintf("simsan: disarmed timer %s still in the timer heap at %d", t.n.tag.Kind, t.hidx))
+	if i := t.n.hidx; i < len(e.timers.items) && e.timers.items[i] == &t.n {
+		panic(fmt.Sprintf("simsan: disarmed timer %s still in the timer heap at %d", t.n.tag.Kind, i))
 	}
 }
 
@@ -90,18 +86,15 @@ func (e *Engine) sanOnPop(n *eventNode) {
 		panic(fmt.Sprintf("simsan: popped node (seq %d) is on the free list", n.seq))
 	}
 	// Local minimality: a pop must never leave a smaller node behind in
-	// either the ladder or the timer heap. This holds for every pop —
-	// ladder node or timer — because the engine only removes the lesser
-	// of the two surfaces.
+	// either heap. This holds for every pop — one-shot or timer —
+	// because the engine only removes the lesser of the two heads.
 	if m := e.q.peek(); m != nil && e.ord.less(m, n) {
 		panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while (%v, key %d) still queued",
 			n.At, e.ord.key(n), m.At, e.ord.key(m)))
 	}
-	if len(e.timers) > 0 {
-		if m := &e.timers[0].n; e.ord.less(m, n) {
-			panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while timer %s (%v, key %d) still armed",
-				n.At, e.ord.key(n), m.tag.Kind, m.At, e.ord.key(m)))
-		}
+	if m := e.timers.peek(); m != nil && e.ord.less(m, n) {
+		panic(fmt.Sprintf("simsan: pop order violation: (%v, key %d) popped while timer %s (%v, key %d) still armed",
+			n.At, e.ord.key(n), m.tag.Kind, m.At, e.ord.key(m)))
 	}
 	key := e.ord.key(n)
 	if e.san.popped && (n.At < e.san.lastAt || (n.At == e.san.lastAt && key < e.san.lastKey)) {
@@ -133,24 +126,13 @@ func (e *Engine) sanCountPop() {
 	}
 }
 
-// sanValidate runs the full O(n) structural audit: queue-implementation
-// invariants, timer-heap order and back-indices, pool free-list
-// consistency, and the state of every queued node.
+// sanValidate runs the full O(n) structural audit: both heaps' order,
+// back-indices and node states, and pool free-list consistency.
 func (e *Engine) sanValidate() {
 	fail := func(msg string) { panic("simsan: " + msg) }
-	e.q.validate(fail)
-	e.validateTimers(fail)
+	e.q.validate(e.ord, "event queue", fail)
+	e.timers.validate(e.ord, "timer heap", fail)
 	e.pool.validate(fail)
-	queued := 0
-	e.q.each(func(n *eventNode) {
-		queued++
-		if n.state != nodePending || n.fn == nil {
-			fail(fmt.Sprintf("queued node at %v (seq %d) is %s (callback %v)", n.At, n.seq, n.state, n.fn != nil))
-		}
-	})
-	if queued != e.q.len() {
-		fail(fmt.Sprintf("queue len %d != visited %d", e.q.len(), queued))
-	}
 }
 
 // SanitizerEnabled reports whether this binary was built with the

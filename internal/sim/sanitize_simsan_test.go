@@ -47,7 +47,7 @@ func TestSimsanCleanRun(t *testing.T) {
 					e.After(Microsecond, func() {})
 				}
 				if n%11 == 0 {
-					e.After(20*Millisecond, func() {}) // far past the ladder window
+					e.After(20*Millisecond, func() {}) // far future
 				}
 			}
 		})
@@ -79,36 +79,15 @@ func TestSimsanCatchesPopOrderViolation(t *testing.T) {
 	mustPanicWith(t, "pop order violation", func() { e.Step() })
 }
 
-func TestSimsanCatchesLadderRunDisorder(t *testing.T) {
-	e := NewEngine(1)
-	for i := 0; i < 8; i++ {
-		e.Schedule(Time(i), func() {})
-	}
-	lq := e.q.(*ladderQueue)
-	lq.peek() // force a refill so the sorted run is populated
-	lq.run[0], lq.run[1] = lq.run[1], lq.run[0]
-	mustPanicWith(t, "not strictly sorted", func() { e.sanValidate() })
-}
-
-func TestSimsanCatchesLadderSizeDesync(t *testing.T) {
-	e := NewEngine(1)
-	for i := 0; i < 8; i++ {
-		e.Schedule(Time(i)*Time(Millisecond), func() {})
-	}
-	e.q.(*ladderQueue).size++
-	mustPanicWith(t, "!= counted", func() { e.sanValidate() })
-}
-
 func TestSimsanCatchesHeapPropertyViolation(t *testing.T) {
-	e := withRefHeap(NewEngine(1))
+	e := NewEngine(1)
 	for i := 0; i < 8; i++ {
 		e.Schedule(Time(i), func() {})
 	}
-	// Swap the root with a leaf so the only defect is the ordering
-	// invariant itself.
-	h := e.q.(*refHeap)
-	h.items[0], h.items[7] = h.items[7], h.items[0]
-	mustPanicWith(t, "heap property violated", func() { e.sanValidate() })
+	// Swap the root with a leaf, keeping back-indices consistent, so
+	// the only defect is the ordering invariant itself.
+	e.q.swap(0, 7)
+	mustPanicWith(t, "event queue: heap property violated", func() { e.sanValidate() })
 }
 
 func TestSimsanCatchesPoolCorruption(t *testing.T) {
@@ -189,7 +168,7 @@ func TestSimsanCleanRunWithTimers(t *testing.T) {
 	}
 }
 
-// Pop minimality covers both heads: removing the ladder head while a
+// Pop minimality covers both heads: removing the one-shot head while a
 // smaller timer is armed is a violation.
 func TestSimsanCatchesPopBehindArmedTimer(t *testing.T) {
 	e := NewEngine(1)
@@ -211,8 +190,8 @@ func TestSimsanCatchesTimerHeapDisorder(t *testing.T) {
 	}
 	// Swap root and a leaf, keeping back-indices consistent, so the
 	// only defect is the order.
-	e.timerSwap(0, 3)
-	mustPanicWith(t, "timer heap: order violated", func() { e.sanValidate() })
+	e.timers.swap(0, 3)
+	mustPanicWith(t, "timer heap: heap property violated", func() { e.sanValidate() })
 }
 
 func TestSimsanCatchesTimerIndexDesync(t *testing.T) {
@@ -222,8 +201,8 @@ func TestSimsanCatchesTimerIndexDesync(t *testing.T) {
 	b.Init(EventTag{}, false, func() {})
 	e.ArmTimer(&a, 1)
 	e.ArmTimer(&b, 2)
-	b.hidx = 0
-	mustPanicWith(t, "has hidx", func() { e.sanValidate() })
+	b.n.hidx = 0
+	mustPanicWith(t, "timer heap: node at position 1", func() { e.sanValidate() })
 }
 
 // The disarm hook checks what a disarm must leave behind: the timer out

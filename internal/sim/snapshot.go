@@ -94,22 +94,18 @@ const engineSection = "sim.engine"
 // one "sim.engine" section.
 //
 // Pending events are written sorted by the eventOrder dispatch order,
-// which makes the bytes canonical: the ladder and the test-only
-// reference heap produce the identical section for the same simulation
-// state (queue internals are never serialised — restore re-pushes the
-// events, and any implementation realises the same total order).
-// Armed timers are pending events like any other: an image does not
-// record whether an occurrence was a timer or a plain event.
+// which makes the bytes canonical: heap layout is never serialised —
+// restore re-pushes the events, and any layout realises the same total
+// order. Armed timers are pending events like any other: an image does
+// not record whether an occurrence was a timer or a plain event.
 //
 // Every pending event must carry a tag (ScheduleTagged and friends);
 // an anonymous closure in flight is an error naming the offending
 // instant, because no process can rebuild it.
 func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 	pending := make([]*eventNode, 0, e.Pending())
-	e.q.each(func(n *eventNode) { pending = append(pending, n) })
-	for _, t := range e.timers {
-		pending = append(pending, &t.n)
-	}
+	pending = append(pending, e.q.items...)
+	pending = append(pending, e.timers.items...)
 	sort.Slice(pending, func(i, j int) bool { return e.ord.less(pending[i], pending[j]) })
 
 	// Intern kind names in first-appearance order (deterministic: the
@@ -151,9 +147,9 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 }
 
 // RestoreState rewrites the engine to a snapshot's state: it disarms
-// every timer, drains and recycles everything currently queued (the
-// boot events of a freshly reconstructed machine), then overwrites the clock, sequence counter,
-// salt and RNG stream from the image. The snapshot's
+// every timer, recycles everything currently queued (the boot events
+// of a freshly reconstructed machine), then overwrites the clock,
+// sequence counter, salt and RNG stream from the image. The snapshot's
 // pending events are returned, not queued — the caller rebuilds each
 // callback from its kind and pushes it back with RestoreEvent, or
 // re-arms the owning timer with RestoreTimer. Between RestoreState and
@@ -161,14 +157,16 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 // warm-start caller may install a different tie-break salt with
 // PerturbTiebreaks.
 func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
-	for len(e.timers) > 0 {
-		e.DisarmTimer(e.timers[len(e.timers)-1])
+	for _, n := range e.timers.items {
+		n.state = nodeFree
 	}
-	for e.q.len() > 0 {
-		n := e.q.pop()
-		e.sanOnPop(n)
+	clear(e.timers.items)
+	e.timers.items = e.timers.items[:0]
+	for _, n := range e.q.items {
 		e.pool.put(n)
 	}
+	clear(e.q.items)
+	e.q.items = e.q.items[:0]
 	e.sanOnRestore()
 	e.stopped = false
 
@@ -176,9 +174,7 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 	e.now = Time(r.I64(1))
 	e.nextSeq = r.U64(2)
 	e.fired = r.U64(3)
-	salt := r.U64(4)
-	e.ord.salt = salt
-	e.q.setSalt(salt)
+	e.ord.salt = r.U64(4)
 	e.rng.SetState(r.U64(6))
 	names := make([]string, r.U64(7))
 	for i := range names {
@@ -241,7 +237,7 @@ func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) error {
 	n.seq = rev.Seq
 	n.fn = fn
 	n.tag = EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-	e.q.push(n)
+	e.q.push(e.ord, n)
 	e.sanOnSchedule(n)
 	return nil
 }
@@ -262,7 +258,7 @@ func init() {
 	snapshot.RegisterState(Engine{}, snapshot.Manifest{
 		"now":     "codec",
 		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; RestoreState disarms every timer and owners re-arm theirs with RestoreTimer",
-		"q":       "skip: queue internals are never serialised — restore re-pushes the pending events, and the ladder realises the identical eventOrder total order as the reference heap (diffqueue differential harness)",
+		"q":       "skip: heap layout is never serialised — pending events are written in eventOrder and restore re-pushes them, so any layout realises the same total order",
 		"pool":    "skip: free-list contents and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
 		"ord":     "codec",
 		"nextSeq": "codec",
@@ -275,8 +271,7 @@ func init() {
 		"state": "codec",
 	})
 	snapshot.RegisterState(Timer{}, snapshot.Manifest{
-		"n":    "codec", // an armed timer is one pending event in the sim.engine section; tag, pinned and fn are bound by Init
-		"hidx": "skip: timer-heap position, rebuilt when RestoreTimer pushes the timer",
+		"n": "codec", // an armed timer is one pending event in the sim.engine section; tag, pinned and fn are bound by Init
 	})
 	snapshot.RegisterState(eventNode{}, snapshot.Manifest{
 		"At":     "codec",
@@ -284,6 +279,7 @@ func init() {
 		"fn":     "codec", // rebuilt via the tag's registered kind constructor
 		"state":  "skip: only pending nodes are serialised; free nodes are pool storage or disarmed timers",
 		"pinned": "codec",
+		"hidx":   "skip: heap position, rebuilt when restore pushes the node",
 		"tag":    "codec",
 	})
 }

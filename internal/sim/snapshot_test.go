@@ -19,9 +19,8 @@ type snapHarness struct {
 	counter uint64
 	log     []string
 	// The harness owns two timers ("test.timer", A0 = index; timer 0
-	// is pinned). plain runs them as refTimers on the reference heap,
-	// the remove-plus-schedule model of a Timer; otherwise they are
-	// Timers.
+	// is pinned). plain runs them as refTimers, the remove-plus-schedule
+	// model of a Timer; otherwise they are Timers.
 	plain  bool
 	timers [2]Timer
 	refs   [2]refTimer
@@ -193,7 +192,7 @@ func restoreHarness(t *testing.T, img []byte, mkEngine func() *Engine) *snapHarn
 
 // restoreHarnessPlain is restoreHarness with the restored harness's
 // timer model chosen: Timers re-armed by RestoreTimer, or (plain)
-// refTimers, which need mkEngine to build a reference-heap engine.
+// refTimers.
 func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plain bool) *snapHarness {
 	t.Helper()
 	eng := mkEngine()
@@ -241,26 +240,25 @@ func seedHarness(h *snapHarness) {
 	h.schedule(5_100, kindTimerOp.Tag(0, 500, 0)) // and restart it at 5_600
 }
 
-func runSnapshotResume(t *testing.T, newEng func(seed uint64) *Engine, salt uint64, stopAt Time) {
+func runSnapshotResume(t *testing.T, salt uint64, stopAt Time) {
 	t.Helper()
 	// Uninterrupted reference run.
-	ref := newSnapHarness(newEng(1234))
+	ref := newSnapHarness(NewEngine(1234))
 	ref.eng.PerturbTiebreaks(salt)
 	seedHarness(ref)
 	ref.eng.Run(200_000)
 
 	// Interrupted run: stop at stopAt, snapshot, restore, continue.
-	a := newSnapHarness(newEng(1234))
+	a := newSnapHarness(NewEngine(1234))
 	a.eng.PerturbTiebreaks(salt)
 	seedHarness(a)
 	a.eng.Run(stopAt)
 	img := a.snapshot()
 
 	b := restoreHarness(t, img, func() *Engine {
-		eng := newEng(999) // seed overwritten by restore
-		// Boot noise the restore must drain, including a far-future event
-		// that drags the ladder window forward so the restored pushes
-		// exercise the rewind path.
+		eng := NewEngine(999) // seed overwritten by restore
+		// Boot noise the restore must drain, including a far-future
+		// event later than every restored one.
 		eng.ScheduleTagged(3, kindCount.Tag(0, 0, 0), func() {})
 		eng.ScheduleTagged(10_000_000, kindCount.Tag(0, 0, 0), func() {})
 		return eng
@@ -299,28 +297,26 @@ func at(s []string, i int) string {
 }
 
 func TestSnapshotResume(t *testing.T) {
-	heap := func(seed uint64) *Engine { return withRefHeap(NewEngine(seed)) }
 	for _, tc := range []struct {
-		name   string
-		newEng func(seed uint64) *Engine
-		salt   uint64
+		name  string
+		salts []uint64
 	}{
-		{"ladder", NewEngine, 0},
-		{"heap", heap, 0},
-		{"ladder-salted", NewEngine, 0xfeed},
-		{"heap-salted", heap, 7},
+		{"heap", []uint64{0}},
+		{"heap-salted", []uint64{0xfeed, 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, stop := range []Time{0, 26, 300, 1500} {
-				runSnapshotResume(t, tc.newEng, tc.salt, stop)
+			for _, salt := range tc.salts {
+				for _, stop := range []Time{0, 26, 300, 1500} {
+					runSnapshotResume(t, salt, stop)
+				}
 			}
 		})
 	}
 }
 
 // TestSnapshotBytesQueueKindInvariant pins the canonical-bytes claim:
-// the engine section depends only on simulation state, never on which
-// queue implementation or pool mode holds it.
+// the engine section depends only on simulation state, never on the
+// pool mode that supplied its nodes.
 func TestSnapshotBytesQueueKindInvariant(t *testing.T) {
 	build := func(e *Engine) []byte {
 		h := newSnapHarness(e)
@@ -328,19 +324,10 @@ func TestSnapshotBytesQueueKindInvariant(t *testing.T) {
 		h.eng.Run(400)
 		return h.snapshot()
 	}
-	ladder := build(NewEngine(42))
-	for _, tc := range []struct {
-		name string
-		eng  *Engine
-	}{
-		{"heap", withRefHeap(NewEngine(42))},
-		{"alloc-pool", withAllocPool(NewEngine(42))},
-		{"heap+alloc", withAllocPool(withRefHeap(NewEngine(42)))},
-	} {
-		if got := build(tc.eng); !reflect.DeepEqual(got, ladder) {
-			t.Errorf("snapshot bytes differ on %s (hash %016x vs ladder %016x)",
-				tc.name, snapshot.Hash(got), snapshot.Hash(ladder))
-		}
+	pooled := build(NewEngine(42))
+	if got := build(withAllocPool(NewEngine(42))); !reflect.DeepEqual(got, pooled) {
+		t.Errorf("snapshot bytes differ on alloc-pool (hash %016x vs pooled %016x)",
+			snapshot.Hash(got), snapshot.Hash(pooled))
 	}
 }
 
@@ -376,38 +363,34 @@ func TestSnapshotSkipsCancelled(t *testing.T) {
 	}
 }
 
-// TestRestoreLadderOverflowRewind drives the two hardest ladder restore
-// paths at once: the snapshot carries far-future events (they land in
-// the overflow heap) and the restoring engine's drained boot noise has
-// already slid the ladder window past the checkpoint clock, so the
-// restored near-future pushes must rewind the window.
-func TestRestoreLadderOverflowRewind(t *testing.T) {
+// TestRestoreAfterFarBootNoise: a restoring engine whose boot noise
+// reaches far past the checkpoint — drained by RestoreState — resumes
+// the snapshot's near- and far-future events exactly as an engine with
+// no boot noise does.
+func TestRestoreAfterFarBootNoise(t *testing.T) {
 	h := newSnapHarness(NewEngine(3))
-	// Near-future cluster plus deep far-future events (>> one ladder
-	// window of 256 * 65536ns).
+	// Near-future cluster plus events tens of ms out.
 	for i := uint64(0); i < 8; i++ {
 		h.schedule(Time(1000+i*10), kindCount.Tag(i, 0, 0))
 	}
-	h.schedule(40_000_000, kindCount.Tag(100, 0, 0)) // overflow heap
-	h.schedule(90_000_000, kindSpawn.Tag(3, 0, 0))   // overflow heap
-	h.eng.Run(500)                                   // fires nothing; clock at 500
+	h.schedule(40_000_000, kindCount.Tag(100, 0, 0))
+	h.schedule(90_000_000, kindSpawn.Tag(3, 0, 0))
+	h.eng.Run(500) // fires nothing; clock at 500
 	img := h.snapshot()
 
 	ref := restoreHarness(t, img, func() *Engine { return NewEngine(0) })
 	ref.eng.Run(100_000_000)
 
-	rewound := restoreHarness(t, img, func() *Engine {
+	noisy := restoreHarness(t, img, func() *Engine {
 		eng := NewEngine(0)
-		// Boot event far past every checkpoint event: draining it forces
-		// the ladder window deep into the future, so every restored push
-		// lands before the window start.
+		// Boot event far past every checkpoint event.
 		eng.Schedule(500_000_000, func() {})
 		return eng
 	})
-	rewound.eng.Run(100_000_000)
+	noisy.eng.Run(100_000_000)
 
-	if !reflect.DeepEqual(ref.log, rewound.log) {
-		t.Fatalf("rewind-path restore diverged:\nref    %v\nrewound %v", ref.log, rewound.log)
+	if !reflect.DeepEqual(ref.log, noisy.log) {
+		t.Fatalf("restore after far boot noise diverged:\nref   %v\nnoisy %v", ref.log, noisy.log)
 	}
 	if len(ref.log) < 10 {
 		t.Fatalf("fixture too small: %d dispatches", len(ref.log))
@@ -546,8 +529,8 @@ func TestRestoredHandleLifecycle(t *testing.T) {
 // contract, in the style of FuzzDiffQueue: a fuzzed op stream seeds a
 // restorable workload, one engine runs it uninterrupted, a second is
 // snapshotted at a fuzzed point, restored into a third (qa and qb pick
-// the ladder with Timers or the reference heap with refTimers for each
-// side), and the two futures must be identical —
+// Timers or refTimers for each side), and the two futures must be
+// identical —
 // dispatch log, clock, fired count, counter and RNG stream. Timer ops
 // arm, re-arm and disarm the harness timers mid-run, so images carry
 // armed timers across the boundary, in both timer models.
@@ -562,15 +545,8 @@ func FuzzSnapshotResume(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		newEng := func(q uint8, seed uint64) *Engine {
-			e := NewEngine(seed)
-			if q%2 == 1 {
-				withRefHeap(e)
-			}
-			return e
-		}
 		newHarness := func(q uint8, seed uint64) *snapHarness {
-			h := newSnapHarness(newEng(q, seed))
+			h := newSnapHarness(NewEngine(seed))
 			h.plain = q%2 == 1
 			return h
 		}
@@ -605,7 +581,7 @@ func FuzzSnapshotResume(f *testing.F) {
 		img := a.snapshot()
 
 		b := restoreHarnessPlain(t, img, func() *Engine {
-			eng := newEng(qb, seed^0x55)
+			eng := NewEngine(seed ^ 0x55)
 			eng.Schedule(1, func() {})
 			eng.Schedule(10_000_000, func() {})
 			return eng

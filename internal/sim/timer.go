@@ -8,18 +8,18 @@ import "fmt"
 // run. It is the engine's only owned, cancellable or pinned kind of
 // event: one-shot events (Schedule/After) are fire-and-forget. A Timer
 // embeds its own node, so it never touches the event pool or the
-// ladder queue: armed timers sit in a small indexed min-heap on the
-// Engine (a few per simulated CPU, plus the machine's global tick), and
-// the dispatch loop takes whichever of the ladder head and the heap
-// head comes first in eventOrder.
+// one-shot queue: armed timers' nodes sit in the Engine's timer heap (a
+// few per simulated CPU, plus the machine's global tick), and the
+// dispatch loop takes whichever of the one-shot head and the timer head
+// comes first in eventOrder.
 //
 // Arming takes a fresh sequence number exactly as Schedule does, and
 // disarming takes none. So arm, re-arm and disarm realise the same
 // (At, key, seq) total order as removing a queued event and scheduling
 // a new one would, under any tie-break salt: a timer is an event whose
-// owner holds it. The tests hold Timer to exactly that model on the
-// reference heap (diffqueue_test.go, snapshot_test.go). See DESIGN.md
-// §5 "Event queue internals".
+// owner holds it. The tests hold Timer to exactly that model, a
+// one-shot in the engine's queue (refTimer in diffqueue_test.go and
+// snapshot_test.go). See DESIGN.md §5 "Event queue internals".
 //
 // The zero Timer is disarmed and has no body; Init must run before the
 // first ArmTimer. A Timer must not be copied once initialised.
@@ -27,10 +27,8 @@ type Timer struct {
 	// n is the timer's node: At and seq are the armed occurrence, tag,
 	// pinned and fn are bound by Init. state is nodePending while armed
 	// and nodeFree while disarmed; the node is never on a pool free
-	// list.
+	// list. While armed, n.hidx is its position in Engine.timers.
 	n eventNode
-	// hidx is the timer's position in Engine.timers while armed.
-	hidx int
 }
 
 // Init binds the timer's snapshot tag, arbitration class and body. A
@@ -69,10 +67,10 @@ func (e *Engine) ArmTimer(t *Timer, at Time) {
 	t.n.seq = e.nextSeq
 	e.nextSeq++
 	if t.Armed() {
-		e.timerFix(t.hidx)
+		e.timers.fix(e.ord, t.n.hidx)
 	} else {
 		t.n.state = nodePending
-		e.timerPush(t)
+		e.timers.push(e.ord, &t.n)
 	}
 	e.sanOnSchedule(&t.n)
 }
@@ -85,21 +83,21 @@ func (e *Engine) DisarmTimer(t *Timer) {
 	if !t.Armed() {
 		return
 	}
-	e.timerRemove(t.hidx)
+	e.timers.remove(e.ord, t.n.hidx)
 	t.n.state = nodeFree
 	e.sanOnDisarm(t)
 }
 
-// fireTimer dispatches the timer-heap head, which peekLive returned as
-// the next pending event. The timer is disarmed before its body runs,
-// so a body that re-arms its own timer (a periodic tick) arms afresh.
-func (e *Engine) fireTimer() {
-	t := e.timers[0]
-	e.timerRemove(0)
-	e.sanOnPop(&t.n)
-	t.n.state = nodeFree
+// fireTimer dispatches n, the timer-heap head, which peekLive returned
+// as the next pending event. The timer is disarmed before its body
+// runs, so a body that re-arms its own timer (a periodic tick) arms
+// afresh.
+func (e *Engine) fireTimer(n *eventNode) {
+	e.timers.remove(e.ord, 0)
+	e.sanOnPop(n)
+	n.state = nodeFree
 	e.fired++
-	t.n.fn()
+	n.fn()
 }
 
 // RestoreTimer re-arms a timer from a snapshot's pending event, keeping
@@ -128,113 +126,7 @@ func (e *Engine) RestoreTimer(t *Timer, rev RestoredEvent) error {
 	t.n.At = rev.At
 	t.n.seq = rev.Seq
 	t.n.state = nodePending
-	e.timerPush(t)
+	e.timers.push(e.ord, &t.n)
 	e.sanOnSchedule(&t.n)
 	return nil
-}
-
-// --- timer heap: a binary min-heap over eventOrder with back-indices ---
-
-// timerLess orders heap positions i and j by eventOrder.
-func (e *Engine) timerLess(i, j int) bool {
-	return e.ord.less(&e.timers[i].n, &e.timers[j].n)
-}
-
-// timerSwap exchanges heap positions i and j and their back-indices.
-func (e *Engine) timerSwap(i, j int) {
-	h := e.timers
-	h[i], h[j] = h[j], h[i]
-	h[i].hidx = i
-	h[j].hidx = j
-}
-
-// timerPush adds a disarmed timer to the heap.
-//
-//simlint:hotpath
-func (e *Engine) timerPush(t *Timer) {
-	t.hidx = len(e.timers)
-	//simlint:allow hotalloc amortised heap growth; the slice reaches its final size (a few timers per CPU) during boot
-	e.timers = append(e.timers, t)
-	e.timerUp(t.hidx)
-}
-
-// timerRemove takes heap position i out of the heap.
-//
-//simlint:hotpath
-func (e *Engine) timerRemove(i int) {
-	last := len(e.timers) - 1
-	if i != last {
-		e.timerSwap(i, last)
-	}
-	e.timers[last] = nil
-	e.timers = e.timers[:last]
-	if i != last {
-		e.timerFix(i)
-	}
-}
-
-// timerFix restores heap order after position i's key changed.
-//
-//simlint:hotpath
-func (e *Engine) timerFix(i int) {
-	if !e.timerUp(i) {
-		e.timerDown(i)
-	}
-}
-
-// timerUp sifts position i towards the root, reporting whether it moved.
-//
-//simlint:hotpath
-func (e *Engine) timerUp(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.timerLess(i, parent) {
-			break
-		}
-		e.timerSwap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-// timerDown sifts position i towards the leaves.
-//
-//simlint:hotpath
-func (e *Engine) timerDown(i int) {
-	n := len(e.timers)
-	for {
-		min := 2*i + 1
-		if min >= n {
-			return
-		}
-		if right := min + 1; right < n && e.timerLess(right, min) {
-			min = right
-		}
-		if !e.timerLess(min, i) {
-			return
-		}
-		e.timerSwap(i, min)
-		i = min
-	}
-}
-
-// validateTimers checks the timer heap: order, back-indices and armed
-// state. Wired to the simsan periodic audit.
-func (e *Engine) validateTimers(fail func(string)) {
-	for i, t := range e.timers {
-		if t.hidx != i {
-			fail(fmt.Sprintf("timer heap: %s at position %d has hidx %d", t.n.tag.Kind, i, t.hidx))
-			return
-		}
-		if !t.Armed() || t.n.fn == nil {
-			fail(fmt.Sprintf("timer heap: %s at position %d is %s (callback %v)", t.n.tag.Kind, i, t.n.state, t.n.fn != nil))
-			return
-		}
-		if i > 0 && e.timerLess(i, (i-1)/2) {
-			fail(fmt.Sprintf("timer heap: order violated at position %d (parent %d)", i, (i-1)/2))
-			return
-		}
-	}
 }

@@ -127,9 +127,8 @@ func TestTimerPanics(t *testing.T) {
 
 // TestSnapshotBytesTimerVsPlain: an image does not record whether an
 // occurrence was armed as a Timer or queued by the reference model — the
-// harness with Timers on the ladder and on the reference heap writes
-// the same bytes as with refTimers on the reference heap at every stop
-// point, and each image restores into either model.
+// harness with Timers writes the same bytes as with refTimers at every
+// stop point, and each image restores into either model.
 func TestSnapshotBytesTimerVsPlain(t *testing.T) {
 	for _, stop := range []Time{0, 25, 290, 300, 735, 1500, 5_050, 6_000} {
 		build := func(e *Engine, plain bool) []byte {
@@ -139,20 +138,12 @@ func TestSnapshotBytesTimerVsPlain(t *testing.T) {
 			h.eng.Run(stop)
 			return h.snapshot()
 		}
-		want := build(withRefHeap(NewEngine(42)), true)
-		for _, tc := range []struct {
-			name string
-			eng  *Engine
-		}{
-			{"ladder+timers", NewEngine(42)},
-			{"heap+timers", withRefHeap(NewEngine(42))},
-		} {
-			if got := build(tc.eng, false); !reflect.DeepEqual(got, want) {
-				t.Errorf("stop %v: %s image %016x differs from heap+refTimers %016x",
-					stop, tc.name, snapshot.Hash(got), snapshot.Hash(want))
-			}
+		want := build(NewEngine(42), true)
+		if got := build(NewEngine(42), false); !reflect.DeepEqual(got, want) {
+			t.Errorf("stop %v: Timer image %016x differs from refTimer image %016x",
+				stop, snapshot.Hash(got), snapshot.Hash(want))
 		}
-		ref := restoreHarnessPlain(t, want, func() *Engine { return withRefHeap(NewEngine(0)) }, true)
+		ref := restoreHarnessPlain(t, want, func() *Engine { return NewEngine(0) }, true)
 		ref.eng.Run(20_000)
 		timers := restoreHarnessPlain(t, want, func() *Engine { return NewEngine(0) }, false)
 		timers.eng.Run(20_000)
