@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/simd"
 )
 
 // buildSimd compiles the simd binary once per test into a temp dir —
@@ -155,6 +157,59 @@ func TestSimdClosesSlowHeader(t *testing.T) {
 			time.Since(start).Round(time.Millisecond), readHeaderTimeout)
 	}
 	t.Logf("server closed the stalled connection after %v (err %v)", time.Since(start).Round(time.Millisecond), err)
+}
+
+// TestSimdClosesSlowBody: a client that sends a whole POST header and
+// then stalls short of its declared Content-Length gets an error reply
+// or a closed connection once simd.BodyReadTimeout passes, instead of
+// holding its connection and handler goroutine indefinitely. The first
+// body stalls mid-value (10 of 100 bytes); the second sends a complete
+// scenario but declares 20 bytes more than it sends.
+func TestSimdClosesSlowBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration (builds binary)")
+	}
+	bin := buildSimd(t)
+	baseURL, stop := startSimd(t, bin)
+	defer stop()
+
+	const complete = `{"figure": "ref-shielded", "seed": 7, "run_for_ms": 15}`
+	bodies := []struct{ declared, sent string }{
+		{"100", `{"figure":`},
+		{fmt.Sprint(len(complete) + 20), complete},
+	}
+	conns := make([]net.Conn, len(bodies))
+	for i, b := range bodies {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(baseURL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		req := "POST /v1/scenarios?wait=1 HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n" +
+			"Content-Length: " + b.declared + "\r\n\r\n" + b.sent
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = conn
+	}
+	start := time.Now()
+	const margin = 5 * time.Second
+	for i, conn := range conns {
+		conn.SetReadDeadline(start.Add(simd.BodyReadTimeout + margin))
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		var ne net.Error
+		switch {
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Fatalf("body %d: stalled connection got no reply and stayed open for %v (body read timeout %v)",
+				i, time.Since(start).Round(time.Millisecond), simd.BodyReadTimeout)
+		case err != nil:
+			t.Logf("body %d: server closed the stalled connection after %v (err %v)", i, time.Since(start).Round(time.Millisecond), err)
+		case resp.StatusCode < 400:
+			t.Fatalf("body %d: stalled body answered with status %d, want an error", i, resp.StatusCode)
+		default:
+			t.Logf("body %d: server answered the stalled body with %d after %v", i, resp.StatusCode, time.Since(start).Round(time.Millisecond))
+		}
+	}
 }
 
 func postScenario(t *testing.T, baseURL, body string) (*http.Response, []byte) {

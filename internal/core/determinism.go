@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/kernel"
@@ -49,10 +50,6 @@ func DefaultDeterminism(cfg kernel.Config) DeterminismConfig {
 type DeterminismResult struct {
 	Name   string
 	Report metrics.JitterReport
-	// Loaded aggregates the loaded runs only (the Report's ideal also
-	// folds in the unloaded calibration pass). It is assembled by
-	// merging per-placement summaries in replication-index order.
-	Loaded metrics.JitterSummary
 	// Hist bins the per-run variance from ideal in 10 ms buckets, the
 	// x-axis of Figures 1–4.
 	Hist *metrics.Histogram
@@ -76,12 +73,6 @@ func (r DeterminismResult) Render() string {
 	}.Render(r.Hist))
 	b.WriteString(r.Legend())
 	return b.String()
-}
-
-// placementShard is one placement replication's worth of loaded runs.
-type placementShard struct {
-	samples []sim.Duration
-	summary metrics.JitterSummary
 }
 
 // RunDeterminism executes the test: first a calibration pass on an
@@ -111,23 +102,13 @@ func RunDeterminism(cfg DeterminismConfig) DeterminismResult {
 	if perPlacement < 3 {
 		perPlacement = 3
 	}
-	shards := runner.MapSeededPooled(cfg.Workers, cfg.Seed, placements, func(i int, seed uint64, pool *sim.EventPool) placementShard {
+	shards := runner.MapSeededPooled(cfg.Workers, cfg.Seed, placements, func(i int, seed uint64, pool *sim.EventPool) []sim.Duration {
 		sub := cfg
 		sub.Seed = seed
 		sub.Kernel.EventPool = pool
-		samples := determinismPass(sub, perPlacement, true)
-		var sum metrics.JitterSummary
-		for _, d := range samples {
-			sum.Add(d)
-		}
-		return placementShard{samples: samples, summary: sum}
+		return determinismPass(sub, perPlacement, true)
 	})
-	var loaded []sim.Duration
-	var summary metrics.JitterSummary
-	for _, sh := range shards {
-		loaded = append(loaded, sh.samples...)
-		summary.Merge(sh.summary)
-	}
+	loaded := slices.Concat(shards...)
 
 	min := ideal[0]
 	for _, d := range ideal {
@@ -143,7 +124,6 @@ func RunDeterminism(cfg DeterminismConfig) DeterminismResult {
 	return DeterminismResult{
 		Name:   name,
 		Report: report,
-		Loaded: summary,
 		Hist:   report.VarianceHistogram(10*sim.Millisecond, 40),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,7 +101,8 @@ func TestFigureGoldenHashes(t *testing.T) {
 // ablations and extensions) and every sweep table, at the same pinned
 // scale and seed. Several of them (ablate-hyperthreading and the
 // ht-slowdown, bus-contention and softirq-netcost sweeps) run
-// RunDeterminism with their own loop sizes.
+// RunDeterminism with their own loop sizes. The trace-capture:* ids pin
+// CaptureTrace's text and Chrome exports.
 func TestExperimentGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -119,8 +121,20 @@ func TestExperimentGoldenHashes(t *testing.T) {
 		ids = append(ids, id)
 		got[id] = fnv1a(RunSweep(s, goldenScale, goldenSeed, 0))
 	}
+	buf := CaptureTrace(goldenScale, goldenSeed)
+	for _, f := range []struct {
+		id    string
+		write func(io.Writer) error
+	}{{"trace-capture:text", buf.WriteText}, {"trace-capture:chrome", buf.WriteChromeTrace}} {
+		var b strings.Builder
+		if err := f.write(&b); err != nil {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+		ids = append(ids, f.id)
+		got[f.id] = fnv1a(b.String())
+	}
 	checkGoldenHashes(t, "experiment_hashes.txt",
-		"# FNV-1a hashes of Experiment.Run (non-figure ids) and RunSweep (sweep:id), scale=0.05, seed=7.\n"+
+		"# FNV-1a hashes of Experiment.Run (non-figure ids), RunSweep (sweep:id) and CaptureTrace exports (trace-capture:format), scale=0.05, seed=7.\n"+
 			"# Regenerate: go test ./internal/core -run TestExperimentGoldenHashes -update\n",
 		ids, got)
 }

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/trace/attrib"
 )
 
 // RCIMConfig parameterises the §6.3 interrupt response test: the RCIM
@@ -70,100 +68,59 @@ func RunRCIM(cfg RCIMConfig) ResponseResult {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 400_000
 	}
-	if n := replicationCount(cfg.Replications, cfg.Samples); n > 1 {
-		parts := runner.MapSeededPooled(cfg.Workers, cfg.Seed, n, func(i int, seed uint64, pool *sim.EventPool) ResponseResult {
+	return replicate(cfg.Workers, cfg.Seed, cfg.Kernel.EventPool, cfg.Replications, cfg.Samples,
+		func(seed uint64, pool *sim.EventPool, samples int) ResponseResult {
 			sub := cfg
-			sub.Replications = 1
-			sub.Samples = shardSize(cfg.Samples, n, i)
-			sub.Seed = seed
-			sub.Kernel.EventPool = pool
-			return RunRCIM(sub)
+			sub.Seed, sub.Kernel.EventPool, sub.Samples = seed, pool, samples
+			return runRCIM(sub, nil)
 		})
-		return mergeResponses(parts)
-	}
+}
+
+// runRCIM executes one replication of the RCIM test with buf, when
+// non-nil, as its trace buffer.
+func runRCIM(cfg RCIMConfig, buf *trace.Buffer) ResponseResult {
 	s := NewSystem(cfg.Kernel, cfg.Seed, SystemOptions{
 		RCIMPeriod: cfg.Period,
 		WithGPU:    true,
 		Loads:      []string{LoadStressKernel, LoadX11Perf, LoadTTCPNet},
 	})
-	k := s.K
-	if cfg.Attribute {
-		k.Trace = trace.NewBuffer(attribTraceCapacity)
-	}
-
 	affinity := kernel.CPUMask(0)
 	if cfg.Shield {
 		affinity = kernel.MaskOf(cfg.ShieldCPU)
 	}
-
-	// 1 µs bins out to 10 ms: Figure 7 is a thin-bar histogram in
-	// microseconds.
-	hist := metrics.NewHistogram(sim.Microsecond, 10000)
-	samples := 0
-	var sum metrics.ResponseSummary
-	var mt *kernel.Task
-	var attr *attrib.Attributor
-
-	// The wait call and its completion are built once per run (see
-	// RunRealfeelModes).
 	call := s.RCIM.WaitCall()
 	if cfg.ForceBKL {
 		call.DriverNoBKL = false
 	}
-	onComplete := func(now sim.Time) {
-		// Immediately read the mapped count register.
-		lat := s.RCIM.CountElapsed(now)
-		hist.Add(lat)
-		sum.Add(lat)
-		samples++
-		if attr != nil {
-			// The count register dates the interrupt itself, so the
-			// sample window opens at the device's raise instant.
-			attr.Sample(now.Add(-lat), now, mt.CPU())
-		}
-	}
-	behavior := kernel.BehaviorFunc(func(t *kernel.Task) kernel.Action {
-		if samples >= cfg.Samples {
-			k.Eng.Stop()
-			return kernel.Exit()
-		}
-		act := kernel.Syscall(call)
-		act.OnComplete = onComplete
-		return act
-	})
-	mt = k.NewTask("rcim-response", kernel.SchedFIFO, 90, affinity, behavior)
-	mt.MemLocked = true
-	if cfg.Attribute {
-		attr = attrib.New(k.Trace, mt.PID)
-	}
+	res := responseTest{
+		sys:      s,
+		task:     "rcim-response",
+		call:     call,
+		affinity: affinity,
+		samples:  cfg.Samples,
+		// 1 µs bins out to 10 ms: Figure 7 is a thin-bar histogram in
+		// microseconds.
+		hist: metrics.NewHistogram(sim.Microsecond, 10000),
+		// Immediately read the mapped count register: it dates the
+		// interrupt itself.
+		latency: func(now sim.Time) (sim.Duration, bool) { return s.RCIM.CountElapsed(now), true },
+		shield: func() {
+			if cfg.Shield {
+				mustDo(s.ShieldCPU(cfg.ShieldCPU))
+				mustDo(s.K.SetIRQAffinity(s.RCIM.IRQ(), affinity))
+			}
+		},
+		horizon:   sim.Time(cfg.Samples+cfg.Samples/4+1000) * sim.Time(cfg.Period),
+		trace:     buf,
+		attribute: cfg.Attribute,
+	}.run()
 
-	s.Start()
+	res.Name = fmt.Sprintf("%s RCIM response", cfg.Kernel.Name)
 	if cfg.Shield {
-		if err := s.ShieldCPU(cfg.ShieldCPU); err != nil {
-			panic(err)
-		}
-		if err := k.SetIRQAffinity(s.RCIM.IRQ(), kernel.MaskOf(cfg.ShieldCPU)); err != nil {
-			panic(err)
-		}
-	}
-	horizon := sim.Time(cfg.Samples+cfg.Samples/4+1000) * sim.Time(cfg.Period)
-	k.Eng.Run(horizon)
-	mustFinish(k.Eng, "RCIM run", samples, cfg.Samples)
-
-	name := fmt.Sprintf("%s RCIM response", cfg.Kernel.Name)
-	if cfg.Shield {
-		name += " (shielded CPU)"
+		res.Name += " (shielded CPU)"
 	}
 	if cfg.ForceBKL {
-		name += " [BKL forced]"
-	}
-	res := ResponseResult{
-		Name:            name,
-		Hist:            hist,
-		ResponseSummary: sum,
-	}
-	if attr != nil {
-		res.Attribution = attr.Summary()
+		res.Name += " [BKL forced]"
 	}
 	return res
 }

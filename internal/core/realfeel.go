@@ -7,9 +7,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/trace/attrib"
 )
 
@@ -127,15 +125,6 @@ func (r *ResponseResult) merge(other ResponseResult) {
 	}
 }
 
-// mergeResponses folds a replication-ordered slice of results into one.
-func mergeResponses(parts []ResponseResult) ResponseResult {
-	merged := parts[0]
-	for _, p := range parts[1:] {
-		merged.merge(p)
-	}
-	return merged
-}
-
 // PaperThresholdsFig5 are the cumulative rows under Figure 5.
 func PaperThresholdsFig5() []sim.Duration {
 	out := []sim.Duration{100 * sim.Microsecond, 200 * sim.Microsecond}
@@ -166,37 +155,12 @@ func RunRealfeel(cfg RealfeelConfig) ResponseResult {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 400_000
 	}
-	if n := replicationCount(cfg.Replications, cfg.Samples); n > 1 {
-		parts := runner.MapSeededPooled(cfg.Workers, cfg.Seed, n, func(i int, seed uint64, pool *sim.EventPool) ResponseResult {
+	return replicate(cfg.Workers, cfg.Seed, cfg.Kernel.EventPool, cfg.Replications, cfg.Samples,
+		func(seed uint64, pool *sim.EventPool, samples int) ResponseResult {
 			sub := cfg
-			sub.Replications = 1
-			sub.Samples = shardSize(cfg.Samples, n, i)
-			sub.Seed = seed
-			sub.Kernel.EventPool = pool
-			return RunRealfeel(sub)
+			sub.Seed, sub.Kernel.EventPool, sub.Samples = seed, pool, samples
+			return RunRealfeelModes(sub, cfg.Shield, cfg.Shield, cfg.Shield, cfg.Shield)
 		})
-		return mergeResponses(parts)
-	}
-	return RunRealfeelModes(cfg, cfg.Shield, cfg.Shield, cfg.Shield, cfg.Shield)
-}
-
-// replicationCount clamps a requested replication count to the sample
-// budget so no replication runs empty.
-func replicationCount(reps, samples int) int {
-	if reps > samples {
-		reps = samples
-	}
-	return reps
-}
-
-// shardSize splits total across n shards in index order; the first
-// total%n shards carry the remainder.
-func shardSize(total, n, i int) int {
-	size := total / n
-	if i < total%n {
-		size++
-	}
-	return size
 }
 
 // RunRealfeelModes is RunRealfeel with each shielding dimension
@@ -219,102 +183,65 @@ func RunRealfeelModes(cfg RealfeelConfig, shieldProcs, shieldIRQs, shieldLTimer,
 		StressResidencyCap: cfg.ResidencyCap,
 	})
 	k := s.K
-	if cfg.Attribute {
-		k.Trace = trace.NewBuffer(attribTraceCapacity)
-	}
-
+	mask := kernel.MaskOf(cfg.ShieldCPU)
 	affinity := kernel.CPUMask(0)
 	if pinned {
-		affinity = kernel.MaskOf(cfg.ShieldCPU)
+		affinity = mask
 	}
-
-	// 0.1 ms bins out to 100 ms, the Figure 5 axis.
-	hist := metrics.NewHistogram(100*sim.Microsecond, 1000)
-	period := s.RTC.Period()
-	prev := sim.NoTime
-	samples := 0
-	var sum metrics.ResponseSummary
-	var mt *kernel.Task
-	var attr *attrib.Attributor
-
-	// The wait call and its completion are built once per run: the
-	// kernel never mutates a call definition, and the task has one call
-	// in flight.
 	call := s.RTC.ReadCall()
 	if cfg.FixedAPI {
 		call = s.RTC.ReadCallFixed()
 	}
-	onComplete := func(now sim.Time) {
-		if prev >= 0 {
-			lat := now.Sub(prev) - period
-			if lat < 0 {
-				lat = 0
+	period := s.RTC.Period()
+	prev := sim.NoTime
+	res := responseTest{
+		sys:      s,
+		task:     "realfeel",
+		call:     call,
+		affinity: affinity,
+		samples:  cfg.Samples,
+		// 0.1 ms bins out to 100 ms, the Figure 5 axis.
+		hist: metrics.NewHistogram(100*sim.Microsecond, 1000),
+		// The first read only primes prev; every later one is a sample.
+		latency: func(now sim.Time) (sim.Duration, bool) {
+			last := prev
+			prev = now
+			if last < 0 {
+				return 0, false
 			}
-			hist.Add(lat)
-			sum.Add(lat)
-			samples++
-			if attr != nil {
-				attr.Sample(now.Add(-lat), now, mt.CPU())
+			return max(now.Sub(last)-period, 0), true
+		},
+		shield: func() {
+			if shieldProcs {
+				mustDo(k.SetShieldProcs(mask))
 			}
-		}
-		prev = now
-	}
-	behavior := kernel.BehaviorFunc(func(t *kernel.Task) kernel.Action {
-		if samples >= cfg.Samples {
-			k.Eng.Stop()
-			return kernel.Exit()
-		}
-		act := kernel.Syscall(call)
-		act.OnComplete = onComplete
-		return act
-	})
-	mt = k.NewTask("realfeel", kernel.SchedFIFO, 90, affinity, behavior)
-	mt.MemLocked = true
-	if cfg.Attribute {
-		attr = attrib.New(k.Trace, mt.PID)
-	}
+			if shieldIRQs {
+				mustDo(k.SetShieldIRQs(mask))
+			}
+			if shieldLTimer {
+				mustDo(k.SetShieldLTimer(mask))
+			}
+			if affineRTC {
+				// The RTC interrupt must follow the measurement task onto
+				// the shielded CPU (the paper affines both).
+				mustDo(k.SetIRQAffinity(s.RTC.IRQ(), mask))
+			}
+		},
+		// Samples at Hz, generously padded for tail latencies.
+		horizon:   sim.Time(cfg.Samples+cfg.Samples/4+2048) * sim.Time(period),
+		attribute: cfg.Attribute,
+	}.run()
 
-	s.Start()
-	mask := kernel.MaskOf(cfg.ShieldCPU)
-	if shieldProcs {
-		mustDo(k.SetShieldProcs(mask))
-	}
-	if shieldIRQs {
-		mustDo(k.SetShieldIRQs(mask))
-	}
-	if shieldLTimer {
-		mustDo(k.SetShieldLTimer(mask))
-	}
-	if affineRTC {
-		// The RTC interrupt must follow the measurement task onto the
-		// shielded CPU (the paper affines both).
-		mustDo(k.SetIRQAffinity(s.RTC.IRQ(), mask))
-	}
-	// Horizon: samples at Hz, generously padded for tail latencies.
-	horizon := sim.Time(cfg.Samples+cfg.Samples/4+2048) * sim.Time(period)
-	k.Eng.Run(horizon)
-	mustFinish(k.Eng, "realfeel run", samples, cfg.Samples)
-
-	name := fmt.Sprintf("%s realfeel @%dHz", cfg.Kernel.Name, cfg.Hz)
+	res.Name = fmt.Sprintf("%s realfeel @%dHz", cfg.Kernel.Name, cfg.Hz)
 	if shieldProcs && shieldIRQs && shieldLTimer {
-		name += " (shielded CPU)"
+		res.Name += " (shielded CPU)"
 	} else if pinned {
-		name += " (partial shield)"
+		res.Name += " (partial shield)"
 	}
-	var worstHold sim.Duration
 	for _, lockName := range []string{"dcache", "inode", "pagecache"} {
-		if h := k.NamedLock(lockName).MaxHold; h > worstHold {
-			worstHold = h
+		if h := k.NamedLock(lockName).MaxHold; h > res.WorstFSHold {
+			res.WorstFSHold = h
 		}
-	}
-	res := ResponseResult{
-		Name:            name,
-		Hist:            hist,
-		ResponseSummary: sum,
-		WorstFSHold:     worstHold,
-	}
-	if attr != nil {
-		res.Attribution = attr.Summary()
 	}
 	return res
 }

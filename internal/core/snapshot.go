@@ -113,10 +113,9 @@ func (b *detLoop) SetBehaviorState(words []uint64) {
 
 func init() {
 	kernel.RegisterEventRebuild("core.drip", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		comp := rc.K.Component(a0)
-		d, ok := comp.(*broadcastDrip)
-		if !ok {
-			return nil, fmt.Errorf("core: event core.drip names component %d, which is a %T", a0, comp)
+		d, err := kernel.RestoredComponent[*broadcastDrip](rc, a0, "core.drip")
+		if err != nil {
+			return nil, err
 		}
 		return d.fire, nil
 	})

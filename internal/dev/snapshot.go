@@ -25,21 +25,9 @@ var (
 	evRCIMFire = sim.RegisterEventKind("dev.rcim-fire")
 )
 
-// component fetches a registered component and checks its type, so a
-// mismatched image fails with a description instead of a panic.
-func component[T kernel.SnapComponent](rc *kernel.RestoreContext, id uint64, kind string) (T, error) {
-	comp := rc.K.Component(id)
-	c, ok := comp.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("dev: event %s names component %d, which is a %T", kind, id, comp)
-	}
-	return c, nil
-}
-
 func init() {
 	kernel.RegisterEventRebuild("dev.disk-complete", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		d, err := component[*Disk](rc, a0, "dev.disk-complete")
+		d, err := kernel.RestoredComponent[*Disk](rc, a0, "dev.disk-complete")
 		if err != nil {
 			return nil, err
 		}
@@ -49,21 +37,21 @@ func init() {
 		return func() { d.complete(a1) }, nil
 	})
 	kernel.RegisterEventRebuild("dev.gpu-irq", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		g, err := component[*GPU](rc, a0, "dev.gpu-irq")
+		g, err := kernel.RestoredComponent[*GPU](rc, a0, "dev.gpu-irq")
 		if err != nil {
 			return nil, err
 		}
 		return g.onIRQ, nil
 	})
 	kernel.RegisterEventRebuild("dev.rtc-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		r, err := component[*RTC](rc, a0, "dev.rtc-fire")
+		r, err := kernel.RestoredComponent[*RTC](rc, a0, "dev.rtc-fire")
 		if err != nil {
 			return nil, err
 		}
 		return r.onFire, nil
 	})
 	kernel.RegisterEventRebuild("dev.rcim-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		r, err := component[*RCIM](rc, a0, "dev.rcim-fire")
+		r, err := kernel.RestoredComponent[*RCIM](rc, a0, "dev.rcim-fire")
 		if err != nil {
 			return nil, err
 		}

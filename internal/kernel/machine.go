@@ -196,12 +196,12 @@ func (k *Kernel) RegisterComponent(c SnapComponent) uint64 {
 	return uint64(len(k.comps) - 1)
 }
 
-// Component returns the registered component with the given id.
-func (k *Kernel) Component(id uint64) SnapComponent {
+// Component returns the registered component with the given id, if any.
+func (k *Kernel) Component(id uint64) (SnapComponent, bool) {
 	if id >= uint64(len(k.comps)) {
-		panic(fmt.Sprintf("kernel: no snapshot component %d (have %d)", id, len(k.comps)))
+		return nil, false
 	}
-	return k.comps[id]
+	return k.comps[id], true
 }
 
 // Tasks returns all tasks ever created (including exited).

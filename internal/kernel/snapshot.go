@@ -1338,3 +1338,20 @@ func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64
 	}
 	return rb(rc, a0, a1, a2)
 }
+
+// RestoredComponent returns the component of type T that a restored
+// event of the given kind names by id. Images arrive from outside the
+// process, so an id this kernel never registered, or one naming a
+// component of another type, is an error rather than a panic.
+func RestoredComponent[T SnapComponent](rc *RestoreContext, id uint64, kind string) (T, error) {
+	var zero T
+	comp, ok := rc.K.Component(id)
+	if !ok {
+		return zero, fmt.Errorf("kernel: event %s names component %d, but only %d are registered", kind, id, len(rc.K.comps))
+	}
+	c, ok := comp.(T)
+	if !ok {
+		return zero, fmt.Errorf("kernel: event %s names component %d, which is a %T", kind, id, comp)
+	}
+	return c, nil
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -302,5 +303,42 @@ func TestTimerWheelRestoreMidCascade(t *testing.T) {
 	}
 	if !bytes.Equal(wantImg, gotImg) {
 		t.Fatal("final images differ between uninterrupted and restored runs")
+	}
+}
+
+// stubComponent and otherComponent are two distinct component types
+// for the lookup checks below.
+type stubComponent struct{ name string }
+
+func (c *stubComponent) SnapName() string                                { return c.name }
+func (c *stubComponent) Snapshot(*snapshot.Writer) error                 { return nil }
+func (c *stubComponent) Restore(*snapshot.Reader, *RestoreContext) error { return nil }
+
+type otherComponent struct{ stubComponent }
+
+// TestRestoredComponentChecksIDAndType: a restored event tag names its
+// component by id, and the image comes from outside the process. An id
+// past the registered components and an id naming a component of
+// another type must both come back as errors naming the event kind, not
+// panic; a matching id and type returns the component.
+func TestRestoredComponentChecksIDAndType(t *testing.T) {
+	k := New(testConfig(2), 1)
+	want := &stubComponent{name: "test.stub"}
+	id := k.RegisterComponent(want)
+	other := k.RegisterComponent(&otherComponent{stubComponent{name: "test.other"}})
+	rc := &RestoreContext{K: k}
+
+	got, err := RestoredComponent[*stubComponent](rc, id, "test.kind")
+	if err != nil || got != want {
+		t.Fatalf("RestoredComponent(%d) = %v, %v; want the registered stub", id, got, err)
+	}
+	for _, tc := range []struct {
+		name string
+		id   uint64
+	}{{"unknown id", other + 1}, {"huge id", ^uint64(0)}, {"wrong type", other}} {
+		_, err := RestoredComponent[*stubComponent](rc, tc.id, "test.kind")
+		if err == nil || !strings.Contains(err.Error(), "test.kind") {
+			t.Errorf("%s: err = %v, want an error naming the event kind", tc.name, err)
+		}
 	}
 }

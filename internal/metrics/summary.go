@@ -2,74 +2,13 @@ package metrics
 
 import "repro/internal/sim"
 
-// The summaries below are the mergeable counterparts of the ad-hoc
+// The summary below is the mergeable counterpart of the ad-hoc
 // min/max/sum accumulators the experiment runners used to keep inline.
-// They exist so the parallel replication engine (internal/runner) can
+// It exists so the parallel replication engine (internal/runner) can
 // fold per-replication results into one figure: every field is either a
 // min, a max, or an exact integer sum, which makes Merge commutative and
 // associative *bit-for-bit* — no floating-point accumulation order to
 // worry about. Property tests in this package verify both laws.
-
-// JitterSummary aggregates per-run execution times of the determinism
-// test (§5.1): the count, the fastest run (the in-sample ideal), the
-// slowest, and the exact total for the mean.
-type JitterSummary struct {
-	Runs  int
-	Ideal sim.Duration // fastest observed run
-	Max   sim.Duration // slowest observed run
-	Total sim.Duration // exact sum of all runs
-}
-
-// Add records one timed run.
-func (s *JitterSummary) Add(d sim.Duration) {
-	if s.Runs == 0 || d < s.Ideal {
-		s.Ideal = d
-	}
-	if s.Runs == 0 || d > s.Max {
-		s.Max = d
-	}
-	s.Runs++
-	s.Total += d
-}
-
-// Merge folds another summary into s. The empty summary is the identity
-// element; the operation is exactly commutative and associative.
-func (s *JitterSummary) Merge(o JitterSummary) {
-	if o.Runs == 0 {
-		return
-	}
-	if s.Runs == 0 {
-		*s = o
-		return
-	}
-	if o.Ideal < s.Ideal {
-		s.Ideal = o.Ideal
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Runs += o.Runs
-	s.Total += o.Total
-}
-
-// Jitter returns Max - Ideal, the figure-legend headline.
-func (s JitterSummary) Jitter() sim.Duration { return s.Max - s.Ideal }
-
-// JitterPercent returns the jitter as a percentage of the ideal.
-func (s JitterSummary) JitterPercent() float64 {
-	if s.Ideal <= 0 {
-		return 0
-	}
-	return 100 * float64(s.Jitter()) / float64(s.Ideal)
-}
-
-// Mean returns the mean run time.
-func (s JitterSummary) Mean() sim.Duration {
-	if s.Runs == 0 {
-		return 0
-	}
-	return s.Total / sim.Duration(s.Runs)
-}
 
 // ResponseSummary aggregates interrupt-response latencies (§6): sample
 // count, extremes, and the exact total for the mean. It is embedded in

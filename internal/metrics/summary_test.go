@@ -15,61 +15,12 @@ import (
 // (never from free-form field values), so every tested value is
 // reachable by Add.
 
-func jitterOf(samples []uint32) JitterSummary {
-	var s JitterSummary
-	for _, v := range samples {
-		s.Add(sim.Duration(v))
-	}
-	return s
-}
-
 func responseOf(samples []uint32) ResponseSummary {
 	var s ResponseSummary
 	for _, v := range samples {
 		s.Add(sim.Duration(v))
 	}
 	return s
-}
-
-func TestJitterSummaryMergeCommutative(t *testing.T) {
-	f := func(a, b []uint32) bool {
-		ab := jitterOf(a)
-		ab.Merge(jitterOf(b))
-		ba := jitterOf(b)
-		ba.Merge(jitterOf(a))
-		return ab == ba
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJitterSummaryMergeAssociative(t *testing.T) {
-	f := func(a, b, c []uint32) bool {
-		left := jitterOf(a)
-		left.Merge(jitterOf(b))
-		left.Merge(jitterOf(c))
-
-		bc := jitterOf(b)
-		bc.Merge(jitterOf(c))
-		right := jitterOf(a)
-		right.Merge(bc)
-		return left == right
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJitterSummaryMergeEqualsUnsharded(t *testing.T) {
-	f := func(a, b []uint32) bool {
-		merged := jitterOf(a)
-		merged.Merge(jitterOf(b))
-		return merged == jitterOf(append(append([]uint32{}, a...), b...))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestResponseSummaryMergeCommutative(t *testing.T) {
@@ -115,17 +66,11 @@ func TestResponseSummaryMergeEqualsUnsharded(t *testing.T) {
 
 func TestSummaryMergeEmptyIdentity(t *testing.T) {
 	f := func(a []uint32) bool {
-		j := jitterOf(a)
-		j.Merge(JitterSummary{})
-		left := JitterSummary{}
-		left.Merge(jitterOf(a))
-
 		r := responseOf(a)
 		r.Merge(ResponseSummary{})
-		rleft := ResponseSummary{}
-		rleft.Merge(responseOf(a))
-		return j == jitterOf(a) && left == jitterOf(a) &&
-			r == responseOf(a) && rleft == responseOf(a)
+		left := ResponseSummary{}
+		left.Merge(responseOf(a))
+		return r == responseOf(a) && left == responseOf(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -133,19 +78,15 @@ func TestSummaryMergeEmptyIdentity(t *testing.T) {
 }
 
 func TestSummaryStats(t *testing.T) {
-	var s JitterSummary
+	var s ResponseSummary
 	for _, v := range []sim.Duration{100, 150, 130} {
 		s.Add(v)
 	}
-	if s.Ideal != 100 || s.Max != 150 || s.Jitter() != 50 || s.Mean() != 126 {
+	if s.Samples != 3 || s.Min != 100 || s.Max != 150 || s.Mean() != 126 {
 		t.Fatalf("summary %+v", s)
 	}
-	if p := s.JitterPercent(); p != 50 {
-		t.Fatalf("jitter%% = %v", p)
-	}
-	var r ResponseSummary
-	if r.Mean() != 0 || (JitterSummary{}).Mean() != 0 {
-		t.Fatal("empty summaries must have zero mean")
+	if (ResponseSummary{}).Mean() != 0 {
+		t.Fatal("empty summary must have zero mean")
 	}
 }
 

@@ -14,7 +14,11 @@
 // calls stays single-threaded and pure.
 package simd
 
-import "repro/internal/core"
+import (
+	"time"
+
+	"repro/internal/core"
+)
 
 // ScenarioRequest is the POST /v1/scenarios body. Figure names either
 // a paper figure (fig1..fig7, attrib-causes, with Scale) or a reference
@@ -33,6 +37,12 @@ type ScenarioRequest struct {
 // about 100 bytes; anything past the cap is refused with 413 before it
 // is buffered.
 const maxRequestBytes = 64 << 10
+
+// BodyReadTimeout bounds how long a POST /v1/scenarios body may take to
+// arrive once its header is in, so a client that stalls mid-body cannot
+// hold its connection and handler goroutine forever. It bounds only the
+// body read: a ?wait=1 reply or an event stream may take far longer.
+const BodyReadTimeout = 5 * time.Second
 
 // JobState is the lifecycle of one admitted scenario run.
 type JobState string

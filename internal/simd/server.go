@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/runner"
@@ -324,7 +326,19 @@ func (s *Server) writeResult(w http.ResponseWriter, cache string, body []byte) {
 // for the result bytes; otherwise the response is a JobStatus.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+	// The deadline is cleared only once the body is read to its end, so
+	// no unread bytes are left for net/http to wait on. On a failed read
+	// it stays: net/http's drain of the rest then fails at once and the
+	// connection closes after the error reply. A writer without deadline
+	// support (a test recorder) returns an error and reads unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	err := json.NewDecoder(body).Decode(&req)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
@@ -333,6 +347,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request body: " + err.Error()})
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	sc, err := core.ResolveScenario(req.Figure, req.Scale, req.Seed, req.RunForMS)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

@@ -8,7 +8,7 @@
 //
 // The per-sample breakdown is an exact partition: the charged causes
 // always sum to the sample's latency. Summaries are mergeable under the
-// same law as metrics.JitterSummary (empty identity; commutative,
+// same law as metrics.ResponseSummary (empty identity; commutative,
 // associative, exact-integer fields), so attribution survives the
 // parallel replication engine's index-ordered merge bit-for-bit.
 package attrib
@@ -59,7 +59,7 @@ func (c Cause) String() string {
 // Summary aggregates per-sample attributions. The zero value is the
 // merge identity. All fields are exact integers (counts and nanosecond
 // sums/maxima), so Merge is commutative and associative bit-for-bit —
-// the same contract as metrics.JitterSummary, which makes a Summary
+// the same contract as metrics.ResponseSummary, which makes a Summary
 // safe to fold across replications in runner index order.
 type Summary struct {
 	// Samples is the number of attributed response samples.

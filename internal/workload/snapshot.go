@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -21,34 +19,23 @@ var (
 	evTTCPPump = sim.RegisterEventKind("wl.ttcp-pump")
 )
 
-// wlComponent fetches a registered component and checks its type.
-func wlComponent[T kernel.SnapComponent](rc *kernel.RestoreContext, id uint64, kind string) (T, error) {
-	comp := rc.K.Component(id)
-	c, ok := comp.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("workload: event %s names component %d, which is a %T", kind, id, comp)
-	}
-	return c, nil
-}
-
 func init() {
 	kernel.RegisterEventRebuild("wl.scp-start", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		s, err := wlComponent[*ScpFlood](rc, a0, "wl.scp-start")
+		s, err := kernel.RestoredComponent[*ScpFlood](rc, a0, "wl.scp-start")
 		if err != nil {
 			return nil, err
 		}
 		return s.onStart, nil
 	})
 	kernel.RegisterEventRebuild("wl.scp-deliver", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		s, err := wlComponent[*ScpFlood](rc, a0, "wl.scp-deliver")
+		s, err := kernel.RestoredComponent[*ScpFlood](rc, a0, "wl.scp-deliver")
 		if err != nil {
 			return nil, err
 		}
 		return s.onDeliver, nil
 	})
 	kernel.RegisterEventRebuild("wl.disknoise-flush", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		d, err := wlComponent[*DiskNoise](rc, a0, "wl.disknoise-flush")
+		d, err := kernel.RestoredComponent[*DiskNoise](rc, a0, "wl.disknoise-flush")
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +43,7 @@ func init() {
 		return func() { d.flush(bytes) }, nil
 	})
 	kernel.RegisterEventRebuild("wl.ttcp-pump", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		t, err := wlComponent[*TTCPNet](rc, a0, "wl.ttcp-pump")
+		t, err := kernel.RestoredComponent[*TTCPNet](rc, a0, "wl.ttcp-pump")
 		if err != nil {
 			return nil, err
 		}

@@ -220,9 +220,6 @@ type (
 	ResponseResult = core.ResponseResult
 	// JitterReport is the determinism summary.
 	JitterReport = metrics.JitterReport
-	// JitterSummary is the mergeable loaded-run aggregate inside a
-	// DeterminismResult.
-	JitterSummary = metrics.JitterSummary
 	// ResponseSummary is the mergeable latency aggregate inside a
 	// ResponseResult.
 	ResponseSummary = metrics.ResponseSummary
