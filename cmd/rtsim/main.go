@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,7 +51,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "sample-count scale factor (1.0 = default, paper-size ≈ 150)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "worker goroutines per experiment (0 = all cores); never affects results, only wall-clock time")
-	csv := flag.Bool("csv", false, "emit the figure's plotted data series as CSV (fig1..fig7, attrib-causes)")
+	csv := flag.Bool("csv", false, "emit the figure's plotted data series as CSV ("+strings.Join(core.FigureIDs(), ", ")+")")
 	sweep := flag.String("sweep", "", "run a sensitivity sweep by id, or 'list'")
 	outdir := flag.String("outdir", "", "write every experiment report (and figure CSVs) into this directory")
 	traceOut := flag.String("trace", "", "capture a shielded RCIM trace into this file (.json = Chrome trace-event format for Perfetto, anything else = dmesg-style text)")
@@ -128,7 +129,7 @@ func main() {
 
 	if *csv {
 		if *exp == "" || *exp == "all" {
-			fmt.Fprintln(os.Stderr, "rtsim: -csv needs a single figure id (fig1..fig7)")
+			fmt.Fprintf(os.Stderr, "rtsim: -csv needs a single figure id (%s)\n", strings.Join(core.FigureIDs(), ", "))
 			os.Exit(2)
 		}
 		out, err := core.FigureCSV(*exp, *scale, *seed, *parallel)
@@ -194,7 +195,7 @@ func writeCheckpoint(path string, ref core.ReferenceMachine, seed uint64, runFor
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes, t=%v, hash %s)\n", path, len(img), s.K.Now(), core.ImageHash(img))
+	fmt.Printf("wrote %s (%d bytes, t=%v, hash %s)\n", path, len(img), s.K.Now(), core.HashBytes(img))
 	return nil
 }
 
@@ -230,7 +231,7 @@ func restoreCheckpoint(path string, ref core.ReferenceMachine, seed uint64, runF
 	if err != nil {
 		return err
 	}
-	fmt.Printf("restored %s, ran to t=%v, final hash %s (invariants ok)\n", path, s.K.Now(), core.ImageHash(img2))
+	fmt.Printf("restored %s, ran to t=%v, final hash %s (invariants ok)\n", path, s.K.Now(), core.HashBytes(img2))
 	return nil
 }
 
@@ -269,13 +270,22 @@ func writeAll(dir string, scale float64, seed uint64, parallel int) error {
 	for _, e := range core.Experiments() {
 		fmt.Printf("running %s...\n", e.ID)
 		header := fmt.Sprintf("%s\npaper: %s\n\n", e.Title, e.Paper)
-		if err := write(e.ID+".txt", header+e.Run(scale, seed, parallel)); err != nil {
-			return err
-		}
-		if csvData, err := core.FigureCSV(e.ID, scale, seed, parallel); err == nil {
-			if err := write(e.ID+".csv", csvData); err != nil {
+		if !slices.Contains(core.FigureIDs(), e.ID) {
+			if err := write(e.ID+".txt", header+e.Run(scale, seed, parallel)); err != nil {
 				return err
 			}
+			continue
+		}
+		// A figure's report and CSV come from one run.
+		report, csvData, err := core.RunFigure(e.ID, scale, seed, parallel)
+		if err == nil {
+			err = write(e.ID+".txt", header+report)
+		}
+		if err == nil {
+			err = write(e.ID+".csv", csvData)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	for _, s := range core.Sweeps() {

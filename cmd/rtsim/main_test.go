@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // buildRtsim compiles the rtsim binary once per test into a temp dir.
@@ -69,5 +72,44 @@ func TestRtsimFlagValidation(t *testing.T) {
 				t.Fatalf("stderr does not name the problem (want %q):\n%s", tc.wantErr, stderr)
 			}
 		})
+	}
+}
+
+// TestRtsimOutdirFigureCSVs: -outdir writes exactly one .csv per figure
+// (core.FigureIDs), each byte-identical to core.FigureCSV's series for
+// the same scale and seed, next to one .txt per experiment.
+func TestRtsimOutdirFigureCSVs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration (builds binary)")
+	}
+	bin := buildRtsim(t)
+	dir := t.TempDir()
+	if _, stderr, exit := runBin(t, bin, "-outdir", dir, "-scale", "0.02", "-seed", "3"); exit != 0 {
+		t.Fatalf("exit %d; stderr:\n%s", exit, stderr)
+	}
+	csvs, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(csvs) != len(core.FigureIDs()) {
+		t.Fatalf("wrote %d CSV files %v, want one per figure %v", len(csvs), csvs, core.FigureIDs())
+	}
+	for _, id := range core.FigureIDs() {
+		got, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.FigureCSV(id, 0.02, 3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s.csv differs from FigureCSV(%s, 0.02, 3)", id, id)
+		}
+	}
+	for _, e := range core.Experiments() {
+		if _, err := os.Stat(filepath.Join(dir, e.ID+".txt")); err != nil {
+			t.Errorf("no report for %s: %v", e.ID, err)
+		}
 	}
 }

@@ -159,12 +159,13 @@ func TestSimdClosesSlowHeader(t *testing.T) {
 	t.Logf("server closed the stalled connection after %v (err %v)", time.Since(start).Round(time.Millisecond), err)
 }
 
-// TestSimdClosesSlowBody: a client that sends a whole POST header and
-// then stalls short of its declared Content-Length gets an error reply
-// or a closed connection once simd.BodyReadTimeout passes, instead of
-// holding its connection and handler goroutine indefinitely. The first
-// body stalls mid-value (10 of 100 bytes); the second sends a complete
-// scenario but declares 20 bytes more than it sends.
+// TestSimdClosesSlowBody: a client that sends a whole request header
+// and then stalls short of its declared Content-Length gets an error
+// reply or a closed connection once simd.BodyReadTimeout passes, instead
+// of holding its connection and handler goroutine indefinitely. The
+// first POST body stalls mid-value (10 of 100 bytes); the second sends
+// a complete scenario but declares 20 bytes more than it sends; the
+// third declares a body on a route that reads none (GET /v1/stats).
 func TestSimdClosesSlowBody(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration (builds binary)")
@@ -174,9 +175,10 @@ func TestSimdClosesSlowBody(t *testing.T) {
 	defer stop()
 
 	const complete = `{"figure": "ref-shielded", "seed": 7, "run_for_ms": 15}`
-	bodies := []struct{ declared, sent string }{
-		{"100", `{"figure":`},
-		{fmt.Sprint(len(complete) + 20), complete},
+	bodies := []struct{ route, declared, sent string }{
+		{"POST /v1/scenarios?wait=1", "100", `{"figure":`},
+		{"POST /v1/scenarios?wait=1", fmt.Sprint(len(complete) + 20), complete},
+		{"GET /v1/stats", "100", "0123456789"},
 	}
 	conns := make([]net.Conn, len(bodies))
 	for i, b := range bodies {
@@ -185,7 +187,7 @@ func TestSimdClosesSlowBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		req := "POST /v1/scenarios?wait=1 HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n" +
+		req := b.route + " HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n" +
 			"Content-Length: " + b.declared + "\r\n\r\n" + b.sent
 		if _, err := io.WriteString(conn, req); err != nil {
 			t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/kernel"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace/attrib"
 )
@@ -25,49 +23,6 @@ const attribTraceCapacity = 1 << 12
 type AttributionResult struct {
 	Stock    ResponseResult
 	Shielded ResponseResult
-}
-
-// figAttribConfigs returns the canonical configurations behind the
-// attribution figure. One source of truth for the experiment registry,
-// the CSV exporter and the golden determinism-regression tests, like
-// figRCIMConfig for fig7.
-func figAttribConfigs(scale float64, seed uint64, workers int) (stock, shielded RCIMConfig) {
-	base := sim.DeriveSeed(seed, streamAttrib)
-
-	stock = DefaultRCIM(kernel.StandardLinux24(2, 2.0, false))
-	stock.Shield = false
-	stock.Samples = scaleSamples(100_000, scale)
-	stock.Seed = sim.DeriveSeed(base, 1)
-	stock.Replications = figureReplications
-	stock.Workers = workers
-	stock.Attribute = true
-
-	shielded = DefaultRCIM(kernel.RedHawk14(2, 2.0))
-	shielded.Samples = scaleSamples(100_000, scale)
-	shielded.Seed = sim.DeriveSeed(base, 2)
-	shielded.Replications = figureReplications
-	shielded.Workers = workers
-	shielded.Attribute = true
-	return stock, shielded
-}
-
-// RunAttribution executes the attribution figure: the RCIM response test
-// on a stock unshielded machine and on a shielded RedHawk CPU, with
-// every sample's latency charged to a cause from the trace.
-func RunAttribution(scale float64, seed uint64, workers int) AttributionResult {
-	return runAttributionSalted(scale, seed, workers, 0)
-}
-
-func runAttributionSalted(scale float64, seed uint64, workers int, salt uint64) AttributionResult {
-	stockCfg, shieldCfg := figAttribConfigs(scale, seed, workers)
-	stockCfg.Kernel.TiebreakSalt = salt
-	shieldCfg.Kernel.TiebreakSalt = salt
-	var res AttributionResult
-	runner.Do(workers,
-		func() { res.Stock = RunRCIM(stockCfg) },
-		func() { res.Shielded = RunRCIM(shieldCfg) },
-	)
-	return res
 }
 
 // Render prints the paper's "causes of delay" story as a table: the

@@ -18,7 +18,8 @@ func TestAttributionPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	r := RunAttribution(attribTestScale, 7, 0)
+	res, _ := tableFigure(t, "attrib-causes", attribTestScale, 7, 0, 0)
+	r := res.(AttributionResult)
 	for _, v := range []struct {
 		name string
 		s    attrib.Summary
@@ -67,24 +68,13 @@ func TestAttributionStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	base, err := FigureCSVSalted("attrib-causes", attribTestScale, 7, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, base := tableFigure(t, "attrib-causes", attribTestScale, 7, 1, 0)
 	for _, salt := range []uint64{1, 12345} {
-		got, err := FigureCSVSalted("attrib-causes", attribTestScale, 7, 1, salt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != base {
+		if _, got := tableFigure(t, "attrib-causes", attribTestScale, 7, 1, salt); got != base {
 			t.Fatalf("tie-break salt %d changed the attribution series:\n%s\nvs baseline\n%s", salt, got, base)
 		}
 	}
-	got, err := FigureCSVSalted("attrib-causes", attribTestScale, 7, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != base {
+	if _, got := tableFigure(t, "attrib-causes", attribTestScale, 7, 8, 0); got != base {
 		t.Fatal("worker count changed the attribution series")
 	}
 }

@@ -215,8 +215,11 @@ func TestExperimentRegistry(t *testing.T) {
 	if _, ok := ExperimentByID("nope"); ok {
 		t.Error("ExperimentByID(nope) should fail")
 	}
-	if len(ExperimentIDs()) != len(exps) {
-		t.Error("ExperimentIDs length mismatch")
+	// The figures table leads the registry, in paper order.
+	for i, id := range FigureIDs() {
+		if exps[i].ID != id {
+			t.Errorf("experiment %d is %s, want figure %s", i, exps[i].ID, id)
+		}
 	}
 }
 

@@ -5,46 +5,28 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // FigureCSV regenerates the plotted data series behind a figure as CSV
 // (bin upper edge, count), so the paper's graphs — not just their
-// legends — can be rebuilt with any plotting tool. The series comes
-// from the same canonical configuration (and seed stream) the
-// experiment registry renders, so the CSV always matches the figure.
-// Supported ids: fig1..fig7, plus attrib-causes (whose series is the
-// per-cause latency decomposition rather than a histogram).
+// legends — can be rebuilt with any plotting tool. It is RunFigure's
+// CSV half, so the CSV always matches the figure's report. Supported
+// ids: FigureIDs() (attrib-causes' series is the per-cause latency
+// decomposition rather than a histogram).
 func FigureCSV(id string, scale float64, seed uint64, workers int) (string, error) {
-	return FigureCSVSalted(id, scale, seed, workers, 0)
+	_, csv, err := RunFigure(id, scale, seed, workers)
+	return csv, err
 }
 
-// FigureCSVSalted is FigureCSV with a tie-break perturbation salt
-// applied to every machine the figure runs
-// (kernel.Config.TiebreakSalt). Salt 0 is plain FIFO, i.e. FigureCSV.
-// The determinism contract requires the output to be bit-identical for
-// every salt; RunPerturbFigures (cmd/reprocheck -perturb) sweeps salts
-// and fails on any divergence.
-func FigureCSVSalted(id string, scale float64, seed uint64, workers int, salt uint64) (string, error) {
-	if cfg, ok := figDeterminismConfig(id, scale, seed, workers); ok {
-		cfg.Kernel.TiebreakSalt = salt
-		// The paper plots the variance from ideal in milliseconds.
-		return histCSV(RunDeterminism(cfg).Hist, "ms", 1e6), nil
+// RunFigure runs one figure once and returns both its rendered report
+// (Experiment.Run's bytes) and its CSV series (FigureCSV's bytes).
+func RunFigure(id string, scale float64, seed uint64, workers int) (report, csv string, err error) {
+	fr, err := resolveFigure(id, scale, seed, workers)
+	if err != nil {
+		return "", "", err
 	}
-	if cfg, ok := figRealfeelConfig(id, scale, seed, workers); ok {
-		cfg.Kernel.TiebreakSalt = salt
-		return histCSV(RunRealfeel(cfg).Hist, "ms", 1e6), nil
-	}
-	if id == "fig7" {
-		cfg := figRCIMConfig(scale, seed, workers)
-		cfg.Kernel.TiebreakSalt = salt
-		// Figure 7 is plotted in microseconds.
-		return histCSV(RunRCIM(cfg).Hist, "us", float64(sim.Microsecond)), nil
-	}
-	if id == "attrib-causes" {
-		return attribCSV(runAttributionSalted(scale, seed, workers, salt)), nil
-	}
-	return "", fmt.Errorf("core: no CSV series for %q (figures only)", id)
+	_, report, csv = fr.run(0)
+	return report, csv, nil
 }
 
 func histCSV(h *metrics.Histogram, unit string, div float64) string {

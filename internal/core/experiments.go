@@ -42,82 +42,17 @@ func scaleRuns(base int, scale float64) int {
 }
 
 // Experiments returns the registry of all reproducible results, in paper
-// order.
+// order: the figures table's entries, then the ablations and extensions.
 func Experiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "fig1",
-			Title: "Execution determinism, kernel.org 2.4.18 (hyperthreading on)",
-			Paper: "ideal 1.150770s, max 1.451925s, jitter 0.301155s (26.17%)",
+	var exps []Experiment
+	for _, f := range figures {
+		exps = append(exps, Experiment{ID: f.id, Title: f.title, Paper: f.paper,
 			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figDeterminismConfig("fig1", scale, seed, workers)
-				return RunDeterminism(cfg).Render()
-			},
-		},
-		{
-			ID:    "fig2",
-			Title: "Execution determinism, RedHawk 1.4, shielded CPU",
-			Paper: "ideal 1.150814s, max 1.172235s, jitter 0.021421s (1.87%)",
-			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figDeterminismConfig("fig2", scale, seed, workers)
-				return RunDeterminism(cfg).Render()
-			},
-		},
-		{
-			ID:    "fig3",
-			Title: "Execution determinism, RedHawk 1.4, unshielded CPU",
-			Paper: "ideal 1.150785s, max 1.321399s, jitter 0.170614s (14.82%)",
-			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figDeterminismConfig("fig3", scale, seed, workers)
-				return RunDeterminism(cfg).Render()
-			},
-		},
-		{
-			ID:    "fig4",
-			Title: "Execution determinism, kernel.org 2.4.18 (no hyperthreading)",
-			Paper: "ideal 1.150795s, max 1.302139s, jitter 0.151344s (13.15%)",
-			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figDeterminismConfig("fig4", scale, seed, workers)
-				return RunDeterminism(cfg).Render()
-			},
-		},
-		{
-			ID:    "fig5",
-			Title: "Interrupt response (realfeel), kernel.org 2.4.18 + stress-kernel",
-			Paper: "max 92.3ms; 99.140% < 0.1ms, 99.843% < 1ms, 100% < 100ms",
-			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figRealfeelConfig("fig5", scale, seed, workers)
-				r := RunRealfeel(cfg)
-				return r.Chart(PaperThresholdsFig5(), sim.Millisecond, "ms")
-			},
-		},
-		{
-			ID:    "fig6",
-			Title: "Interrupt response (realfeel), RedHawk 1.4, shielded CPU + stress-kernel",
-			Paper: "max 0.565ms; 8 samples 0.1–0.2ms, 5, 2, 1, 1 in higher bands (of 60M)",
-			Run: func(scale float64, seed uint64, workers int) string {
-				cfg, _ := figRealfeelConfig("fig6", scale, seed, workers)
-				r := RunRealfeel(cfg)
-				return r.Chart(PaperThresholdsFig6(), sim.Microsecond, "µs")
-			},
-		},
-		{
-			ID:    "fig7",
-			Title: "Interrupt response (RCIM), RedHawk 1.4, shielded CPU + stress-kernel + x11perf + ttcp",
-			Paper: "min 11µs, max 27µs, avg 11.3µs — all < 30µs",
-			Run: func(scale float64, seed uint64, workers int) string {
-				r := RunRCIM(figRCIMConfig(scale, seed, workers))
-				return r.Name + "\n" + r.Legend(PaperThresholdsFig7())
-			},
-		},
-		{
-			ID:    "attrib-causes",
-			Title: "Causes of delay: trace-derived latency attribution, stock vs shielded",
-			Paper: "§2: program execution, interrupts, bottom halves and locks each delay response; shielding removes them",
-			Run: func(scale float64, seed uint64, workers int) string {
-				return RunAttribution(scale, seed, workers).Render()
-			},
-		},
+				_, report, _ := f.resolve(f.id, scale, seed, workers).run(0)
+				return report
+			}})
+	}
+	return append(exps, []Experiment{
 		{
 			ID:    "ablate-spinlock-bh",
 			Title: "Ablation §6.2: bottom halves preempting spinlock holders (fix off)",
@@ -237,7 +172,7 @@ func Experiments() []Experiment {
 				return fmt.Sprintf("with HT:\n%s\nwithout HT:\n%s", a.Legend(), b.Legend())
 			},
 		},
-	}
+	}...)
 }
 
 // ExperimentByID finds one experiment.
@@ -248,15 +183,6 @@ func ExperimentByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// ExperimentIDs lists all ids in order.
-func ExperimentIDs() []string {
-	var ids []string
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
-	return ids
 }
 
 // runShieldModes sweeps the shield sub-masks on the fig6 setup and

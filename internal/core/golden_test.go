@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -26,14 +25,6 @@ const (
 	goldenSeed  = 7
 )
 
-var goldenFigures = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "attrib-causes"}
-
-func fnv1a(s string) string {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // TestFigureResultsReproducible runs every figure's canonical
 // configuration twice with the same seed and requires the full result
 // structs — histograms, summaries, reports — to come out identical. This
@@ -43,10 +34,10 @@ func TestFigureResultsReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	for _, id := range goldenFigures {
-		id := id
+	for _, id := range FigureIDs() {
 		t.Run(id, func(t *testing.T) {
-			a, b := figureResult(t, id), figureResult(t, id)
+			a, _ := tableFigure(t, id, goldenScale, goldenSeed, 0, 0)
+			b, _ := tableFigure(t, id, goldenScale, goldenSeed, 0, 0)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s: same seed, different result structs", id)
 			}
@@ -54,24 +45,17 @@ func TestFigureResultsReproducible(t *testing.T) {
 	}
 }
 
-// figureResult runs one figure's canonical config and returns the raw
-// result struct (whose concrete type depends on the figure family).
-func figureResult(t *testing.T, id string) interface{} {
+// tableFigure runs figure id's table entry with every machine under
+// tie-break salt and returns its raw result struct (whose concrete type
+// depends on the figure family) and its CSV series.
+func tableFigure(t *testing.T, id string, scale float64, seed uint64, workers int, salt uint64) (result any, csv string) {
 	t.Helper()
-	if cfg, ok := figDeterminismConfig(id, goldenScale, goldenSeed, 0); ok {
-		return RunDeterminism(cfg)
+	fr, err := resolveFigure(id, scale, seed, workers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg, ok := figRealfeelConfig(id, goldenScale, goldenSeed, 0); ok {
-		return RunRealfeel(cfg)
-	}
-	if id == "fig7" {
-		return RunRCIM(figRCIMConfig(goldenScale, goldenSeed, 0))
-	}
-	if id == "attrib-causes" {
-		return RunAttribution(goldenScale, goldenSeed, 0)
-	}
-	t.Fatalf("unknown figure %q", id)
-	return nil
+	result, _, csv = fr.run(salt)
+	return result, csv
 }
 
 // TestFigureGoldenHashes regenerates every figure's CSV export at the
@@ -83,26 +67,28 @@ func TestFigureGoldenHashes(t *testing.T) {
 		t.Skip("integration")
 	}
 	got := map[string]string{}
-	for _, id := range goldenFigures {
+	for _, id := range FigureIDs() {
 		csv, err := FigureCSV(id, goldenScale, goldenSeed, 0)
 		if err != nil {
 			t.Fatalf("FigureCSV(%s): %v", id, err)
 		}
-		got[id] = fnv1a(csv)
+		got[id] = HashBytes([]byte(csv))
 	}
 	checkGoldenHashes(t, "figure_hashes.txt",
 		"# FNV-1a hashes of FigureCSV(id, scale=0.05, seed=7).\n"+
 			"# Regenerate: go test ./internal/core -run TestFigureGoldenHashes -update\n",
-		goldenFigures, got)
+		FigureIDs(), got)
 }
 
 // TestExperimentGoldenHashes pins, byte for byte, the consumers the
-// figure goldens do not cover: every non-figure experiment report (the
-// ablations and extensions) and every sweep table, at the same pinned
-// scale and seed. Several of them (ablate-hyperthreading and the
-// ht-slowdown, bus-contention and softirq-netcost sweeps) run
-// RunDeterminism with their own loop sizes. The trace-capture:* ids pin
-// CaptureTrace's text and Chrome exports.
+// figure goldens do not cover: every experiment report (report:id for
+// the figures, the bare id for the ablations and extensions) and every
+// sweep table, at the same pinned scale and seed. Several of them
+// (ablate-hyperthreading and the ht-slowdown, bus-contention and
+// softirq-netcost sweeps) run RunDeterminism with their own loop sizes.
+// The trace-capture:* ids pin CaptureTrace's text and Chrome exports,
+// and the scenario:* ids pin each served scenario's content address and
+// admission cost as "key/cost_virtual_ms" at two request sizes.
 func TestExperimentGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -110,16 +96,33 @@ func TestExperimentGoldenHashes(t *testing.T) {
 	var ids []string
 	got := map[string]string{}
 	for _, e := range Experiments() {
-		if slices.Contains(goldenFigures, e.ID) {
-			continue
+		id := e.ID
+		if slices.Contains(FigureIDs(), e.ID) {
+			id = "report:" + e.ID
 		}
-		ids = append(ids, e.ID)
-		got[e.ID] = fnv1a(e.Run(goldenScale, goldenSeed, 0))
+		ids = append(ids, id)
+		got[id] = HashBytes([]byte(e.Run(goldenScale, goldenSeed, 0)))
+	}
+	for _, fig := range ServedScenarios() {
+		for _, size := range []float64{goldenScale, 1} {
+			scale, runFor := size, 0
+			id := fmt.Sprintf("scenario:%s/scale=%v", fig, scale)
+			if fig == ScenarioRefStock || fig == ScenarioRefShielded {
+				scale, runFor = 0, int(size*100)
+				id = fmt.Sprintf("scenario:%s/run_for_ms=%d", fig, runFor)
+			}
+			s, err := ResolveScenario(fig, scale, goldenSeed, runFor)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			ids = append(ids, id)
+			got[id] = fmt.Sprintf("%s/%d", s.Key(), s.CostVirtualMS())
+		}
 	}
 	for _, s := range Sweeps() {
 		id := "sweep:" + s.ID
 		ids = append(ids, id)
-		got[id] = fnv1a(RunSweep(s, goldenScale, goldenSeed, 0))
+		got[id] = HashBytes([]byte(RunSweep(s, goldenScale, goldenSeed, 0)))
 	}
 	buf := CaptureTrace(goldenScale, goldenSeed)
 	for _, f := range []struct {
@@ -131,10 +134,11 @@ func TestExperimentGoldenHashes(t *testing.T) {
 			t.Fatalf("%s: %v", f.id, err)
 		}
 		ids = append(ids, f.id)
-		got[f.id] = fnv1a(b.String())
+		got[f.id] = HashBytes([]byte(b.String()))
 	}
 	checkGoldenHashes(t, "experiment_hashes.txt",
-		"# FNV-1a hashes of Experiment.Run (non-figure ids), RunSweep (sweep:id) and CaptureTrace exports (trace-capture:format), scale=0.05, seed=7.\n"+
+		"# FNV-1a hashes of Experiment.Run (report:id for figures, bare id otherwise), RunSweep (sweep:id) and CaptureTrace exports (trace-capture:format), scale=0.05, seed=7;\n"+
+			"# scenario:id/size lines are ResolveScenario(id, ..., seed=7)'s Key()/CostVirtualMS().\n"+
 			"# Regenerate: go test ./internal/core -run TestExperimentGoldenHashes -update\n",
 		ids, got)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
@@ -47,8 +48,8 @@ func TestMustFinishAcceptsStoppedEngine(t *testing.T) {
 // completes (its start plus its elapsed time), not at the pass's
 // horizon: nothing after that instant is measured.
 func TestDeterminismPassEndsAtLastLoop(t *testing.T) {
-	cfg, _ := figDeterminismConfig("fig1", goldenScale, goldenSeed, 1)
-	cfg.Seed = sim.DeriveSeed(cfg.Seed, 0)
+	cfg := DefaultDeterminism(kernel.StandardLinux24(2, 1.4, true))
+	cfg.Seed = sim.DeriveSeed(sim.DeriveSeed(goldenSeed, streamFig1), 0)
 	const runs = 3
 	p := buildDeterminismPass(cfg, runs, true)
 	elapsed := p.run()

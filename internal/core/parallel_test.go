@@ -20,11 +20,9 @@ func TestDeterminismBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	cfg, _ := figDeterminismConfig("fig1", 0.1, 11, equivWorkers[0])
-	base := RunDeterminism(cfg)
+	base, _ := tableFigure(t, "fig1", 0.1, 11, equivWorkers[0], 0)
 	for _, w := range equivWorkers[1:] {
-		cfg.Workers = w
-		if got := RunDeterminism(cfg); !reflect.DeepEqual(base, got) {
+		if got, _ := tableFigure(t, "fig1", 0.1, 11, w, 0); !reflect.DeepEqual(base, got) {
 			t.Fatalf("workers=%d diverged from workers=1", w)
 		}
 	}

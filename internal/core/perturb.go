@@ -1,15 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"hash/fnv"
-
-	"repro/internal/runner"
-)
-
-// PerturbFigureIDs are the scenarios the schedule-perturbation sweep
-// re-runs: every figure the golden determinism-regression tests pin.
-var PerturbFigureIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "attrib-causes"}
+import "repro/internal/runner"
 
 // FigurePerturbation is the perturbation verdict for one figure.
 type FigurePerturbation struct {
@@ -17,10 +8,10 @@ type FigurePerturbation struct {
 	Report runner.PerturbReport
 }
 
-// RunPerturbFigures re-runs every figure under n seeded tie-break
-// perturbations (plus the FIFO baseline) and reports, per figure,
-// whether any permutation of same-instant event dispatch changed the
-// figure's data series. A divergence is a tie-break race somewhere in
+// RunPerturbFigures re-runs every figure in the figures table under n
+// seeded tie-break perturbations (plus the FIFO baseline) and reports,
+// per figure, whether any permutation of same-instant event dispatch
+// changed the figure's data series. A divergence is a tie-break race somewhere in
 // the model: a result that silently depends on the FIFO order of
 // simultaneous events rather than on the model itself.
 //
@@ -31,21 +22,13 @@ type FigurePerturbation struct {
 // runs (each run is single-threaded internally), so workers never
 // affects the verdict, only wall-clock time.
 func RunPerturbFigures(scale float64, seed uint64, workers, n int) []FigurePerturbation {
-	out := make([]FigurePerturbation, len(PerturbFigureIDs))
-	for i, id := range PerturbFigureIDs {
-		id := id
+	out := make([]FigurePerturbation, len(figures))
+	for i, f := range figures {
 		out[i] = FigurePerturbation{
-			ID: id,
+			ID: f.id,
 			Report: runner.Perturb(workers, seed, n, func(salt uint64) string {
-				csv, err := FigureCSVSalted(id, scale, seed, 1, salt)
-				if err != nil {
-					// The id list is static and valid; an error here is a
-					// programming bug, not an input problem.
-					panic(fmt.Sprintf("core: perturb %s: %v", id, err))
-				}
-				h := fnv.New64a()
-				h.Write([]byte(csv))
-				return fmt.Sprintf("%016x", h.Sum64())
+				_, _, csv := f.resolve(f.id, scale, seed, 1).run(salt)
+				return HashBytes([]byte(csv))
 			}),
 		}
 	}

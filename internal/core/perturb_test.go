@@ -26,7 +26,7 @@ func TestRunPerturbFiguresInvariant(t *testing.T) {
 	}
 }
 
-// FigureCSVSalted at salt 0 must be FigureCSV, bit for bit — the
+// A figure's CSV series at salt 0 must be FigureCSV, bit for bit — the
 // baseline of every perturbation report is the published series.
 func TestFigureCSVSaltedZeroIsBaseline(t *testing.T) {
 	if testing.Short() {
@@ -36,17 +36,14 @@ func TestFigureCSVSaltedZeroIsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	salted, err := FigureCSVSalted("fig7", 0.02, 7, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != salted {
-		t.Fatal("FigureCSVSalted(salt=0) differs from FigureCSV")
+	if _, salted := tableFigure(t, "fig7", 0.02, 7, 1, 0); plain != salted {
+		t.Fatal("salt-0 CSV series differs from FigureCSV")
 	}
 }
 
+// An id outside the figures table resolves to an error, not a run.
 func TestFigureCSVSaltedUnknownID(t *testing.T) {
-	if _, err := FigureCSVSalted("fig99", 1, 1, 1, 3); err == nil {
+	if _, err := resolveFigure("fig99", 1, 1, 1); err == nil {
 		t.Fatal("unknown figure id did not error")
 	}
 }

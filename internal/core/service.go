@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -77,19 +78,14 @@ type Scenario struct {
 	RunFor sim.Duration
 
 	canonical string
+	cost      int64 // virtual ms, figures only
 }
 
 // ServedScenarios lists every scenario id the service accepts, figure
 // family first, in serving-catalogue order.
 func ServedScenarios() []string {
-	ids := make([]string, 0, len(goldenFigureIDs)+2)
-	ids = append(ids, goldenFigureIDs...)
-	return append(ids, ScenarioRefStock, ScenarioRefShielded)
+	return append(FigureIDs(), ScenarioRefStock, ScenarioRefShielded)
 }
-
-// goldenFigureIDs mirrors the golden-hash figure set: the figures with
-// a canonical CSV series, i.e. the cacheable figure scenarios.
-var goldenFigureIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "attrib-causes"}
 
 // ResolveScenario validates one request and computes its canonical
 // encoding. figure names either a CSV-bearing figure (fig1..fig7,
@@ -136,35 +132,16 @@ func ResolveScenario(figure string, scale float64, seed uint64, runForMS int) (S
 	if !(scale > 0) || math.IsInf(scale, 1) || scale > 10_000 {
 		return Scenario{}, fmt.Errorf("core: scenario %s: scale must be in (0, 10000], got %v", figure, scale)
 	}
-	s := Scenario{Kind: KindFigure, Figure: figure, Scale: scale, Seed: seed}
+	fr, err := resolveFigure(figure, scale, seed, 0)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("core: unknown scenario %q (figures %s, or ref-stock/ref-shielded)", figure, strings.Join(FigureIDs(), ", "))
+	}
 	// The canonical encoding is the *resolved* configuration — derived
 	// seed streams, floored sample counts, the full kernel config —
 	// rendered with non-semantic knobs erased. Two requests that floor
 	// to the same resolved run share one encoding.
-	if cfg, ok := figDeterminismConfig(figure, scale, seed, 0); ok {
-		cfg.Kernel = CanonicalKernelConfig(cfg.Kernel)
-		s.canonical = fmt.Sprintf("%s|det|%s|%+v", scenarioEncodingVersion, figure, cfg)
-		return s, nil
-	}
-	if cfg, ok := figRealfeelConfig(figure, scale, seed, 0); ok {
-		cfg.Kernel = CanonicalKernelConfig(cfg.Kernel)
-		s.canonical = fmt.Sprintf("%s|rf|%s|%+v", scenarioEncodingVersion, figure, cfg)
-		return s, nil
-	}
-	if figure == "fig7" {
-		cfg := figRCIMConfig(scale, seed, 0)
-		cfg.Kernel = CanonicalKernelConfig(cfg.Kernel)
-		s.canonical = fmt.Sprintf("%s|rcim|%s|%+v", scenarioEncodingVersion, figure, cfg)
-		return s, nil
-	}
-	if figure == "attrib-causes" {
-		stock, shielded := figAttribConfigs(scale, seed, 0)
-		stock.Kernel = CanonicalKernelConfig(stock.Kernel)
-		shielded.Kernel = CanonicalKernelConfig(shielded.Kernel)
-		s.canonical = fmt.Sprintf("%s|attrib|%s|stock=%+v|shielded=%+v", scenarioEncodingVersion, figure, stock, shielded)
-		return s, nil
-	}
-	return Scenario{}, fmt.Errorf("core: unknown scenario %q (figures fig1..fig7, attrib-causes, or ref-stock/ref-shielded)", figure)
+	return Scenario{Kind: KindFigure, Figure: figure, Scale: scale, Seed: seed,
+		canonical: scenarioEncodingVersion + "|" + fr.canonical(), cost: fr.costMS}, nil
 }
 
 // Canonical returns the scenario's canonical encoding — the preimage of
@@ -195,45 +172,19 @@ func (s Scenario) ImageKey() (string, error) {
 
 // CostVirtualMS estimates the scenario's cost in virtual milliseconds —
 // the admission-budget unit. It is an a-priori estimate from the
-// resolved configuration (sample counts × period, runs × loop length),
-// not a measurement, so admission can refuse an oversized request with
-// a typed budget error before any work starts.
+// resolved configuration (boot horizon plus window for a continuation,
+// the figures-table cost for a figure), not a measurement, so admission
+// can refuse an oversized request before any work starts.
 func (s Scenario) CostVirtualMS() int64 {
-	switch {
-	case s.Kind == KindContinuation:
+	if s.Kind == KindContinuation {
 		return int64((refBootHorizon + s.RunFor) / sim.Millisecond)
-	case s.Figure == "fig7":
-		cfg := figRCIMConfig(s.Scale, s.Seed, 0)
-		return int64(cfg.Samples) * int64(cfg.Period/sim.Millisecond)
-	case s.Figure == "attrib-causes":
-		stock, shielded := figAttribConfigs(s.Scale, s.Seed, 0)
-		return int64(stock.Samples)*int64(stock.Period/sim.Millisecond) +
-			int64(shielded.Samples)*int64(shielded.Period/sim.Millisecond)
-	default:
-		if cfg, ok := figDeterminismConfig(s.Figure, s.Scale, s.Seed, 0); ok {
-			// Six placements of max(Runs/6, 3) timed loops plus the
-			// three-run unloaded calibration pass (see RunDeterminism).
-			// Each pass stops at its last timed loop, so this tracks the
-			// simulated time to within loop jitter.
-			per := cfg.Runs / 6
-			if per < 3 {
-				per = 3
-			}
-			loops := int64(6*per + 3)
-			return loops * int64(cfg.LoopWork/sim.Millisecond)
-		}
-		if cfg, ok := figRealfeelConfig(s.Figure, s.Scale, s.Seed, 0); ok {
-			// One sample per RTC period (1000/Hz ms).
-			return int64(cfg.Samples) * 1000 / int64(cfg.Hz)
-		}
-		return 0
 	}
+	return s.cost
 }
 
-// HashBytes is the FNV-1a fingerprint of arbitrary result bytes, in the
-// same 16-hex-digit format as ImageHash and the committed figure
-// goldens. It is the service's result-integrity hash and the soak
-// oracle's comparison unit.
+// HashBytes is the FNV-1a fingerprint of arbitrary bytes in 16 hex
+// digits: snapshot images, figure CSVs (the committed goldens), scenario
+// keys and the service's result-integrity hash all use it.
 func HashBytes(b []byte) string {
 	h := fnv.New64a()
 	h.Write(b)
@@ -275,7 +226,7 @@ func continuationResult(s Scenario, sys *System) ([]byte, error) {
 	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "scenario=%s seed=%d run_for=%v\n", s.Figure, s.Seed, s.RunFor)
-	fmt.Fprintf(&b, "t=%v hash=%s bytes=%d\n", sys.K.Now(), ImageHash(img), len(img))
+	fmt.Fprintf(&b, "t=%v hash=%s bytes=%d\n", sys.K.Now(), HashBytes(img), len(img))
 	return b.Bytes(), nil
 }
 

@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/kernel"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -186,8 +184,7 @@ func TestContinuationColdWarmIdentical(t *testing.T) {
 }
 
 // TestCostVirtualMS: the admission cost model is positive for every
-// served scenario, scales with the request, and composes with the
-// runner budget check into the typed refusal.
+// served scenario and scales with the request.
 func TestCostVirtualMS(t *testing.T) {
 	for _, fig := range ServedScenarios() {
 		scale, runFor := 0.05, 0
@@ -210,11 +207,5 @@ func TestCostVirtualMS(t *testing.T) {
 	}
 	if got := small.CostVirtualMS(); got != int64((refBootHorizon+10*sim.Millisecond)/sim.Millisecond) {
 		t.Fatalf("continuation cost = %d, want boot+window", got)
-	}
-
-	err := runner.CheckBudget(big.CostVirtualMS(), small.CostVirtualMS(), "virtual-ms")
-	var be *runner.BudgetError
-	if !errors.As(err, &be) || be.Unit != "virtual-ms" {
-		t.Fatalf("over-budget scenario did not yield typed *BudgetError (got %v)", err)
 	}
 }

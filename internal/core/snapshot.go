@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -228,14 +227,6 @@ func bootImage(ref ReferenceMachine, seed uint64, pool *sim.EventPool) ([]byte, 
 	return s.K.Snapshot()
 }
 
-// ImageHash is the FNV-1a fingerprint of a snapshot image, the unit the
-// golden snapshot claims compare.
-func ImageHash(img []byte) string {
-	h := fnv.New64a()
-	h.Write(img)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // resumeHorizon is how far past the checkpoint the resume-equivalence
 // probes run both sides.
 const resumeHorizon = 30 * sim.Millisecond
@@ -274,9 +265,9 @@ func resumeEquivalent(ref ReferenceMachine, seed uint64) (string, error) {
 	}
 	if !bytes.Equal(imgA, imgB) {
 		return "", fmt.Errorf("resumed run diverged: uninterrupted %s vs resumed %s",
-			ImageHash(imgA), ImageHash(imgB))
+			HashBytes(imgA), HashBytes(imgB))
 	}
-	return ImageHash(imgA), nil
+	return HashBytes(imgA), nil
 }
 
 // warmContinuationHash restores the shared post-boot image with a warm
@@ -302,7 +293,7 @@ func warmContinuationHash(ref ReferenceMachine, seed uint64, img []byte, salt ui
 	if err != nil {
 		return "", err
 	}
-	return ImageHash(img2), nil
+	return HashBytes(img2), nil
 }
 
 // SnapshotChecks runs the snapshot claim set: resume equivalence, golden
@@ -338,7 +329,7 @@ func SnapshotChecks(seed uint64) []CheckResult {
 		}
 		reused := pool.Stats().Reuses
 		detail = fmt.Sprintf("post-boot image %s on a fresh pool and %s on a warmed one (%d nodes reused)",
-			ImageHash(sharedImg), ImageHash(warmImg), reused)
+			HashBytes(sharedImg), HashBytes(warmImg), reused)
 		if imgErr != nil {
 			detail = imgErr.Error()
 		}

@@ -94,18 +94,3 @@ func TestMapSeededPooledCtxCancelledBeforeStart(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckBudget pins the helper's contract for non-map cost models.
-func TestCheckBudget(t *testing.T) {
-	if err := CheckBudget(100, 0, "virtual-ms"); err != nil {
-		t.Fatalf("unlimited budget refused: %v", err)
-	}
-	if err := CheckBudget(100, 100, "virtual-ms"); err != nil {
-		t.Fatalf("at-budget request refused: %v", err)
-	}
-	err := CheckBudget(101, 100, "virtual-ms")
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Unit != "virtual-ms" {
-		t.Fatalf("err = %v, want *BudgetError with unit virtual-ms", err)
-	}
-}

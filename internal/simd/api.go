@@ -33,13 +33,13 @@ type ScenarioRequest struct {
 	Workers  int     `json:"workers,omitempty"`
 }
 
-// maxRequestBytes caps a POST /v1/scenarios body. A real request is
-// about 100 bytes; anything past the cap is refused with 413 before it
-// is buffered.
+// maxRequestBytes caps a request body on every route. A real scenario
+// request is about 100 bytes; anything past the cap is refused with 413
+// instead of being buffered whole.
 const maxRequestBytes = 64 << 10
 
-// BodyReadTimeout bounds how long a POST /v1/scenarios body may take to
-// arrive once its header is in, so a client that stalls mid-body cannot
+// BodyReadTimeout bounds how long a request body, on any route, may take
+// to arrive once its header is in, so a client that stalls mid-body cannot
 // hold its connection and handler goroutine forever. It bounds only the
 // body read: a ?wait=1 reply or an event stream may take far longer.
 const BodyReadTimeout = 5 * time.Second

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -304,7 +305,34 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/figures", s.handleFigures)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	return mux
+	return readBody(mux)
+}
+
+// readBody reads every request body to its end, at most
+// maxRequestBytes and within BodyReadTimeout, before next runs, so no
+// route leaves unread bytes for net/http to wait on without a deadline.
+// The deadline is then cleared (a ?wait=1 reply or an event stream may
+// take far longer); after a failed read it stays, so the connection
+// closes after the error reply. A writer without deadline support (a
+// test recorder) reads unbounded.
+func readBody(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+				return
+			}
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request body: " + err.Error()})
+			return
+		}
+		_ = rc.SetReadDeadline(time.Time{})
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		next.ServeHTTP(w, r)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -326,38 +354,21 @@ func (s *Server) writeResult(w http.ResponseWriter, cache string, body []byte) {
 // for the result bytes; otherwise the response is a JobStatus.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioRequest
-	// The deadline is cleared only once the body is read to its end, so
-	// no unread bytes are left for net/http to wait on. On a failed read
-	// it stays: net/http's drain of the rest then fails at once and the
-	// connection closes after the error reply. A writer without deadline
-	// support (a test recorder) returns an error and reads unbounded.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	err := json.NewDecoder(body).Decode(&req)
-	if err == nil {
-		_, err = io.Copy(io.Discard, body)
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request body: " + err.Error()})
 		return
 	}
-	_ = rc.SetReadDeadline(time.Time{})
 	sc, err := core.ResolveScenario(req.Figure, req.Scale, req.Seed, req.RunForMS)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	if err := runner.CheckBudget(sc.CostVirtualMS(), s.cfg.BudgetVirtualMS, "virtual-ms"); err != nil {
+	if cost, budget := sc.CostVirtualMS(), s.cfg.BudgetVirtualMS; budget > 0 && cost > budget {
 		s.rejBudget.Add(1)
-		var be *runner.BudgetError
-		errors.As(err, &be)
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Requested: be.Requested, Budget: be.Budget})
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{
+			Error:     fmt.Sprintf("runner: budget exceeded: requested %d virtual-ms, budget %d", cost, budget),
+			Requested: cost, Budget: budget,
+		})
 		return
 	}
 	wait := r.URL.Query().Get("wait") == "1"

@@ -196,8 +196,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 }
 
 // TestBudgetRefusal: a scenario whose virtual-ms cost exceeds the
-// configured budget gets a 422 carrying the typed budget numbers, and
-// nothing is enqueued or run.
+// configured budget gets a 422 carrying the budget numbers, and nothing
+// is enqueued or run. A cost equal to the budget is admitted, and a
+// budget of 0 is unlimited.
 func TestBudgetRefusal(t *testing.T) {
 	srv, ts := testServer(t, Config{Workers: 1, BudgetVirtualMS: 100}, func(sc core.Scenario, pool *sim.EventPool) ([]byte, error) {
 		if sc.RunFor >= 500*sim.Millisecond {
@@ -213,19 +214,32 @@ func TestBudgetRefusal(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &eb); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Requested != 540 || eb.Budget != 100 {
-		t.Fatalf("budget body %+v, want requested 540 budget 100", eb)
+	want := errorBody{Error: "runner: budget exceeded: requested 540 virtual-ms, budget 100", Requested: 540, Budget: 100}
+	if eb != want {
+		t.Fatalf("budget body %+v, want %+v", eb, want)
 	}
 	if srv.Stats().RejectedBudget != 1 {
 		t.Fatal("budget rejection not counted")
 	}
 
-	// Within budget passes admission.
-	ok := post(t, ts, "/v1/scenarios", ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 1, RunForMS: 10})
-	if ok.StatusCode != http.StatusAccepted {
-		t.Fatalf("within-budget status %d, want 202", ok.StatusCode)
+	// Within budget, and exactly at it (40 ms boot + 60 ms window),
+	// passes admission.
+	for _, runFor := range []int{10, 60} {
+		ok := post(t, ts, "/v1/scenarios", ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 1, RunForMS: runFor})
+		if ok.StatusCode != http.StatusAccepted {
+			t.Fatalf("run_for_ms=%d: within-budget status %d, want 202", runFor, ok.StatusCode)
+		}
+		readAll(t, ok)
 	}
-	readAll(t, ok)
+
+	// No budget admits the request the budgeted server refused.
+	_, unlimited := testServer(t, Config{Workers: 1}, func(core.Scenario, *sim.EventPool) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	ok := post(t, unlimited, "/v1/scenarios?wait=1", ScenarioRequest{Figure: core.ScenarioRefStock, Seed: 1, RunForMS: 500})
+	if got := string(readAll(t, ok)); ok.StatusCode != http.StatusOK || got != "ok" {
+		t.Fatalf("unlimited budget: status %d body %q, want 200 ok", ok.StatusCode, got)
+	}
 }
 
 // TestOversizedBodyRefused: a request body past maxRequestBytes is
