@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
@@ -34,5 +35,47 @@ func TestReferenceAllocsPerEvent(t *testing.T) {
 	t.Logf("%d events, %.3f allocs/event, %.1f B/event", fired, perEvent, float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(fired))
 	if perEvent > 0.05 {
 		t.Fatalf("%.3f allocs per fired event, want <= 0.05", perEvent)
+	}
+}
+
+// TestFigureAllocsPerRun pins the allocation count of one fig5–7
+// interrupt-response run at a fixed seed — the BenchmarkFig5/6/7 bodies,
+// machine build included. The stress and X11 workloads reuse their
+// syscall definitions (ttcp receive, FIFO read and write, the X server's
+// BKL ioctl), so what is left is mostly setup, the disk backlog and the
+// kernel timer wheel. Measured: 11,653, 5,553 and 3,122 allocations
+// (17,738, 6,039 and 9,637 when those four definitions were allocated
+// per call); each bound is about 1.1x the measured count.
+func TestFigureAllocsPerRun(t *testing.T) {
+	for _, fig := range []struct {
+		name  string
+		bound uint64
+		run   func()
+	}{
+		{"fig5", 12_800, func() {
+			rf := DefaultRealfeel(kernel.StandardLinux24(2, 0.933, false))
+			rf.Samples, rf.Seed, rf.Workers = 60_000, 1, 1
+			RunRealfeel(rf)
+		}},
+		{"fig6", 6_100, func() {
+			rf := DefaultRealfeel(kernel.RedHawk14(2, 0.933))
+			rf.Samples, rf.Shield, rf.Seed, rf.Workers = 60_000, true, 1, 1
+			RunRealfeel(rf)
+		}},
+		{"fig7", 3_450, func() {
+			rc := DefaultRCIM(kernel.RedHawk14(2, 2.0))
+			rc.Samples, rc.Seed, rc.Workers = 40_000, 1, 1
+			RunRCIM(rc)
+		}},
+	} {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		fig.run()
+		runtime.ReadMemStats(&ms1)
+		allocs := ms1.Mallocs - ms0.Mallocs
+		t.Logf("%s: %d allocs, %d B", fig.name, allocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		if allocs > fig.bound {
+			t.Errorf("%s: %d allocations in one run, want <= %d", fig.name, allocs, fig.bound)
+		}
 	}
 }

@@ -51,6 +51,8 @@ type diffMachine struct {
 	refs   [diffTimers]refTimer
 	// tfires counts each timer's firings, bounding self re-arms.
 	tfires [diffTimers]int
+	// bodyErr is the first heap defect a scan inside a timer body found.
+	bodyErr string
 }
 
 // newDiffMachine builds a machine with real timers, or with refTimers
@@ -95,27 +97,53 @@ func (m *diffMachine) timerArmed(i int) bool {
 	return m.timers[i].Armed()
 }
 
-// timerFired is timer i's body; fires are recorded as slot -1-i. Timer
-// 0 is periodic (a bounded tick), timer 1 re-arms timer 2 for the
-// current instant, and timer 2 disarms timer 0 and spawns a
-// same-instant plain event.
+// timerFired is timer i's body; fires are recorded as slot -1-i. The
+// bodies cover what a body can do to the slot its timer fires from:
+//
+//   - timer 0 is a periodic tick that re-arms itself, and on some fires
+//     first disarms itself (a no-op on a firing timer) or re-arms and
+//     then disarms itself, leaving it disarmed;
+//   - timer 1 re-arms timer 2 for the current instant and, on odd
+//     fires, itself for the current instant;
+//   - timer 2 disarms timer 0, spawns a same-instant plain event and on
+//     every third fire arms the unpinned timer 1 for the current
+//     instant, which under a salt may sift above its own firing slot.
+//
+// Each body ends with a scan of the heaps, so a slot corrupted while a
+// body runs is caught there and not only after the op.
 func (m *diffMachine) timerFired(i int) {
 	m.fires = append(m.fires, fireRec{slot: -1 - i, at: m.e.Now()})
 	m.tfires[i]++
-	switch i {
+	now := m.e.Now()
+	switch k := m.tfires[i]; i {
 	case 0:
-		if m.tfires[0] < 64 {
-			m.armTimer(0, m.e.Now().Add(Duration(3+m.tfires[0]%5)*Microsecond))
+		if k < 64 {
+			if k%4 == 2 {
+				m.disarmTimer(0)
+			}
+			m.armTimer(0, now.Add(Duration(3+k%5)*Microsecond))
+			if k%8 == 5 {
+				m.disarmTimer(0)
+			}
 		}
 	case 1:
-		if m.tfires[1] < 64 {
-			m.armTimer(2, m.e.Now())
+		if k < 64 {
+			m.armTimer(2, now)
+			if k%2 == 1 {
+				m.armTimer(1, now)
+			}
 		}
 	case 2:
 		m.disarmTimer(0)
 		if m.slots < 4096 {
-			m.schedule(m.e.Now())
+			m.schedule(now)
 		}
+		if k < 64 && k%3 == 0 {
+			m.armTimer(1, now)
+		}
+	}
+	if msg := m.scan(); msg != "" && m.bodyErr == "" {
+		m.bodyErr = fmt.Sprintf("in timer %d's body at %v: %s", i, now, msg)
 	}
 }
 
@@ -212,16 +240,30 @@ func (m *diffMachine) timerOp(a int) {
 }
 
 // scanHeap checks h by linear scan, without the heap code: every
-// node's hidx is its position and the root is the eventOrder minimum.
-// It returns a description of the first defect, or "".
+// slot's hidx is its position, every inline key is its node's (At,
+// tie-break key), and the root is the (At, key, seq) minimum. It
+// returns a description of the first defect, or "".
 func scanHeap(o eventOrder, h *nodeHeap) string {
-	for i, n := range h.items {
+	precedes := func(a, b *eventNode) bool {
+		if a.At != b.At {
+			return a.At < b.At
+		}
+		if ka, kb := o.key(a), o.key(b); ka != kb {
+			return ka < kb
+		}
+		return a.seq < b.seq
+	}
+	for i, it := range h.items {
+		n := it.n
 		if n.hidx != i {
 			return fmt.Sprintf("node at position %d (seq %d) has hidx %d", i, n.seq, n.hidx)
 		}
-		if i > 0 && o.less(n, h.items[0]) {
+		if it.at != n.At || it.key != o.key(n) {
+			return fmt.Sprintf("slot %d holds key (%v, %d) for node (%v, %d)", i, it.at, it.key, n.At, o.key(n))
+		}
+		if root := h.items[0].n; i > 0 && precedes(n, root) {
 			return fmt.Sprintf("node at position %d (%v, seq %d) precedes the root (%v, seq %d)",
-				i, n.At, n.seq, h.items[0].At, h.items[0].seq)
+				i, n.At, n.seq, root.At, root.seq)
 		}
 	}
 	return ""
@@ -262,6 +304,11 @@ func diffRun(t *testing.T, ops []byte, salt uint64) []fireRec {
 	}
 	ref.e.RunAll()
 	tim.e.RunAll()
+	for _, m := range []*diffMachine{ref, tim} {
+		if m.bodyErr != "" {
+			t.Fatalf("plain=%v machine: %s", m.plain, m.bodyErr)
+		}
+	}
 	if ref.e.Fired() != tim.e.Fired() {
 		t.Fatalf("fired diverged: refTimer %d, Timer %d", ref.e.Fired(), tim.e.Fired())
 	}
@@ -287,7 +334,8 @@ func diffRun(t *testing.T, ops []byte, salt uint64) []fireRec {
 // paths: equal-At pinned/unpinned mixes, schedules tens of ms out,
 // schedules behind far events after an idle Run, double disarm, timer
 // ops during dispatch, and timer arm/re-arm/disarm/fire against
-// same-instant ties.
+// same-instant ties, and timer bodies that disarm, re-arm or leave
+// their own timer while it holds its firing slot.
 func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x08, 0x10, 0x18}, uint64(0))
 	// Same-instant bursts (op 3) mixing pinned and unpinned, salted.
@@ -300,6 +348,9 @@ func FuzzDiffQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x04, 0x04, 0x0c, 0x05, 0x0d, 0x16}, uint64(42))
 	// Timers: arm now and near, re-arm, disarm, amid same-instant bursts.
 	f.Add([]byte{0x86, 0x8e, 0x96, 0x23, 0xa6, 0x06, 0xde, 0x1e, 0xe6, 0x1e}, uint64(0x71e))
+	// Timer bodies that disarm, re-arm or leave their own timer, and arm
+	// another for the current instant under a salt.
+	f.Add([]byte{0x9e, 0xff, 0x9e, 0xff, 0x8e, 0x96, 0x1e, 0xff}, uint64(0x5a17))
 	f.Fuzz(func(t *testing.T, ops []byte, salt uint64) {
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -326,6 +377,12 @@ func TestDiffQueueScenarios(t *testing.T) {
 		// fired through bursts, bounded runs and an idle run.
 		{"timer_arm_rearm_fire", []byte{0x86, 0x8e, 0x96, 0x9e, 0xa6, 0xae, 0x23, 0xce, 0xd6, 0x1e, 0x1e, 0xff, 0x86, 0x1e}, 0},
 		{"timer_disarm_salted", []byte{0x8e, 0x96, 0xb6, 0x23, 0xbe, 0xc6, 0x2b, 0xf6, 0x8e, 0x1e, 0x3f}, 0xfeed},
+		// Timer 0's periodic body, re-armed between long runs: its fires
+		// re-arm, disarm-then-re-arm and re-arm-then-disarm itself.
+		{"timer_body_self_disarm", []byte{0x9e, 0xff, 0x9e, 0xff, 0x9e, 0x1e, 0xff, 0x9e, 0xff}, 0},
+		// Timers 1 and 2 arm each other for the current instant under a
+		// salt, so an armed timer can sift above the firing slot.
+		{"timer_body_sift_above_salted", []byte{0x8e, 0x96, 0x1e, 0x8e, 0x23, 0x96, 0x1e, 0xff, 0x8e, 0x86, 0x96, 0xff}, 0x5a17},
 	}
 	for _, sc := range scenarios {
 		sc := sc

@@ -9,8 +9,10 @@ import "fmt"
 // The hot path is allocation-free: one-shot event storage comes from a
 // free-list pool (EventPool), Timers embed their own node, and both
 // kinds wait in indexed binary heaps (nodeHeap) with O(log n) push and
-// pop. None of it is visible in results — the dispatch order is the
-// eventOrder total order regardless of node recycling or heap layout.
+// pop. Each dispatched event costs one heap pass: one peek picks it, a
+// one-shot is popped, and a timer fires in place (see fireTimer). None
+// of it is visible in results — the dispatch order is the eventOrder
+// total order regardless of node recycling or heap layout.
 type Engine struct {
 	now Time
 	// q holds the pending one-shot events, ordered by ord.
@@ -18,6 +20,10 @@ type Engine struct {
 	// timers holds the armed Timers' embedded nodes, ordered by ord.
 	// Dispatch merges its head with q's.
 	timers nodeHeap
+	// firing is the node of the Timer whose body is running, left at
+	// its timer-heap slot so that a re-arm from the body is one fix
+	// there; nil when no timer body runs or once the body re-armed it.
+	firing *eventNode
 	// pool recycles event nodes; possibly shared with other engines on
 	// the same goroutine (see runner.MapSeededPooled).
 	pool *EventPool
@@ -141,7 +147,7 @@ func (e *Engine) schedule(at Time, fn func(), tag EventTag) {
 	n.fn = fn
 	n.tag = tag
 	e.nextSeq++
-	e.q.push(e.ord, n)
+	e.q.push(e.ord.item(n))
 	e.sanOnSchedule(n)
 }
 
@@ -161,26 +167,84 @@ func (e *Engine) AfterTagged(d Duration, tag EventTag, fn func()) {
 	e.ScheduleTagged(e.now.Add(d), tag, fn)
 }
 
-// peekLive returns the next pending node without removing it: the
-// lesser in eventOrder of the one-shot head and the timer-heap head.
-func (e *Engine) peekLive() *eventNode {
-	n := e.q.peek()
-	if t := e.timers.peek(); t != nil && (n == nil || e.ord.less(t, n)) {
-		return t
+// next returns the next pending node without removing it — the lesser
+// in eventOrder of the one-shot head and the timer-heap head — and
+// whether it is the timer head. It is the dispatch loop's one peek per
+// event, so it does not skip a firing timer's slot: the loop calls it
+// only between events, when no body is running.
+func (e *Engine) next() (n *eventNode, timer bool) {
+	q, t := e.q.items, e.timers.items
+	if len(t) > 0 && (len(q) == 0 || t[0].before(&q[0])) {
+		return t[0].n, true
 	}
-	return n
+	if len(q) > 0 {
+		return q[0].n, false
+	}
+	return nil, false
 }
 
-// fireHead dispatches n, the pending node peekLive just returned: the
-// timer-heap head or the one-shot head. A one-shot node is recycled
-// *before* the callback runs, so the callback may schedule into the
-// node it came from.
-func (e *Engine) fireHead(n *eventNode) {
-	if n == e.timers.peek() {
-		e.fireTimer(n)
-		return
+// peekLive returns the next pending node, like next, but also from
+// inside a timer body, where the firing timer's slot is in the heap but
+// not pending. That slot keeps heap order, so the least other timer is
+// the root or, when the firing slot is the root, one of its children.
+func (e *Engine) peekLive() *eventNode {
+	var best *heapItem
+	if len(e.q.items) > 0 {
+		best = &e.q.items[0]
 	}
-	e.q.remove(e.ord, 0)
+	for i := range min(3, len(e.timers.items)) {
+		if it := &e.timers.items[i]; it.n != e.firing && (best == nil || it.before(best)) {
+			best = it
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	return best.n
+}
+
+// maxTime is the last representable instant: Step and RunAll dispatch
+// with no time bound.
+const maxTime = Time(1<<63 - 1)
+
+// dispatch fires pending events in eventOrder while the next one is due
+// at or before until, moving the clock to each event's instant — so
+// events that callbacks schedule for the current instant join it in
+// tie-break order. With one set it returns after the first event;
+// otherwise Stop ends it after the current event. It reports whether
+// anything fired. Run, RunAll and Step share it, and it is the hot-path
+// root for the hotalloc analyzer (user callbacks are not pulled in: they
+// resolve through the node's fn field, which the call graph deliberately
+// leaves opaque).
+//
+//simlint:hotpath
+func (e *Engine) dispatch(until Time, one bool) bool {
+	if e.firing != nil {
+		panic("sim: Run, RunAll or Step called from a timer body")
+	}
+	for fired := false; ; fired = true {
+		n, timer := e.next()
+		if n == nil || n.At > until {
+			return fired
+		}
+		e.sanOnAdvance(n.At)
+		e.now = n.At
+		if timer {
+			e.fireTimer(n)
+		} else {
+			e.fireOneShot(n)
+		}
+		if one || e.stopped {
+			return true
+		}
+	}
+}
+
+// fireOneShot dispatches n, the one-shot queue's head. The node is
+// recycled *before* the callback runs, so the callback may schedule
+// into the node it came from.
+func (e *Engine) fireOneShot(n *eventNode) {
+	e.q.remove(0)
 	e.sanOnPop(n)
 	fn := n.fn
 	e.fired++
@@ -188,37 +252,9 @@ func (e *Engine) fireHead(n *eventNode) {
 	fn()
 }
 
-// runBatch sets the clock to at and dispatches every event at exactly
-// that instant in one pass — including events the callbacks themselves
-// schedule for the current instant, which join the batch in tie-break
-// order. Stop interrupts the batch after the current event. It is a
-// hot-path root for the hotalloc analyzer (the dispatch loop itself;
-// user callbacks are not pulled in — they resolve through the node's
-// fn field, which the call graph deliberately leaves opaque).
-//
-//simlint:hotpath
-func (e *Engine) runBatch(at Time) {
-	e.sanOnAdvance(at)
-	e.now = at
-	for !e.stopped {
-		n := e.peekLive()
-		if n == nil || n.At != at {
-			return
-		}
-		e.fireHead(n)
-	}
-}
-
 // Step dispatches the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	n := e.peekLive()
-	if n == nil {
-		return false
-	}
-	e.sanOnAdvance(n.At)
-	e.now = n.At
-	e.fireHead(n)
-	return true
+	return e.dispatch(maxTime, true)
 }
 
 // Run dispatches events until the queue is empty, until is reached, or
@@ -226,13 +262,7 @@ func (e *Engine) Step() bool {
 // the engine stopped at.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		next := e.peekLive()
-		if next == nil || next.At > until {
-			break
-		}
-		e.runBatch(next.At)
-	}
+	e.dispatch(until, false)
 	if e.now < until && !e.stopped {
 		e.now = until
 	}
@@ -242,13 +272,7 @@ func (e *Engine) Run(until Time) Time {
 // RunAll dispatches events until the queue drains or Stop is called.
 func (e *Engine) RunAll() Time {
 	e.stopped = false
-	for !e.stopped {
-		next := e.peekLive()
-		if next == nil {
-			break
-		}
-		e.runBatch(next.At)
-	}
+	e.dispatch(maxTime, false)
 	return e.now
 }
 
@@ -261,4 +285,12 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued events, armed timers included.
-func (e *Engine) Pending() int { return len(e.q.items) + len(e.timers.items) }
+// A timer whose body is running is not pending unless the body re-armed
+// it.
+func (e *Engine) Pending() int {
+	n := len(e.q.items) + len(e.timers.items)
+	if e.firing != nil {
+		n--
+	}
+	return n
+}

@@ -267,7 +267,7 @@ func TestCancelInteriorEvents(t *testing.T) {
 		e.DisarmTimer(&timers[i])
 		removed++
 	}
-	e.timers.validate(e.ord, "timer heap", func(msg string) { t.Fatal(msg) })
+	e.timers.validate(e.ord, nil, "timer heap", func(msg string) { t.Fatal(msg) })
 	if got := e.Pending(); got != 100-removed {
 		t.Fatalf("Pending() = %d, want %d", got, 100-removed)
 	}

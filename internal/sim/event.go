@@ -39,8 +39,9 @@ type eventNode struct {
 	// internal/kernel are the dynamic analogue of a //simlint:allow
 	// directive — each one documents the hardware arbitration it models.
 	pinned bool
-	// hidx is the node's position in the engine heap holding it (the
-	// one-shot queue or the timer heap) while pending.
+	// hidx is the node's slot in the engine heap holding it (the
+	// one-shot queue or the timer heap) while pending, and while its
+	// Timer's body runs (Engine.firing).
 	hidx int
 	// tag is the event's registered kind plus its constructor arguments
 	// (ScheduleTagged and friends). A tagged event can be serialised and
@@ -86,15 +87,13 @@ func (o eventOrder) key(n *eventNode) uint64 {
 	return tiebreakMix(o.salt, n.seq)
 }
 
-// less is the strict total dispatch order.
+// item returns n's heap slot: its fire time and tie-break key inline.
+func (o eventOrder) item(n *eventNode) heapItem {
+	return heapItem{at: n.At, key: o.key(n), n: n}
+}
+
+// less is the strict total dispatch order (heapItem.before).
 func (o eventOrder) less(a, b *eventNode) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if o.salt != 0 {
-		if ka, kb := o.key(a), o.key(b); ka != kb {
-			return ka < kb
-		}
-	}
-	return a.seq < b.seq
+	x, y := o.item(a), o.item(b)
+	return x.before(&y)
 }

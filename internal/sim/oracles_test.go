@@ -65,7 +65,7 @@ func (t *refTimer) restore(e *Engine, at Time, seq uint64) {
 	n := e.pool.get()
 	n.At, n.seq, n.fn, n.pinned, n.tag = at, seq, t.fire, t.pinned, t.tag
 	t.n = n
-	e.q.push(e.ord, n)
+	e.q.push(e.ord.item(n))
 	e.sanOnSchedule(n)
 }
 
@@ -75,10 +75,10 @@ func (t *refTimer) disarm(e *Engine) {
 	if t.n == nil {
 		return
 	}
-	if i := t.n.hidx; i >= len(e.q.items) || e.q.items[i] != t.n {
+	if i := t.n.hidx; i >= len(e.q.items) || e.q.items[i].n != t.n {
 		panic("sim: refTimer occurrence missing from the event queue")
 	}
-	e.q.remove(e.ord, t.n.hidx)
+	e.q.remove(t.n.hidx)
 	e.pool.put(t.n)
 	t.n = nil
 }

@@ -14,8 +14,9 @@ import "fmt"
 //   - pops are globally ordered: every queue minimum removed is >= the
 //     previous one in (At, tie-break key), and nothing smaller is left
 //     behind in either the one-shot queue or the timer heap,
-//   - both heaps stay valid — order, back-indices, and every node
-//     pending with a callback (checked in full periodically, so
+//   - both heaps stay valid — order, back-indices, inline keys that
+//     match their nodes, and every node pending with a callback except
+//     a firing timer's slot (checked in full periodically, so
 //     corruption is caught near its cause rather than at the end),
 //   - the event pool stays consistent: free-list nodes are actually
 //     free and callback-less.
@@ -65,13 +66,16 @@ func (e *Engine) sanOnDisarm(t *Timer) {
 	if t.n.fn == nil {
 		panic(fmt.Sprintf("simsan: disarmed timer %s lost its callback", t.n.tag.Kind))
 	}
-	if i := t.n.hidx; i < len(e.timers.items) && e.timers.items[i] == &t.n {
+	if i := t.n.hidx; i < len(e.timers.items) && e.timers.items[i].n == &t.n {
 		panic(fmt.Sprintf("simsan: disarmed timer %s still in the timer heap at %d", t.n.tag.Kind, i))
+	}
+	if e.firing == &t.n {
+		panic(fmt.Sprintf("simsan: disarmed timer %s still holds the firing slot", t.n.tag.Kind))
 	}
 }
 
-// sanOnAdvance guards the clock before Step/runBatch move it to the
-// next dispatch instant.
+// sanOnAdvance guards the clock before the dispatch loop moves it to
+// the next event's instant.
 func (e *Engine) sanOnAdvance(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("simsan: dispatch at %v, before now %v — virtual clock would regress", at, e.now))
@@ -130,8 +134,8 @@ func (e *Engine) sanCountPop() {
 // back-indices and node states, and pool free-list consistency.
 func (e *Engine) sanValidate() {
 	fail := func(msg string) { panic("simsan: " + msg) }
-	e.q.validate(e.ord, "event queue", fail)
-	e.timers.validate(e.ord, "timer heap", fail)
+	e.q.validate(e.ord, nil, "event queue", fail)
+	e.timers.validate(e.ord, e.firing, "timer heap", fail)
 	e.pool.validate(fail)
 }
 

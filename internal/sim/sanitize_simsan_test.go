@@ -22,6 +22,15 @@ func mustPanicWith(t *testing.T, substr string, fn func()) {
 	fn()
 }
 
+// swapSlots exchanges heap slots i and j and their back-indices,
+// leaving every slot's key consistent with its node: the only defect it
+// can make is to the heap order.
+func swapSlots(h *nodeHeap, i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.items[i].n.hidx = i
+	h.items[j].n.hidx = j
+}
+
 func TestSimsanEnabled(t *testing.T) {
 	if !SanitizerEnabled() {
 		t.Fatal("SanitizerEnabled() = false under -tags simsan")
@@ -86,7 +95,7 @@ func TestSimsanCatchesHeapPropertyViolation(t *testing.T) {
 	}
 	// Swap the root with a leaf, keeping back-indices consistent, so
 	// the only defect is the ordering invariant itself.
-	e.q.swap(0, 7)
+	swapSlots(&e.q, 0, 7)
 	mustPanicWith(t, "event queue: heap property violated", func() { e.sanValidate() })
 }
 
@@ -178,7 +187,7 @@ func TestSimsanCatchesPopBehindArmedTimer(t *testing.T) {
 	e.Schedule(10, func() {})
 	n := e.q.peek()
 	e.now = 10
-	mustPanicWith(t, "still armed", func() { e.fireHead(n) })
+	mustPanicWith(t, "still armed", func() { e.fireOneShot(n) })
 }
 
 func TestSimsanCatchesTimerHeapDisorder(t *testing.T) {
@@ -190,7 +199,7 @@ func TestSimsanCatchesTimerHeapDisorder(t *testing.T) {
 	}
 	// Swap root and a leaf, keeping back-indices consistent, so the
 	// only defect is the order.
-	e.timers.swap(0, 3)
+	swapSlots(&e.timers, 0, 3)
 	mustPanicWith(t, "timer heap: heap property violated", func() { e.sanValidate() })
 }
 
@@ -216,4 +225,74 @@ func TestSimsanCatchesBadDisarm(t *testing.T) {
 	e.DisarmTimer(&tm)
 	tm.n.fn = nil
 	mustPanicWith(t, "lost its callback", func() { e.sanOnDisarm(&tm) })
+}
+
+// A slot's inline key must be its node's: a sift compares only the
+// slot, so a stale key would misorder dispatch silently.
+func TestSimsanCatchesStaleInlineKey(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 4; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.q.items[2].at++
+	mustPanicWith(t, "event queue: slot 2 holds key", func() { e.sanValidate() })
+
+	e = NewEngine(1)
+	e.PerturbTiebreaks(7)
+	timers := make([]Timer, 3)
+	for i := range timers {
+		timers[i].Init(EventTag{}, false, func() {})
+		e.ArmTimer(&timers[i], 5)
+	}
+	e.timers.items[1].key ^= 1
+	mustPanicWith(t, "timer heap: slot 1 holds key", func() { e.sanValidate() })
+}
+
+// The audit knows the firing slot: a timer's node is not pending while
+// its body runs, yet it keeps its slot. An audit from inside the body —
+// before and after the body re-arms, disarms or arms a same-instant
+// timer above the slot — passes, and the body's disarms pass the
+// disarm hook.
+func TestSimsanAuditFiringSlot(t *testing.T) {
+	for _, salt := range []uint64{0, 11} {
+		e := NewEngine(1)
+		e.PerturbTiebreaks(salt)
+		var a, b Timer
+		n := 0
+		a.Init(EventTag{}, false, func() {
+			n++
+			e.sanValidate()
+			e.ArmTimer(&b, e.Now())
+			e.sanValidate()
+			switch n % 3 {
+			case 0: // re-arm, then disarm
+				e.ArmTimer(&a, e.Now().Add(Microsecond))
+				e.DisarmTimer(&a)
+			case 1: // disarm (a no-op), then re-arm
+				e.DisarmTimer(&a)
+				e.ArmTimer(&a, e.Now().Add(Microsecond))
+			}
+			e.sanValidate()
+		})
+		b.Init(EventTag{}, false, func() {
+			if n < 64 && !a.Armed() {
+				e.ArmTimer(&a, e.Now().Add(Microsecond))
+			}
+		})
+		e.ArmTimer(&a, 0)
+		e.RunAll()
+		if n < 64 {
+			t.Fatalf("salt %d: a fired %d times, want >= 64", salt, n)
+		}
+	}
+}
+
+// A disarmed timer must not still hold the firing slot: that slot would
+// be removed a second time after the body returns.
+func TestSimsanCatchesDisarmedFiringSlot(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	tm.Init(EventTag{}, false, func() {})
+	e.firing = &tm.n
+	mustPanicWith(t, "still holds the firing slot", func() { e.sanOnDisarm(&tm) })
 }

@@ -104,8 +104,14 @@ const engineSection = "sim.engine"
 // instant, because no process can rebuild it.
 func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 	pending := make([]*eventNode, 0, e.Pending())
-	pending = append(pending, e.q.items...)
-	pending = append(pending, e.timers.items...)
+	for _, it := range e.q.items {
+		pending = append(pending, it.n)
+	}
+	for _, it := range e.timers.items {
+		if it.n != e.firing {
+			pending = append(pending, it.n)
+		}
+	}
 	sort.Slice(pending, func(i, j int) bool { return e.ord.less(pending[i], pending[j]) })
 
 	// Intern kind names in first-appearance order (deterministic: the
@@ -157,13 +163,14 @@ func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
 // warm-start caller may install a different tie-break salt with
 // PerturbTiebreaks.
 func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
-	for _, n := range e.timers.items {
-		n.state = nodeFree
+	for _, it := range e.timers.items {
+		it.n.state = nodeFree
 	}
 	clear(e.timers.items)
 	e.timers.items = e.timers.items[:0]
-	for _, n := range e.q.items {
-		e.pool.put(n)
+	e.firing = nil
+	for _, it := range e.q.items {
+		e.pool.put(it.n)
 	}
 	clear(e.q.items)
 	e.q.items = e.q.items[:0]
@@ -237,7 +244,7 @@ func (e *Engine) RestoreEvent(rev RestoredEvent, fn func()) error {
 	n.seq = rev.Seq
 	n.fn = fn
 	n.tag = EventTag{Kind: RegisterEventKind(rev.Kind), A0: rev.A0, A1: rev.A1, A2: rev.A2}
-	e.q.push(e.ord, n)
+	e.q.push(e.ord.item(n))
 	e.sanOnSchedule(n)
 	return nil
 }
@@ -257,6 +264,7 @@ func (e *Engine) NextEventInfo() (at Time, seq uint64, kind string, ok bool) {
 func init() {
 	snapshot.RegisterState(Engine{}, snapshot.Manifest{
 		"now":     "codec",
+		"firing":  "skip: set only while a timer body runs, and a snapshot is taken between events; RestoreState clears it",
 		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; RestoreState disarms every timer and owners re-arm theirs with RestoreTimer",
 		"q":       "skip: heap layout is never serialised — pending events are written in eventOrder and restore re-pushes them, so any layout realises the same total order",
 		"pool":    "skip: free-list contents and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
@@ -279,7 +287,7 @@ func init() {
 		"fn":     "codec", // rebuilt via the tag's registered kind constructor
 		"state":  "skip: only pending nodes are serialised; free nodes are pool storage or disarmed timers",
 		"pinned": "codec",
-		"hidx":   "skip: heap position, rebuilt when restore pushes the node",
+		"hidx":   "skip: heap slot, rebuilt when restore pushes the node",
 		"tag":    "codec",
 	})
 }

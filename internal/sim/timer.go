@@ -17,7 +17,9 @@ import "fmt"
 // disarming takes none. So arm, re-arm and disarm realise the same
 // (At, key, seq) total order as removing a queued event and scheduling
 // a new one would, under any tie-break salt: a timer is an event whose
-// owner holds it. The tests hold Timer to exactly that model, a
+// owner holds it. A timer fires in place (see fireTimer), which keeps
+// that order and makes a periodic re-arm one heap sift. The tests hold
+// Timer to exactly that model, a
 // one-shot in the engine's queue (refTimer in diffqueue_test.go and
 // snapshot_test.go). See DESIGN.md §5 "Event queue internals".
 //
@@ -27,7 +29,8 @@ type Timer struct {
 	// n is the timer's node: At and seq are the armed occurrence, tag,
 	// pinned and fn are bound by Init. state is nodePending while armed
 	// and nodeFree while disarmed; the node is never on a pool free
-	// list. While armed, n.hidx is its position in Engine.timers.
+	// list. While armed, and while its body runs (Engine.firing), n.hidx
+	// is its slot in Engine.timers.
 	n eventNode
 }
 
@@ -35,7 +38,9 @@ type Timer struct {
 // pinned timer keeps FIFO order against other pinned events at the same
 // instant under a tie-break perturbation (see PerturbTiebreaks); pin
 // only a timer that models a concrete hardware arbitration, and say
-// which at the Init site. It panics on an armed timer or a nil body.
+// which at the Init site. It panics on an armed timer or a nil body;
+// it must not run from the timer's own body, whose node still holds its
+// heap slot.
 func (t *Timer) Init(tag EventTag, pinned bool, fn func()) {
 	if t.Armed() {
 		panic("sim: Timer.Init on an armed timer")
@@ -46,8 +51,9 @@ func (t *Timer) Init(tag EventTag, pinned bool, fn func()) {
 	t.n = eventNode{tag: tag, pinned: pinned, fn: fn}
 }
 
-// Armed reports whether the timer is waiting to fire. A timer disarms
-// itself just before its body runs, so the body may re-arm it.
+// Armed reports whether the timer is waiting to fire. A timer is
+// disarmed while its body runs, so the body may re-arm it; its node
+// only keeps its heap slot so that the re-arm is one sift (fireTimer).
 func (t *Timer) Armed() bool { return t.n.state == nodePending }
 
 // ArmTimer arms t to fire at at, re-arming it if it is already armed.
@@ -66,11 +72,17 @@ func (e *Engine) ArmTimer(t *Timer, at Time) {
 	t.n.At = at
 	t.n.seq = e.nextSeq
 	e.nextSeq++
-	if t.Armed() {
-		e.timers.fix(e.ord, t.n.hidx)
-	} else {
+	switch {
+	case t.Armed():
+		e.timers.fix(t.n.hidx, e.ord.item(&t.n))
+	case e.firing == &t.n:
+		// Re-armed from its own body: re-key its slot in place.
+		e.firing = nil
 		t.n.state = nodePending
-		e.timers.push(e.ord, &t.n)
+		e.timers.fix(t.n.hidx, e.ord.item(&t.n))
+	default:
+		t.n.state = nodePending
+		e.timers.push(e.ord.item(&t.n))
 	}
 	e.sanOnSchedule(&t.n)
 }
@@ -83,21 +95,29 @@ func (e *Engine) DisarmTimer(t *Timer) {
 	if !t.Armed() {
 		return
 	}
-	e.timers.remove(e.ord, t.n.hidx)
+	e.timers.remove(t.n.hidx)
 	t.n.state = nodeFree
 	e.sanOnDisarm(t)
 }
 
-// fireTimer dispatches n, the timer-heap head, which peekLive returned
-// as the next pending event. The timer is disarmed before its body
-// runs, so a body that re-arms its own timer (a periodic tick) arms
-// afresh.
+// fireTimer dispatches n, the timer-heap head, which the dispatch loop
+// picked as the next pending event. The timer is disarmed while its
+// body runs, but its node stays at its heap slot, recorded in
+// e.firing: a body that re-arms its own timer (a periodic tick) re-keys
+// that slot in one sift. If the body leaves the timer disarmed, the
+// slot is removed after the body returns — by its hidx, not as the
+// root, because under a salt a timer the body arms for the current
+// instant can sift above it.
 func (e *Engine) fireTimer(n *eventNode) {
-	e.timers.remove(e.ord, 0)
 	e.sanOnPop(n)
 	n.state = nodeFree
+	e.firing = n
 	e.fired++
 	n.fn()
+	if e.firing == n {
+		e.firing = nil
+		e.timers.remove(n.hidx)
+	}
 }
 
 // RestoreTimer re-arms a timer from a snapshot's pending event, keeping
@@ -126,7 +146,7 @@ func (e *Engine) RestoreTimer(t *Timer, rev RestoredEvent) error {
 	t.n.At = rev.At
 	t.n.seq = rev.Seq
 	t.n.state = nodePending
-	e.timers.push(e.ord, &t.n)
+	e.timers.push(e.ord.item(&t.n))
 	e.sanOnSchedule(&t.n)
 	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,4 +203,189 @@ func harnessReader(t *testing.T, img []byte) *snapshot.Reader {
 	r.U64(1)
 	r.EndSection()
 	return r
+}
+
+// A timer fires in place: its node keeps its heap slot while the body
+// runs. These tests cover what a body can do to that slot.
+
+// auditTimers fails t on any timer-heap defect, the firing slot
+// included.
+func auditTimers(t *testing.T, e *Engine) {
+	t.Helper()
+	e.timers.validate(e.ord, e.firing, "timer heap", func(msg string) { t.Fatal(msg) })
+}
+
+// TestFireInPlaceRearmThenDisarm: a body that re-arms and then disarms
+// its own timer leaves it disarmed and out of the heap, removed once —
+// the re-arm gave up the firing slot, so nothing is removed after the
+// body.
+func TestFireInPlaceRearmThenDisarm(t *testing.T) {
+	e := NewEngine(1)
+	var a, b Timer
+	var got []string
+	a.Init(EventTag{}, false, func() {
+		got = append(got, "a")
+		e.ArmTimer(&a, e.Now().Add(5))
+		e.DisarmTimer(&a)
+		auditTimers(t, e)
+	})
+	b.Init(EventTag{}, false, func() { got = append(got, "b") })
+	e.ArmTimer(&a, 10)
+	e.ArmTimer(&b, 20)
+	e.Step()
+	if a.Armed() || e.Pending() != 1 || len(e.timers.items) != 1 || e.timers.peek() != &b.n {
+		t.Fatalf("after the body: a armed=%v, pending %d, %d heap slots", a.Armed(), e.Pending(), len(e.timers.items))
+	}
+	e.RunAll()
+	if want := []string{"a", "b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+}
+
+// TestFireInPlaceDisarmThenRearm: disarming a firing timer is a no-op
+// (it is already disarmed), and the re-arm after it re-keys the slot.
+func TestFireInPlaceDisarmThenRearm(t *testing.T) {
+	e := NewEngine(1)
+	var a Timer
+	var fires []Time
+	a.Init(EventTag{}, true, func() {
+		fires = append(fires, e.Now())
+		e.DisarmTimer(&a)
+		if a.Armed() || e.Pending() != 0 {
+			t.Fatalf("in the body: armed=%v pending=%d", a.Armed(), e.Pending())
+		}
+		if len(fires) < 3 {
+			e.ArmTimer(&a, e.Now().Add(7))
+		}
+		auditTimers(t, e)
+	})
+	e.ArmTimer(&a, 10)
+	e.RunAll()
+	if want := []Time{10, 17, 24}; !reflect.DeepEqual(fires, want) {
+		t.Fatalf("fires %v, want %v", fires, want)
+	}
+	if a.Armed() || e.Pending() != 0 || len(e.timers.items) != 0 {
+		t.Fatalf("after the run: armed=%v pending=%d slots=%d", a.Armed(), e.Pending(), len(e.timers.items))
+	}
+}
+
+// siftAboveSalt returns a salt under which an unpinned event with seq
+// 2 precedes one with seq 0 at the same instant.
+func siftAboveSalt(t *testing.T) uint64 {
+	t.Helper()
+	for salt := uint64(1); salt < 64; salt++ {
+		if tiebreakMix(salt, 2) < tiebreakMix(salt, 0) {
+			return salt
+		}
+	}
+	t.Fatal("no salt in [1, 64) orders seq 2 before seq 0")
+	return 0
+}
+
+// TestFireInPlaceSiftAbove: under a salt, a timer the body arms for the
+// current instant can sift above the firing slot. The firing timer is
+// then no longer the root, so it must be removed (or re-armed) at its
+// own slot, and the new timer fires next at the same instant.
+func TestFireInPlaceSiftAbove(t *testing.T) {
+	for _, rearm := range []bool{false, true} {
+		e := NewEngine(1)
+		e.PerturbTiebreaks(siftAboveSalt(t))
+		var a, b, c Timer
+		var got []string
+		a.Init(EventTag{}, false, func() {
+			got = append(got, fmt.Sprintf("a@%d", e.Now()))
+			if len(got) > 1 {
+				return
+			}
+			e.ArmTimer(&b, e.Now())
+			if e.timers.peek() != &b.n {
+				t.Fatal("the same-instant timer did not sift above the firing slot")
+			}
+			if rearm {
+				e.ArmTimer(&a, 15)
+			}
+			auditTimers(t, e)
+		})
+		b.Init(EventTag{}, false, func() { got = append(got, fmt.Sprintf("b@%d", e.Now())) })
+		c.Init(EventTag{}, false, func() { got = append(got, fmt.Sprintf("c@%d", e.Now())) })
+		e.ArmTimer(&a, 10) // seq 0
+		e.ArmTimer(&c, 20) // seq 1; b's arm in a's body takes seq 2
+		e.RunAll()
+		want := []string{"a@10", "b@10", "c@20"}
+		if rearm {
+			want = []string{"a@10", "b@10", "a@15", "c@20"}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rearm=%v: dispatch order %v, want %v", rearm, got, want)
+		}
+		if e.Pending() != 0 || len(e.timers.items) != 0 {
+			t.Fatalf("rearm=%v: %d pending, %d heap slots after the run", rearm, e.Pending(), len(e.timers.items))
+		}
+	}
+}
+
+// TestFireInPlaceInvisible: while a body runs, its timer is not
+// pending: Pending, NextEventTime and SnapshotTo all leave it out, until
+// the body re-arms it.
+func TestFireInPlaceInvisible(t *testing.T) {
+	e := NewEngine(1)
+	var a, b Timer
+	var inBody, afterRearm []RestoredEvent
+	restored := func() []RestoredEvent {
+		w := snapshot.NewWriter()
+		if err := e.SnapshotTo(w); err != nil {
+			t.Fatal(err)
+		}
+		r, err := snapshot.OpenReader(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs, err := NewEngine(0).RestoreState(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	a.Init(kindTimer.Tag(0, 0, 0), false, func() {
+		if e.Pending() != 2 {
+			t.Errorf("Pending() = %d in the body, want 2 (b and the one-shot)", e.Pending())
+		}
+		if at, ok := e.NextEventTime(); !ok || at != 30 {
+			t.Errorf("NextEventTime() = %v, %v in the body, want 30", at, ok)
+		}
+		inBody = restored()
+		e.ArmTimer(&a, 25)
+		if e.Pending() != 3 {
+			t.Errorf("Pending() = %d after the re-arm, want 3", e.Pending())
+		}
+		afterRearm = restored()
+	})
+	b.Init(kindTimer.Tag(1, 0, 0), false, func() {})
+	e.ArmTimer(&a, 10)
+	e.ArmTimer(&b, 40)
+	e.ScheduleTagged(30, kindCount.Tag(0, 0, 0), func() {})
+	e.Step()
+	if len(inBody) != 2 || inBody[0].At != 30 || inBody[1].At != 40 {
+		t.Errorf("image taken in the body holds %+v, want the one-shot at 30 and b at 40", inBody)
+	}
+	if len(afterRearm) != 3 || afterRearm[0].At != 25 || afterRearm[0].A0 != 0 {
+		t.Errorf("image taken after the re-arm holds %+v, want a at 25 first", afterRearm)
+	}
+}
+
+// TestDispatchFromTimerBodyPanics: the dispatch loop does not skip a
+// firing slot, so running the engine from a timer body is refused.
+func TestDispatchFromTimerBodyPanics(t *testing.T) {
+	e := NewEngine(1)
+	var a Timer
+	var msg any
+	a.Init(EventTag{}, false, func() {
+		defer func() { msg = recover() }()
+		e.Step()
+	})
+	e.ArmTimer(&a, 1)
+	e.Step()
+	if s, _ := msg.(string); !strings.Contains(s, "from a timer body") {
+		t.Fatalf("Step from a timer body: panic %v, want one naming the timer body", msg)
+	}
 }

@@ -176,14 +176,17 @@ func init() {
 	snapshot.RegisterState(ttcpRx{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"dataReady":     "skip: registered wait queue, serialised in kernel.waitqs",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(fifosA{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"fifo":          "skip: registered wait queue, serialised in kernel.waitqs",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(fifosB{}, snapshot.Manifest{
 		"phaseBehavior": "codec",
 		"fifo":          "skip: registered wait queue, serialised in kernel.waitqs",
+		"call":          "skip: reusable storage for the one syscall definition in flight; an in-flight call is serialised through the task's syscall state",
 	})
 	snapshot.RegisterState(p3fpu{}, snapshot.Manifest{})
 	snapshot.RegisterState(fsStress{}, snapshot.Manifest{

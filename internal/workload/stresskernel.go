@@ -146,6 +146,7 @@ func (b *ttcpTx) BehaviorName() string { return "wl.stress-ttcp-tx" }
 type ttcpRx struct {
 	phaseBehavior
 	dataReady *kernel.WaitQueue
+	call      kernel.SyscallCall // reused: one receive in flight
 }
 
 func (b *ttcpRx) Next(t *kernel.Task) kernel.Action {
@@ -154,13 +155,10 @@ func (b *ttcpRx) Next(t *kernel.Task) kernel.Action {
 	if b.phase%2 == 0 {
 		return kernel.Compute(rng.Uniform(60*sim.Microsecond, 300*sim.Microsecond))
 	}
-	return kernel.Syscall(&kernel.SyscallCall{
-		Name: "recv(lo)",
-		Segments: []kernel.Segment{
-			{Kind: kernel.SegBlock, Wait: b.dataReady},
-			{Kind: kernel.SegWork, D: rng.Uniform(15*sim.Microsecond, 70*sim.Microsecond)},
-		},
-	})
+	return kernel.Syscall(reuse(&b.call, "recv(lo)", []kernel.Segment{
+		{Kind: kernel.SegBlock, Wait: b.dataReady},
+		{Kind: kernel.SegWork, D: rng.Uniform(15*sim.Microsecond, 70*sim.Microsecond)},
+	}))
 }
 
 func (b *ttcpRx) ActionDone(t *kernel.Task, kind kernel.ActionKind, now sim.Time) {
@@ -185,6 +183,7 @@ func (s *StressKernel) startTTCPLoop(k *kernel.Kernel) {
 type fifosA struct {
 	phaseBehavior
 	fifo *kernel.WaitQueue
+	call kernel.SyscallCall // reused: one write in flight
 }
 
 func (b *fifosA) Next(t *kernel.Task) kernel.Action {
@@ -192,13 +191,10 @@ func (b *fifosA) Next(t *kernel.Task) kernel.Action {
 	b.phase++
 	switch b.phase % 3 {
 	case 0: // write into the FIFO, waking the reader (from ActionDone)
-		return kernel.Syscall(&kernel.SyscallCall{
-			Name: "fifo-write",
-			Segments: []kernel.Segment{
-				{Kind: kernel.SegWork, D: rng.Uniform(5*sim.Microsecond, 40*sim.Microsecond),
-					Lock: t.Kernel().NamedLock("inode")},
-			},
-		})
+		return kernel.Syscall(reuse(&b.call, "fifo-write", []kernel.Segment{
+			{Kind: kernel.SegWork, D: rng.Uniform(5*sim.Microsecond, 40*sim.Microsecond),
+				Lock: t.Kernel().NamedLock("inode")},
+		}))
 	case 1: // mmap'd file pass: user-mode touching with page faults
 		return kernel.Compute(rng.Uniform(50*sim.Microsecond, 400*sim.Microsecond))
 	default: // pace the stream
@@ -217,20 +213,18 @@ func (b *fifosA) BehaviorName() string { return "wl.stress-fifos-a" }
 type fifosB struct {
 	phaseBehavior
 	fifo *kernel.WaitQueue
+	call kernel.SyscallCall // reused: one read in flight
 }
 
 func (b *fifosB) Next(t *kernel.Task) kernel.Action {
 	rng := t.RNG()
 	b.phase++
 	if b.phase%2 == 1 {
-		return kernel.Syscall(&kernel.SyscallCall{
-			Name: "fifo-read",
-			Segments: []kernel.Segment{
-				{Kind: kernel.SegBlock, Wait: b.fifo},
-				{Kind: kernel.SegWork, D: rng.Uniform(5*sim.Microsecond, 30*sim.Microsecond),
-					Lock: t.Kernel().NamedLock("inode")},
-			},
-		})
+		return kernel.Syscall(reuse(&b.call, "fifo-read", []kernel.Segment{
+			{Kind: kernel.SegBlock, Wait: b.fifo},
+			{Kind: kernel.SegWork, D: rng.Uniform(5*sim.Microsecond, 30*sim.Microsecond),
+				Lock: t.Kernel().NamedLock("inode")},
+		}))
 	}
 	return kernel.Compute(rng.Uniform(50*sim.Microsecond, 400*sim.Microsecond))
 }

@@ -32,7 +32,7 @@ func (x *X11Perf) Name() string { return "x11perf" }
 type xserver struct {
 	phaseBehavior
 	x    *X11Perf
-	call kernel.SyscallCall // fsSyscall's reusable definition
+	call kernel.SyscallCall // reused: one ioctl or socket call in flight
 }
 
 func (b *xserver) Next(t *kernel.Task) kernel.Action {
@@ -42,13 +42,16 @@ func (b *xserver) Next(t *kernel.Task) kernel.Action {
 	case 0: // build the rendering batch
 		return kernel.Compute(rng.Uniform(500*sim.Microsecond, 3*sim.Millisecond))
 	case 1: // submit via the DRM-ish ioctl; legacy driver wants the BKL
-		return kernel.Syscall(&kernel.SyscallCall{
-			Name:     "ioctl(gfx)",
+		// The literal shows latbound the BKL hold. It stays on the
+		// stack as long as only its segments reach reuse.
+		ioctl := kernel.SyscallCall{
 			TakesBKL: true,
 			Segments: []kernel.Segment{
 				{Kind: kernel.SegWork, D: rng.Uniform(10*sim.Microsecond, 80*sim.Microsecond)},
 			},
-		})
+		}
+		reuse(&b.call, "ioctl(gfx)", ioctl.Segments).TakesBKL = true
+		return kernel.Syscall(&b.call)
 	default: // handle client requests
 		return kernel.Syscall(fsSyscall(&b.call, t.Kernel(), rng, "x11-sock",
 			rng.Uniform(10*sim.Microsecond, 100*sim.Microsecond)))
