@@ -8,6 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
+// raceEnabled is set when the tests run under -race (race_test.go).
+var raceEnabled bool
+
 // TestReferenceAllocsPerEvent pins the kernel model's steady-state
 // dispatch cost in allocations: on the shielded reference machine (every
 // device and load running), frames, syscall state and periodic event
@@ -76,6 +79,59 @@ func TestFigureAllocsPerRun(t *testing.T) {
 		t.Logf("%s: %d allocs, %d B", fig.name, allocs, ms1.TotalAlloc-ms0.TotalAlloc)
 		if allocs > fig.bound {
 			t.Errorf("%s: %d allocations in one run, want <= %d", fig.name, allocs, fig.bound)
+		}
+	}
+}
+
+// TestContinuationAllocsPerRun pins the allocation count of the simd
+// serving path for a reference continuation at seed 7: resolving a
+// request to its scenario and both cache keys, and one warm-started
+// window (machine build, image restore, the default 20 ms run and the
+// result snapshot). Measured for stock / shielded: 15 / 15 allocations
+// per resolve with keys and 383 / 442 per warm window (87 / 89 and
+// 509 / 602 when the config text was rendered and the keys hashed per
+// call, and every snapshot section and procfs path walk allocated);
+// each bound is about 1.1x the measured count.
+func TestContinuationAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, ref := range []struct {
+		fig             string
+		keys, warmBound float64
+	}{
+		{ScenarioRefStock, 17, 425},
+		{ScenarioRefShielded, 17, 490},
+	} {
+		keys := testing.AllocsPerRun(20, func() {
+			s, err := ResolveScenario(ref.fig, 0, 7, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = s.Key()
+			if _, err := s.ImageKey(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s, err := ResolveScenario(ref.fig, 0, 7, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, img, err := RunContinuationCold(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := testing.AllocsPerRun(3, func() {
+			if _, err := RunContinuationWarm(s, img, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per resolve with keys, %.0f per warm window", ref.fig, keys, warm)
+		if keys > ref.keys {
+			t.Errorf("%s: %.0f allocations per resolve with keys, want <= %.0f", ref.fig, keys, ref.keys)
+		}
+		if warm > ref.warmBound {
+			t.Errorf("%s: %.0f allocations per warm window, want <= %.0f", ref.fig, warm, ref.warmBound)
 		}
 	}
 }

@@ -87,8 +87,9 @@ func TestFigureGoldenHashes(t *testing.T) {
 // (ablate-hyperthreading and the ht-slowdown, bus-contention and
 // softirq-netcost sweeps) run RunDeterminism with their own loop sizes.
 // The trace-capture:* ids pin CaptureTrace's text and Chrome exports,
-// and the scenario:* ids pin each served scenario's content address and
-// admission cost as "key/cost_virtual_ms" at two request sizes.
+// the scenario:* ids pin each served scenario's content address and
+// admission cost as "key/cost_virtual_ms" at two request sizes, and the
+// image:* ids pin each reference machine's boot-image key.
 func TestExperimentGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -119,6 +120,19 @@ func TestExperimentGoldenHashes(t *testing.T) {
 			got[id] = fmt.Sprintf("%s/%d", s.Key(), s.CostVirtualMS())
 		}
 	}
+	for _, fig := range []string{ScenarioRefStock, ScenarioRefShielded} {
+		s, err := ResolveScenario(fig, 0, goldenSeed, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", fig, err)
+		}
+		key, err := s.ImageKey()
+		if err != nil {
+			t.Fatalf("%s: %v", fig, err)
+		}
+		id := "image:" + fig
+		ids = append(ids, id)
+		got[id] = key
+	}
 	for _, s := range Sweeps() {
 		id := "sweep:" + s.ID
 		ids = append(ids, id)
@@ -139,6 +153,7 @@ func TestExperimentGoldenHashes(t *testing.T) {
 	checkGoldenHashes(t, "experiment_hashes.txt",
 		"# FNV-1a hashes of Experiment.Run (report:id for figures, bare id otherwise), RunSweep (sweep:id) and CaptureTrace exports (trace-capture:format), scale=0.05, seed=7;\n"+
 			"# scenario:id/size lines are ResolveScenario(id, ..., seed=7)'s Key()/CostVirtualMS().\n"+
+			"# image:id lines are ResolveScenario(id, 0, seed=7, 0)'s ImageKey(), the boot-image cache address.\n"+
 			"# Regenerate: go test ./internal/core -run TestExperimentGoldenHashes -update\n",
 		ids, got)
 }

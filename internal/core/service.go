@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -34,6 +35,22 @@ func CanonicalKernelConfig(cfg kernel.Config) kernel.Config {
 	cfg.InvariantPeriod = 0
 	return cfg
 }
+
+// refConfigText is each reference machine's canonical kernel config
+// rendered as the "cfg=" text of its scenario and boot-image keys. The
+// configs are constants of the reference machines, so the text is
+// rendered once, here, instead of by reflection on every request.
+var refConfigText = func() map[ReferenceMachine]string {
+	text := map[ReferenceMachine]string{}
+	for _, ref := range []ReferenceMachine{RefStock, RefShielded} {
+		cfg, err := refKernelConfig(ref)
+		if err != nil {
+			panic(err)
+		}
+		text[ref] = fmt.Sprintf("%+v", CanonicalKernelConfig(cfg))
+	}
+	return text
+}()
 
 // scenarioEncodingVersion prefixes every canonical scenario string.
 // Bump it when the encoding itself (not the model) changes shape, so
@@ -78,7 +95,8 @@ type Scenario struct {
 	RunFor sim.Duration
 
 	canonical string
-	cost      int64 // virtual ms, figures only
+	key       string // HashBytes(canonical), hashed once at resolve
+	cost      int64  // virtual ms, figures only
 }
 
 // ServedScenarios lists every scenario id the service accepts, figure
@@ -110,10 +128,6 @@ func ResolveScenario(figure string, scale float64, seed uint64, runForMS int) (S
 		if figure == ScenarioRefShielded {
 			ref = RefShielded
 		}
-		cfg, err := refKernelConfig(ref)
-		if err != nil {
-			return Scenario{}, err
-		}
 		s := Scenario{
 			Kind:   KindContinuation,
 			Figure: figure,
@@ -121,8 +135,9 @@ func ResolveScenario(figure string, scale float64, seed uint64, runForMS int) (S
 			Ref:    ref,
 			RunFor: sim.Duration(runForMS) * sim.Millisecond,
 		}
-		s.canonical = fmt.Sprintf("%s|cont|ref=%s|seed=%d|boot=%v|run_for=%v|cfg=%+v",
-			scenarioEncodingVersion, ref, seed, refBootHorizon, s.RunFor, CanonicalKernelConfig(cfg))
+		s.canonical = fmt.Sprintf("%s|cont|ref=%s|seed=%d|boot=%v|run_for=%v|cfg=%s",
+			scenarioEncodingVersion, ref, seed, refBootHorizon, s.RunFor, refConfigText[ref])
+		s.key = HashBytes([]byte(s.canonical))
 		return s, nil
 	}
 
@@ -140,8 +155,9 @@ func ResolveScenario(figure string, scale float64, seed uint64, runForMS int) (S
 	// seed streams, floored sample counts, the full kernel config —
 	// rendered with non-semantic knobs erased. Two requests that floor
 	// to the same resolved run share one encoding.
+	canonical := scenarioEncodingVersion + "|" + fr.canonical()
 	return Scenario{Kind: KindFigure, Figure: figure, Scale: scale, Seed: seed,
-		canonical: scenarioEncodingVersion + "|" + fr.canonical(), cost: fr.costMS}, nil
+		canonical: canonical, key: HashBytes([]byte(canonical)), cost: fr.costMS}, nil
 }
 
 // Canonical returns the scenario's canonical encoding — the preimage of
@@ -150,8 +166,8 @@ func (s Scenario) Canonical() string { return s.canonical }
 
 // Key returns the scenario's content address: the FNV-1a hash of the
 // canonical encoding, the same hash family the reprocheck golden oracle
-// uses for figure bytes.
-func (s Scenario) Key() string { return HashBytes([]byte(s.canonical)) }
+// uses for figure bytes. It is hashed once, by ResolveScenario.
+func (s Scenario) Key() string { return s.key }
 
 // ImageKey returns the content address of the post-boot snapshot image
 // a continuation warm-starts from. RunFor is deliberately excluded:
@@ -161,12 +177,12 @@ func (s Scenario) ImageKey() (string, error) {
 	if s.Kind != KindContinuation {
 		return "", fmt.Errorf("core: scenario %s has no boot image", s.Figure)
 	}
-	cfg, err := refKernelConfig(s.Ref)
-	if err != nil {
-		return "", err
+	text, ok := refConfigText[s.Ref]
+	if !ok {
+		return "", fmt.Errorf("core: unknown reference machine %q", s.Ref)
 	}
-	pre := fmt.Sprintf("%s|img|ref=%s|seed=%d|boot=%v|cfg=%+v",
-		scenarioEncodingVersion, s.Ref, s.Seed, refBootHorizon, CanonicalKernelConfig(cfg))
+	pre := fmt.Sprintf("%s|img|ref=%s|seed=%d|boot=%v|cfg=%s",
+		scenarioEncodingVersion, s.Ref, s.Seed, refBootHorizon, text)
 	return HashBytes([]byte(pre)), nil
 }
 
@@ -188,7 +204,10 @@ func (s Scenario) CostVirtualMS() int64 {
 func HashBytes(b []byte) string {
 	h := fnv.New64a()
 	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	var sum [8]byte
+	var digits [16]byte
+	hex.Encode(digits[:], h.Sum(sum[:0]))
+	return string(digits[:])
 }
 
 // RunScenario executes one scenario cold and returns its deterministic

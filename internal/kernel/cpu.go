@@ -1056,16 +1056,18 @@ func (t *Task) beginCall(act Action, cfg *Config) *syscallCall {
 // inserting scheduling points at the split boundaries. Lock-held regions
 // become several shorter lock-held regions (release/reacquire between
 // chunks), exactly the shape the low-latency patches gave the rewritten
-// algorithms.
+// algorithms. Chunks are built in place at the tail of out, so out must
+// not share a backing array with segs.
 func splitSegments(out, segs []Segment, max sim.Duration) []Segment {
-	for _, s := range segs {
+	for i := range segs {
+		s := &segs[i]
 		if s.Kind != SegWork || s.D <= max {
-			out = append(out, s)
+			out = append(out, *s)
 			continue
 		}
-		remaining := s.D
-		for remaining > 0 {
-			chunk := s
+		for remaining := s.D; remaining > 0; remaining -= max {
+			out = append(out, *s)
+			chunk := &out[len(out)-1]
 			if remaining > max {
 				chunk.D = max
 				chunk.SchedPoint = true
@@ -1074,8 +1076,6 @@ func splitSegments(out, segs []Segment, max sim.Duration) []Segment {
 			} else {
 				chunk.D = remaining
 			}
-			remaining -= chunk.D
-			out = append(out, chunk)
 		}
 	}
 	return out

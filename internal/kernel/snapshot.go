@@ -962,8 +962,8 @@ func (k *Kernel) resetForRestore() {
 	}
 	switch s := k.sched.(type) {
 	case *o1Scheduler:
-		for i := range s.rqs {
-			s.rqs[i] = &o1Runqueue{}
+		for _, rq := range s.rqs {
+			*rq = o1Runqueue{}
 		}
 	case *legacyScheduler:
 		s.run = nil

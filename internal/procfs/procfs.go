@@ -37,10 +37,14 @@ func New() *FS {
 	return &FS{root: &node{children: map[string]*node{}}}
 }
 
-// clean canonicalises p to a slash-rooted path.
+// clean canonicalises p to a slash-rooted path. An already clean
+// rooted path comes back as is, without a copy.
 func clean(p string) string {
-	p = path.Clean("/" + strings.TrimSpace(p))
-	return p
+	p = strings.TrimSpace(p)
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(p)
 }
 
 // lookup walks to p; it returns nil when absent.
@@ -50,7 +54,9 @@ func (fs *FS) lookup(p string) *node {
 	if p == "/" {
 		return cur
 	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for rest, more := p[1:], true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, "/")
 		if cur.children == nil {
 			return nil
 		}
@@ -70,7 +76,9 @@ func (fs *FS) mkdirAll(p string) (*node, error) {
 	if p == "/" {
 		return cur, nil
 	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for rest, more := p[1:], true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, "/")
 		if cur.children == nil {
 			return nil, fmt.Errorf("procfs: %q is a file, not a directory", part)
 		}

@@ -86,9 +86,14 @@ func TestRegisterConflicts(t *testing.T) {
 	if err := fs.Register("/d/e", func() string { return "" }, nil); err == nil {
 		t.Fatal("registering a file over a directory should fail")
 	}
-	// Registering a file under a file must fail.
-	if err := fs.Register("/a/b/c", func() string { return "" }, nil); err == nil {
-		t.Fatal("registering under a file should fail")
+	// Registering a file under a file must fail, at any depth.
+	for p, want := range map[string]string{
+		"/a/b/c":   `procfs: "/a/b" is a file, not a directory`,
+		"/a/b/c/d": `procfs: "c" is a file, not a directory`,
+	} {
+		if err := fs.Register(p, func() string { return "" }, nil); err == nil || err.Error() != want {
+			t.Fatalf("Register(%q) = %v, want %q", p, err, want)
+		}
 	}
 	// Re-registering the same file replaces it.
 	fs.MustRegister("/a/b", func() string { return "new" }, nil)
@@ -112,6 +117,27 @@ func TestPathCleaning(t *testing.T) {
 	for _, p := range []string{"proc/shield/all", "/proc//shield/all", " /proc/shield/all ", "/proc/shield/../shield/all"} {
 		if got, err := fs.Read(p); err != nil || got != "ok" {
 			t.Fatalf("Read(%q) = %q, %v", p, got, err)
+		}
+	}
+}
+
+func TestClean(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"proc/shield/all", "/proc/shield/all"},
+		{"/proc/shield/all", "/proc/shield/all"},
+		{" \t/proc/shield/all \n", "/proc/shield/all"},
+		{"  proc/irq ", "/proc/irq"},
+		{"//proc//irq//3/", "/proc/irq/3"},
+		{"/proc/irq/", "/proc/irq"},
+		{"/proc/irq/../shield/./all", "/proc/shield/all"},
+		{"../../proc", "/proc"},
+		{"/..", "/"},
+		{"/", "/"},
+		{"", "/"},
+		{"  ", "/"},
+	} {
+		if got := clean(c.in); got != c.want {
+			t.Errorf("clean(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

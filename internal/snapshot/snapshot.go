@@ -76,14 +76,26 @@ func fnv1a(h uint64, p []byte) uint64 {
 // section. Finish seals the image with the hash trailer.
 type Writer struct {
 	buf []byte
-	// sec buffers the current section's payload; nil between sections.
+	// sec buffers the current section's payload. One buffer serves every
+	// section: End copies the payload into buf and the next Begin
+	// truncates sec, so no section sees another's bytes. open is true
+	// between Begin and End.
 	sec     []byte
+	open    bool
 	secName string
 }
 
+// imageSizeHint and sectionSizeHint presize a Writer's buffers. They
+// cover both reference machines' post-boot images (about 2.6 KB) and
+// their largest section (the task table, about 1.2 KB).
+const (
+	imageSizeHint   = 4 << 10
+	sectionSizeHint = 2 << 10
+)
+
 // NewWriter returns a Writer with the header already emitted.
 func NewWriter() *Writer {
-	w := &Writer{}
+	w := &Writer{buf: make([]byte, 0, imageSizeHint), sec: make([]byte, 0, sectionSizeHint)}
 	w.buf = append(w.buf, magic...)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
 	return w
@@ -91,31 +103,32 @@ func NewWriter() *Writer {
 
 // Begin opens a section. Sections do not nest.
 func (w *Writer) Begin(name string) {
-	if w.sec != nil {
+	if w.open {
 		panic(fmt.Sprintf("snapshot: Begin(%q) inside open section %q", name, w.secName))
 	}
 	if name == "" {
 		panic("snapshot: empty section name")
 	}
-	w.sec = make([]byte, 0, 256)
+	w.sec = w.sec[:0]
+	w.open = true
 	w.secName = name
 }
 
 // End closes the current section, emitting name + length + payload.
 func (w *Writer) End() {
-	if w.sec == nil {
+	if !w.open {
 		panic("snapshot: End with no open section")
 	}
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(w.secName)))
 	w.buf = append(w.buf, w.secName...)
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(w.sec)))
 	w.buf = append(w.buf, w.sec...)
-	w.sec = nil
+	w.open = false
 	w.secName = ""
 }
 
 func (w *Writer) field(tag uint8, wire byte) {
-	if w.sec == nil {
+	if !w.open {
 		panic(fmt.Sprintf("snapshot: field tag %d written outside a section", tag))
 	}
 	w.sec = append(w.sec, tag<<3|wire)
@@ -167,7 +180,7 @@ func (w *Writer) Bytes(tag uint8, b []byte) {
 // everything written so far and returns the complete snapshot bytes.
 // The Writer must not be used afterwards.
 func (w *Writer) Finish() []byte {
-	if w.sec != nil {
+	if w.open {
 		panic(fmt.Sprintf("snapshot: Finish with section %q still open", w.secName))
 	}
 	h := fnv1a(fnvOffset, w.buf)
@@ -247,7 +260,7 @@ func (r *Reader) Section(name string) {
 		r.fail("want section %q, image exhausted", name)
 		return
 	}
-	got := string(rest[:nameLen])
+	got := rest[:nameLen]
 	rest = rest[nameLen:]
 	payLen, rest, ok := r.uvarint(rest)
 	if !ok || uint64(len(rest)) < payLen {
@@ -255,13 +268,13 @@ func (r *Reader) Section(name string) {
 		r.fail("section %q payload truncated", got)
 		return
 	}
-	if got != name {
+	if string(got) != name {
 		r.name = ""
 		r.fail("want section %q, image has %q", name, got)
 		return
 	}
 	r.sec = rest[:payLen]
-	r.name = got
+	r.name = name
 	r.data = rest[payLen:]
 }
 

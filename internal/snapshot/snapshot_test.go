@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -186,26 +187,71 @@ func TestSectionErrors(t *testing.T) {
 	}
 }
 
+// TestWriterPanics: misuse of the section protocol panics with a message
+// naming the misuse, also after sections have been opened and closed.
 func TestWriterPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
+	mustPanic := func(name, want string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			t.Helper()
+			if got := recover(); got != want {
+				t.Errorf("%s: panic %v, want %q", name, got, want)
 			}
 		}()
 		fn()
 	}
-	mustPanic("nested Begin", func() {
+	mustPanic("nested Begin", `snapshot: Begin("b") inside open section "a"`, func() {
 		w := NewWriter()
 		w.Begin("a")
 		w.Begin("b")
 	})
-	mustPanic("End outside section", func() { NewWriter().End() })
-	mustPanic("field outside section", func() { NewWriter().U64(1, 1) })
-	mustPanic("Finish with open section", func() {
+	mustPanic("End outside section", "snapshot: End with no open section", func() { NewWriter().End() })
+	mustPanic("End after End", "snapshot: End with no open section", func() {
+		w := NewWriter()
+		w.Begin("a")
+		w.U64(1, 1)
+		w.End()
+		w.End()
+	})
+	mustPanic("field outside section", "snapshot: field tag 1 written outside a section", func() { NewWriter().U64(1, 1) })
+	mustPanic("field after End", "snapshot: field tag 2 written outside a section", func() {
+		w := NewWriter()
+		w.Begin("a")
+		w.U64(1, 1)
+		w.End()
+		w.Str(2, "x")
+	})
+	mustPanic("Finish with open section", `snapshot: Finish with section "a" still open`, func() {
 		w := NewWriter()
 		w.Begin("a")
 		w.Finish()
 	})
+	mustPanic("empty section name", "snapshot: empty section name", func() { NewWriter().Begin("") })
+}
+
+// TestWriterSectionReuse: every section is encoded on its own, whatever
+// sections came before it. A long section followed by a short one must
+// encode to the committed bytes, with no byte of the long payload left in
+// the short one.
+func TestWriterSectionReuse(t *testing.T) {
+	w := NewWriter()
+	w.Begin("long")
+	w.Str(1, strings.Repeat("x", 300))
+	w.U64(2, 300)
+	w.End()
+	w.Begin("s")
+	w.U64(1, 7)
+	w.End()
+	w.Begin("e")
+	w.End()
+	got := hex.EncodeToString(w.Finish())
+	want := "534e41500200" + // magic, version 2
+		"046c6f6e67" + "b202" + // "long", 306-byte payload:
+		"0bac02" + strings.Repeat("78", 300) + "10ac02" + // Str(1, 300 x "x"), U64(2, 300)
+		"0173" + "02" + "0807" + // "s", 2-byte payload: U64(1, 7)
+		"0165" + "00" + // "e", empty payload
+		"efc7ce1b1b653510" // FNV-1a trailer
+	if got != want {
+		t.Fatalf("encoding\n got %s\nwant %s", got, want)
+	}
 }
