@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzParseMask$$' -fuzztime 5s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzEffectiveAffinity$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzAppendSince$$' -fuzztime 5s
+	$(GO) test ./internal/trace/attrib -run '^$$' -fuzz '^FuzzAttributeIgnoresUnreadKinds$$' -fuzztime 5s
 
 # figures regenerates the full evaluation artifact directory.
 figures:

@@ -12,6 +12,7 @@
 package shieldsim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -319,6 +320,43 @@ func BenchmarkTracingEnabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.IRQEnter(sim.Time(i), 0, 5, "rcim")
 		buf.IRQExit(sim.Time(i), 0, 5, "rcim")
+	}
+}
+
+// BenchmarkAttributedRCIM splits the cost of latency attribution by
+// machine: one replication of 6,250 RCIM samples (an attrib-causes
+// replication at scale 0.5, seed 3) on the stock and on the shielded
+// machine, with attribution off and on. A machine's on-minus-off time is
+// its tracing and per-sample sweep cost; the stock machine's is the
+// larger, since it emits more records per sample. records/sample is the
+// count the attributor read, which tracks that cost without timing noise.
+func BenchmarkAttributedRCIM(b *testing.B) {
+	for _, m := range []struct {
+		name   string
+		cfg    kernel.Config
+		shield bool
+	}{
+		{"stock", kernel.StandardLinux24(2, 2.0, false), false},
+		{"shielded", kernel.RedHawk14(2, 2.0), true},
+	} {
+		for _, attribute := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/attribute=%v", m.name, attribute), func(b *testing.B) {
+				var r ResponseResult
+				for i := 0; i < b.N; i++ {
+					rc := DefaultRCIM(m.cfg)
+					rc.Samples, rc.Seed, rc.Replications = 6_250, 3, 1
+					rc.Shield, rc.Attribute = m.shield, attribute
+					r = RunRCIM(rc)
+				}
+				if attribute {
+					a := r.Attribution
+					if a.LostRecords != 0 {
+						b.Fatalf("%d trace records lost", a.LostRecords)
+					}
+					b.ReportMetric(float64(a.Records)/float64(a.Samples), "records/sample")
+				}
+			})
+		}
 	}
 }
 

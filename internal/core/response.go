@@ -26,9 +26,10 @@ type responseTest struct {
 	// shield runs after Start: the shield and interrupt-affinity steps.
 	shield  func()
 	horizon sim.Time
-	// trace, when non-nil, is armed before the task exists. attribute
-	// charges every sample's latency to causes read from the trace,
-	// arming one sized for attribution when trace is nil.
+	// trace, when non-nil, is armed before the task exists and records
+	// every kind. attribute charges every sample's latency to causes
+	// read from the trace; when trace is nil it arms a buffer sized for
+	// attribution that records only the kinds attribution reads.
 	trace     *trace.Buffer
 	attribute bool
 }
@@ -42,6 +43,7 @@ func (rt responseTest) run() ResponseResult {
 	k := rt.sys.K
 	if rt.trace == nil && rt.attribute {
 		rt.trace = trace.NewBuffer(attribTraceCapacity)
+		rt.trace.SetFilter(attrib.Kinds...)
 	}
 	if rt.trace != nil {
 		k.Trace = rt.trace

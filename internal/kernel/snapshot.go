@@ -265,11 +265,11 @@ func (k *Kernel) lockNamed(name string) *SpinLock {
 
 // restoreLock is the creating lookup used on restore: the fresh machine
 // may not yet have created locks the snapshotted one made on first use.
-func (k *Kernel) restoreLock(name string) *SpinLock {
-	if name == "BKL" {
-		return k.BKL
+func (k *Kernel) restoreLock(name []byte) *SpinLock {
+	if l := k.lockNamed(string(name)); l != nil {
+		return l
 	}
-	return k.NamedLock(name)
+	return k.NamedLock(string(name))
 }
 
 func (k *Kernel) irqIndex(l *IRQLine) int {
@@ -496,7 +496,7 @@ func readCall(r *snapshot.Reader, rc *RestoreContext, call *syscallCall) error {
 			SchedPoint: bits&(1<<10) != 0,
 			D:          sim.Duration(r.I64(6)),
 		}
-		if ln := r.Str(7); ln != "" {
+		if ln := r.Bytes(7); len(ln) != 0 {
 			seg.Lock = k.restoreLock(ln)
 		}
 		if wid := r.U64(8); wid != 0 {
@@ -505,7 +505,7 @@ func readCall(r *snapshot.Reader, rc *RestoreContext, call *syscallCall) error {
 				return fmt.Errorf("kernel: restore: syscall %q segment %d references unknown wait queue %d", name, i, wid)
 			}
 		}
-		doneKind := r.Str(9)
+		doneKind := sim.EventKindNameOf(r.Bytes(9))
 		a0, a1, a2 := r.U64(10), r.U64(11), r.U64(12)
 		if doneKind != "" {
 			seg.DoneTag = sim.RegisterEventKind(doneKind).Tag(a0, a1, a2)
@@ -589,12 +589,12 @@ func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, error) {
 	f.armed = r.Bool(6)
 	nlocks := int(r.U64(7))
 	for i := 0; i < nlocks; i++ {
-		f.locks = append(f.locks, k.restoreLock(r.Str(8)))
+		f.locks = append(f.locks, k.restoreLock(r.Bytes(8)))
 	}
 	f.irqsOff = r.Bool(9)
 	f.began = sim.Time(r.I64(10))
 	irqIdx := r.I64(11)
-	spin := r.Str(12)
+	spin := r.Bytes(12)
 	f.acquired = r.Bool(13)
 	f.spinSince = sim.Time(r.I64(14))
 	f.suspended = r.Bool(15)
@@ -620,7 +620,7 @@ func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, error) {
 		}
 		f.irq = k.irqs[irqIdx]
 	}
-	if spin != "" {
+	if len(spin) != 0 {
 		f.spin = k.restoreLock(spin)
 	}
 
@@ -995,7 +995,7 @@ func (k *Kernel) readMachine(r *snapshot.Reader, rc *RestoreContext) error {
 		level := int(r.U64(14))
 		idx := int(r.U64(15))
 		expires := r.U64(16)
-		kind := r.Str(17)
+		kind := sim.EventKindNameOf(r.Bytes(17))
 		a0, a1, a2 := r.U64(18), r.U64(19), r.U64(20)
 		if err := r.Err(); err != nil {
 			return err
@@ -1045,8 +1045,8 @@ func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
 	}
 	for _, t := range k.tasks {
 		pid := int(r.U64(2))
-		name := r.Str(3)
-		if pid != t.PID || name != t.Name {
+		name := r.Bytes(3)
+		if pid != t.PID || string(name) != t.Name {
 			return fmt.Errorf("kernel: restore: image task %s/%d where machine has %v (construction mismatch)", name, pid, t)
 		}
 		t.state = TaskState(r.U64(4))
@@ -1066,7 +1066,7 @@ func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
 				return fmt.Errorf("kernel: restore: task %v waits on unknown queue %d", t, wid)
 			}
 		}
-		behName := r.Str(16)
+		behName := r.Bytes(16)
 		words := make([]uint64, r.U64(17))
 		for i := range words {
 			words[i] = r.U64(18)
@@ -1074,12 +1074,12 @@ func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if behName != "" {
+		if len(behName) != 0 {
 			sb, ok := t.behavior.(SnapBehavior)
 			if !ok {
 				return fmt.Errorf("kernel: restore: image task %v has behavior %q but machine behavior %T is not restorable", t, behName, t.behavior)
 			}
-			if sb.BehaviorName() != behName {
+			if sb.BehaviorName() != string(behName) {
 				return fmt.Errorf("kernel: restore: task %v behavior %q != image %q (construction mismatch)", t, sb.BehaviorName(), behName)
 			}
 			sb.SetBehaviorState(words)
@@ -1170,7 +1170,7 @@ func (k *Kernel) readLocks(r *snapshot.Reader, rc *RestoreContext) error {
 	r.Section(secLocks)
 	n := int(r.U64(1))
 	for i := 0; i < n; i++ {
-		name := r.Str(2)
+		name := r.Bytes(2)
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -1213,8 +1213,8 @@ func (k *Kernel) readWaitqs(r *snapshot.Reader) error {
 		return fmt.Errorf("kernel: restore: image has %d wait queues, machine has %d (construction mismatch)", n, len(k.waitqs))
 	}
 	for _, wq := range k.waitqs {
-		name := r.Str(2)
-		if name != wq.Name {
+		name := r.Bytes(2)
+		if string(name) != wq.Name {
 			return fmt.Errorf("kernel: restore: wait queue %q where machine has %q (construction mismatch)", name, wq.Name)
 		}
 		nW := int(r.U64(3))
@@ -1233,10 +1233,10 @@ func (k *Kernel) readWaitqs(r *snapshot.Reader) error {
 
 func (k *Kernel) readSched(r *snapshot.Reader) error {
 	r.Section(secSched)
-	kind := r.Str(1)
+	kind := r.Bytes(1)
 	switch s := k.sched.(type) {
 	case *o1Scheduler:
-		if kind != "o1" {
+		if string(kind) != "o1" {
 			return fmt.Errorf("kernel: restore: image scheduler %q, machine runs o1", kind)
 		}
 		for _, c := range k.cpus {
@@ -1251,7 +1251,7 @@ func (k *Kernel) readSched(r *snapshot.Reader) error {
 			}
 		}
 	case *legacyScheduler:
-		if kind != "legacy" {
+		if string(kind) != "legacy" {
 			return fmt.Errorf("kernel: restore: image scheduler %q, machine runs legacy", kind)
 		}
 		nQ := int(r.U64(2))

@@ -56,6 +56,19 @@ func RegisterEventKind(name string) EventKind {
 	return k
 }
 
+// EventKindNameOf returns the event-kind name spelled by b: the
+// registered string when b names a registered kind, so restore reads
+// kind names out of an image without allocating, and a copy of b
+// otherwise.
+func EventKindNameOf(b []byte) string {
+	eventKindsMu.Lock()
+	defer eventKindsMu.Unlock()
+	if k, ok := eventKindByNam[string(b)]; ok {
+		return eventKindNames[k-1]
+	}
+	return string(b)
+}
+
 // String returns the kind's registered name ("" for the zero kind).
 func (k EventKind) String() string {
 	if k == 0 {
@@ -185,7 +198,7 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 	e.rng.SetState(r.U64(6))
 	names := make([]string, r.U64(7))
 	for i := range names {
-		names[i] = r.Str(8)
+		names[i] = EventKindNameOf(r.Bytes(8))
 	}
 	evs := make([]RestoredEvent, 0, r.U64(9))
 	for i := 0; i < cap(evs); i++ {

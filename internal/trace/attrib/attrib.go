@@ -69,6 +69,9 @@ type Summary struct {
 	// LostRecords counts trace records overwritten before the
 	// attributor could read them (ring overflow between samples).
 	LostRecords uint64
+	// Records counts the trace records the attributor read: the
+	// tracing work behind the summary, free of wall-clock noise.
+	Records uint64
 
 	// TotalLatency and MaxLatency aggregate the attributed samples'
 	// end-to-end latencies.
@@ -120,6 +123,7 @@ func (s *Summary) Merge(o Summary) {
 	s.Samples += o.Samples
 	s.Migrations += o.Migrations
 	s.LostRecords += o.LostRecords
+	s.Records += o.Records
 	s.TotalLatency += o.TotalLatency
 	for c := Cause(0); c < NumCauses; c++ {
 		s.Total[c] += o.Total[c]
@@ -191,6 +195,22 @@ func (st *attrState) moveTo(cpu int) {
 	st.isr = 0
 	st.soft = 0
 	st.spinning = false
+}
+
+// Kinds lists every record kind Attribute reads: the ones that change
+// the sweep state or split an episode. Any other record only charges
+// the open segment up to its timestamp, a split at which the cause
+// stays the same, so a buffer that records just these kinds yields the
+// same breakdown, episodes and migrations (records are stamped with the
+// clock at emit, so At never decreases along Seq and the window's end
+// is found at the same place either way). FuzzAttributeIgnoresUnreadKinds
+// checks the equivalence; a kind Attribute starts reading must be added
+// here.
+var Kinds = []trace.Kind{
+	trace.KindIRQEnter, trace.KindIRQExit,
+	trace.KindSoftirqEnter, trace.KindSoftirqExit,
+	trace.KindLockContend, trace.KindLockAcquire,
+	trace.KindWakeup, trace.KindSwitch, trace.KindPreempt, trace.KindMigrate,
 }
 
 // Attribute walks recs (in sequence order) and partitions the window
@@ -340,6 +360,7 @@ func (a *Attributor) Sample(start, end sim.Time, cpu int) {
 	a.scratch, lost = a.buf.AppendSince(a.scratch[:0], a.cursor)
 	a.cursor = a.buf.Seq()
 	a.sum.LostRecords += lost
+	a.sum.Records += uint64(len(a.scratch))
 	breakdown, episodes, migrations := Attribute(a.scratch, start, end, cpu, a.pid)
 	a.sum.add(end.Sub(start), breakdown, episodes, migrations)
 }

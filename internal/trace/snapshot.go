@@ -73,6 +73,7 @@ func (b *Buffer) Restore(r *snapshot.Reader) error {
 	nNames := int(r.U64(5))
 	b.names = nil
 	b.nameIDs = nil
+	b.nameCache = [nameCacheSlots]nameSlot{}
 	if nNames > 0 {
 		b.names = make([]string, 1, nNames)
 		b.nameIDs = make(map[string]NameID, nNames)
@@ -118,13 +119,14 @@ func (b *Buffer) Restore(r *snapshot.Reader) error {
 
 func init() {
 	snapshot.RegisterState(Buffer{}, snapshot.Manifest{
-		"perCPU":   "codec", // validated against the restoring buffer's construction
-		"seq":      "codec",
-		"filtered": "codec",
-		"filter":   "codec", // packed as a bitmask
-		"rings":    "codec",
-		"names":    "codec",
-		"nameIDs":  "skip: inverse index of names; rebuilt while reading the intern table back",
+		"perCPU":    "codec", // validated against the restoring buffer's construction
+		"seq":       "codec",
+		"filtered":  "codec",
+		"filter":    "codec", // packed as a bitmask
+		"rings":     "codec",
+		"names":     "codec",
+		"nameIDs":   "skip: inverse index of names; rebuilt while reading the intern table back",
+		"nameCache": "skip: lookup cache in front of nameIDs; cleared on restore and refilled by Intern",
 	})
 	snapshot.RegisterState(ring{}, snapshot.Manifest{
 		"recs":    "codec",

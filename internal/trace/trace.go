@@ -123,7 +123,10 @@ func (rg *ring) put(r Record, capacity int) {
 		return
 	}
 	rg.recs[rg.next] = r
-	rg.next = (rg.next + 1) % len(rg.recs)
+	rg.next++
+	if rg.next == len(rg.recs) {
+		rg.next = 0
+	}
 	rg.wrapped = true
 	rg.dropped++
 }
@@ -166,6 +169,36 @@ type Buffer struct {
 
 	names   []string
 	nameIDs map[string]NameID
+	// nameCache is a direct-mapped front for nameIDs: a hit costs a
+	// slot index and a string compare (a pointer compare when the
+	// caller passes the same string again) instead of a map hash. Only
+	// the map assigns ids, so the cache never changes which id a name
+	// gets.
+	nameCache [nameCacheSlots]nameSlot
+}
+
+// nameCacheBits sizes a buffer's name cache at 128 slots. A machine
+// interns a few dozen distinct names; one whose slot another name holds
+// falls back to the map and takes the slot over.
+const (
+	nameCacheBits  = 7
+	nameCacheSlots = 1 << nameCacheBits
+)
+
+type nameSlot struct {
+	s  string
+	id NameID
+}
+
+// nameSlotOf picks s's cache slot: its length and four of its bytes
+// (first, middle, three-quarters, last — the last tells apart per-CPU
+// variants such as "ksoftirqd/0" and "ksoftirqd/1"), mixed by a
+// Fibonacci multiply whose top bits index the cache. s must be
+// non-empty.
+func nameSlotOf(s string) int {
+	n := len(s)
+	x := uint64(n) | uint64(s[0])<<8 | uint64(s[n>>1])<<16 | uint64(s[3*n>>2])<<24 | uint64(s[n-1])<<32
+	return int(x * 0x9e3779b97f4a7c15 >> (64 - nameCacheBits))
 }
 
 // NewBuffer returns a buffer whose per-CPU rings hold at most capacity
@@ -199,14 +232,26 @@ func (b *Buffer) Enabled(k Kind) bool {
 }
 
 // Intern returns the id for s, adding it to the table on first use.
-// Steady-state interning of an already-seen name allocates nothing.
+// Steady-state interning of an already-seen name allocates nothing and,
+// on a cache hit, hashes nothing.
 func (b *Buffer) Intern(s string) NameID {
 	if b == nil || s == "" {
 		return 0
 	}
-	if id, ok := b.nameIDs[s]; ok {
-		return id
+	slot := &b.nameCache[nameSlotOf(s)]
+	if slot.s == s {
+		return slot.id
 	}
+	id, ok := b.nameIDs[s]
+	if !ok {
+		id = b.addName(s)
+	}
+	*slot = nameSlot{s: s, id: id}
+	return id
+}
+
+// addName appends s to the intern table under the next id.
+func (b *Buffer) addName(s string) NameID {
 	if b.nameIDs == nil {
 		//simlint:allow hotalloc intern table built once on first name; steady state is a map hit
 		b.nameIDs = make(map[string]NameID)

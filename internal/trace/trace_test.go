@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 func TestEmitAndRecords(t *testing.T) {
@@ -236,6 +238,78 @@ func TestInterning(t *testing.T) {
 	}
 	if b.Name(999) != "" {
 		t.Fatal("out-of-range id must render empty")
+	}
+}
+
+// TestInternCacheSharesIDAcrossCopies: a name passed in a different
+// backing array than the one cached hits the same slot and the same id;
+// the table holds it once.
+func TestInternCacheSharesIDAcrossCopies(t *testing.T) {
+	b := NewBuffer(8)
+	name := "rcim-response"
+	id := b.Intern(name)
+	copied := strings.Clone(name) // equal content, its own backing array
+	if got := b.Intern(copied); got != id {
+		t.Fatalf("copy of %q interned as %d, original as %d", name, got, id)
+	}
+	if got := b.Intern(name); got != id {
+		t.Fatalf("re-interning %q gave %d, want %d", name, got, id)
+	}
+	if len(b.names) != 2 { // the "" sentinel and the name
+		t.Fatalf("names table %q, want one entry after the sentinel", b.names)
+	}
+}
+
+// TestInternCacheCollision: two names that share a cache slot evict each
+// other, and each lookup then falls back to the map, which keeps their
+// ids distinct and stable in first-use order.
+func TestInternCacheCollision(t *testing.T) {
+	first := "lock-0"
+	var second string
+	for i := 1; second == ""; i++ {
+		if s := fmt.Sprintf("lock-%d", i); nameSlotOf(s) == nameSlotOf(first) {
+			second = s
+		}
+	}
+	b := NewBuffer(8)
+	a1, b1 := b.Intern(first), b.Intern(second)
+	if a1 != 1 || b1 != 2 {
+		t.Fatalf("ids %d, %d for %q, %q; want 1, 2 in first-use order", a1, b1, first, second)
+	}
+	for i := 0; i < 4; i++ {
+		if a, c := b.Intern(first), b.Intern(second); a != a1 || c != b1 {
+			t.Fatalf("round %d: ids %d, %d; want %d, %d", i, a, c, a1, b1)
+		}
+	}
+	if b.Name(a1) != first || b.Name(b1) != second || len(b.names) != 3 {
+		t.Fatalf("names table %q", b.names)
+	}
+}
+
+// TestInternAfterRestore: restore replaces the intern table, so a cache
+// warmed before it must not answer with the old table's ids.
+func TestInternAfterRestore(t *testing.T) {
+	src := NewBuffer(8)
+	for _, n := range []string{"BKL", "rcim", "dcache"} {
+		src.Intern(n)
+	}
+	w := snapshot.NewWriter()
+	src.Snapshot(w)
+	r, err := snapshot.OpenReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewBuffer(8)
+	for _, n := range []string{"dcache", "rcim", "eth0"} { // other ids, cached
+		dst.Intern(n)
+	}
+	if err := dst.Restore(r); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"dcache", "rcim", "BKL", "eth0"} {
+		if got, want := dst.Intern(n), src.Intern(n); got != want {
+			t.Errorf("after restore %q interns as %d, the image's table says %d", n, got, want)
+		}
 	}
 }
 
