@@ -137,3 +137,34 @@ func TestContinuationAllocsPerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureResolveAllocsPerRun pins the allocation count of resolving
+// a figure request to its scenario and key at seed 7, scale 0.25: 21
+// for fig5 and 35 for attrib-causes, against 44 and 85 when every
+// request rendered the figure's whole resolved config, kernel.Config
+// included, by %+v reflection. Each bound is about 1.1x the measured
+// count.
+func TestFigureResolveAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, fig := range []struct {
+		id    string
+		bound float64
+	}{
+		{"fig5", 24},
+		{"attrib-causes", 39},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			s, err := ResolveScenario(fig.id, 0.25, 7, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = s.Key()
+		})
+		t.Logf("%s: %.0f allocs per resolve with key", fig.id, allocs)
+		if allocs > fig.bound {
+			t.Errorf("%s: %.0f allocations per resolve with key, want <= %.0f", fig.id, allocs, fig.bound)
+		}
+	}
+}

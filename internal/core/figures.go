@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/runner"
@@ -96,10 +98,10 @@ var figures = []figure{
 			func(r ResponseResult) string { return r.Chart(PaperThresholdsFig6(), sim.Microsecond, "µs") })},
 	{"fig7", "Interrupt response (RCIM), RedHawk 1.4, shielded CPU + stress-kernel + x11perf + ttcp",
 		"min 11µs, max 27µs, avg 11.3µs — all < 30µs",
-		rcimFigure},
+		rcimFigure(kernel.RedHawk14(2, 2.0))},
 	{"attrib-causes", "Causes of delay: trace-derived latency attribution, stock vs shielded",
 		"§2: program execution, interrupts, bottom halves and locks each delay response; shielding removes them",
-		attribFigure},
+		attribFigure(kernel.StandardLinux24(2, 2.0, false), kernel.RedHawk14(2, 2.0))},
 }
 
 // FigureIDs lists the CSV-bearing figures in paper order: fig1–fig7,
@@ -126,6 +128,7 @@ func resolveFigure(id string, scale float64, seed uint64, workers int) (figureRu
 // determinismFigure resolves a §5.1 panel (fig1–fig4): the sine loop on
 // machine, on a shielded CPU when shield is set.
 func determinismFigure(stream uint64, machine kernel.Config, shield bool) figureResolver {
+	kt := newKernelText(machine)
 	return func(id string, scale float64, seed uint64, workers int) figureRun {
 		cfg := DefaultDeterminism(machine)
 		cfg.Shield = shield
@@ -140,8 +143,8 @@ func determinismFigure(stream uint64, machine kernel.Config, shield bool) figure
 		return figureRun{
 			canonical: func() string {
 				c := cfg
-				c.Workers, c.Kernel = 0, CanonicalKernelConfig(c.Kernel)
-				return fmt.Sprintf("det|%s|%+v", id, c)
+				c.Workers = 0
+				return "det|" + id + "|" + configText(c, kt.of(c.Kernel))
 			},
 			costMS: loops * int64(cfg.LoopWork/sim.Millisecond),
 			run: func(salt uint64) (any, string, string) {
@@ -158,6 +161,7 @@ func determinismFigure(stream uint64, machine kernel.Config, shield bool) figure
 // realfeelFigure resolves a §6.1 panel (fig5, fig6): realfeel on
 // machine, on a shielded CPU when shield is set, reported by chart.
 func realfeelFigure(stream uint64, machine kernel.Config, shield bool, chart func(ResponseResult) string) figureResolver {
+	kt := newKernelText(machine)
 	return func(id string, scale float64, seed uint64, workers int) figureRun {
 		cfg := DefaultRealfeel(machine)
 		cfg.Shield = shield
@@ -168,8 +172,8 @@ func realfeelFigure(stream uint64, machine kernel.Config, shield bool, chart fun
 		return figureRun{
 			canonical: func() string {
 				c := cfg
-				c.Workers, c.Kernel = 0, CanonicalKernelConfig(c.Kernel)
-				return fmt.Sprintf("rf|%s|%+v", id, c)
+				c.Workers = 0
+				return "rf|" + id + "|" + configText(c, kt.of(c.Kernel))
 			},
 			// One sample per RTC period (1000/Hz ms).
 			costMS: int64(cfg.Samples) * 1000 / int64(cfg.Hz),
@@ -183,48 +187,55 @@ func realfeelFigure(stream uint64, machine kernel.Config, shield bool, chart fun
 	}
 }
 
-// rcimFigure resolves fig7: the §6.3 RCIM test on a shielded RedHawk
-// CPU.
-func rcimFigure(id string, scale float64, seed uint64, workers int) figureRun {
-	cfg := figureRCIM(kernel.RedHawk14(2, 2.0), 400_000, scale, sim.DeriveSeed(seed, streamFig7), workers)
-	return figureRun{
-		canonical: func() string { return fmt.Sprintf("rcim|%s|%+v", id, canonicalRCIM(cfg)) },
-		costMS:    rcimCostMS(cfg),
-		run: func(salt uint64) (any, string, string) {
-			c := cfg
-			c.Kernel.TiebreakSalt = salt
-			r := RunRCIM(c)
-			// Figure 7 is plotted in microseconds.
-			return r, r.Name + "\n" + r.Legend(PaperThresholdsFig7()), histCSV(r.Hist, "us", float64(sim.Microsecond))
-		},
+// rcimFigure resolves fig7: the §6.3 RCIM test on a shielded CPU of
+// machine.
+func rcimFigure(machine kernel.Config) figureResolver {
+	kt := newKernelText(machine)
+	return func(id string, scale float64, seed uint64, workers int) figureRun {
+		cfg := figureRCIM(machine, 400_000, scale, sim.DeriveSeed(seed, streamFig7), workers)
+		return figureRun{
+			canonical: func() string { return "rcim|" + id + "|" + rcimText(cfg, kt) },
+			costMS:    rcimCostMS(cfg),
+			run: func(salt uint64) (any, string, string) {
+				c := cfg
+				c.Kernel.TiebreakSalt = salt
+				r := RunRCIM(c)
+				// Figure 7 is plotted in microseconds.
+				return r, r.Name + "\n" + r.Legend(PaperThresholdsFig7()), histCSV(r.Hist, "us", float64(sim.Microsecond))
+			},
+		}
 	}
 }
 
 // attribFigure resolves the attribution figure: the RCIM response test
-// on a stock unshielded machine and on a shielded RedHawk CPU, with
-// every sample's latency charged to a cause from the trace.
-func attribFigure(id string, scale float64, seed uint64, workers int) figureRun {
-	base := sim.DeriveSeed(seed, streamAttrib)
-	stock := figureRCIM(kernel.StandardLinux24(2, 2.0, false), 100_000, scale, sim.DeriveSeed(base, 1), workers)
-	stock.Shield = false
-	stock.Attribute = true
-	shielded := figureRCIM(kernel.RedHawk14(2, 2.0), 100_000, scale, sim.DeriveSeed(base, 2), workers)
-	shielded.Attribute = true
-	return figureRun{
-		canonical: func() string {
-			return fmt.Sprintf("attrib|%s|stock=%+v|shielded=%+v", id, canonicalRCIM(stock), canonicalRCIM(shielded))
-		},
-		costMS: rcimCostMS(stock) + rcimCostMS(shielded),
-		run: func(salt uint64) (any, string, string) {
-			s, sh := stock, shielded
-			s.Kernel.TiebreakSalt, sh.Kernel.TiebreakSalt = salt, salt
-			var r AttributionResult
-			runner.Do(workers,
-				func() { r.Stock = RunRCIM(s) },
-				func() { r.Shielded = RunRCIM(sh) },
-			)
-			return r, r.Render(), attribCSV(r)
-		},
+// on the stock machine, unshielded, and on a shielded CPU of the
+// shielded one, with every sample's latency charged to a cause from the
+// trace.
+func attribFigure(stockMachine, shieldedMachine kernel.Config) figureResolver {
+	stockText, shieldedText := newKernelText(stockMachine), newKernelText(shieldedMachine)
+	return func(id string, scale float64, seed uint64, workers int) figureRun {
+		base := sim.DeriveSeed(seed, streamAttrib)
+		stock := figureRCIM(stockMachine, 100_000, scale, sim.DeriveSeed(base, 1), workers)
+		stock.Shield = false
+		stock.Attribute = true
+		shielded := figureRCIM(shieldedMachine, 100_000, scale, sim.DeriveSeed(base, 2), workers)
+		shielded.Attribute = true
+		return figureRun{
+			canonical: func() string {
+				return "attrib|" + id + "|stock=" + rcimText(stock, stockText) + "|shielded=" + rcimText(shielded, shieldedText)
+			},
+			costMS: rcimCostMS(stock) + rcimCostMS(shielded),
+			run: func(salt uint64) (any, string, string) {
+				s, sh := stock, shielded
+				s.Kernel.TiebreakSalt, sh.Kernel.TiebreakSalt = salt, salt
+				var r AttributionResult
+				runner.Do(workers,
+					func() { r.Stock = RunRCIM(s) },
+					func() { r.Shielded = RunRCIM(sh) },
+				)
+				return r, r.Render(), attribCSV(r)
+			},
+		}
 	}
 }
 
@@ -239,10 +250,56 @@ func figureRCIM(machine kernel.Config, samples int, scale float64, seed uint64, 
 	return cfg
 }
 
-// canonicalRCIM is cfg as a scenario encoding renders it.
-func canonicalRCIM(cfg RCIMConfig) RCIMConfig {
-	cfg.Workers, cfg.Kernel = 0, CanonicalKernelConfig(cfg.Kernel)
-	return cfg
+// rcimText is cfg as a scenario encoding renders it, Workers zeroed.
+func rcimText(cfg RCIMConfig, kt kernelText) string {
+	cfg.Workers = 0
+	return configText(cfg, kt.of(cfg.Kernel))
+}
+
+// canonicalKernelText renders a machine's canonical kernel config as
+// scenario encodings embed it.
+func canonicalKernelText(machine kernel.Config) string {
+	return fmt.Sprintf("%+v", CanonicalKernelConfig(machine))
+}
+
+// kernelText is a figure machine's canonical config with its text,
+// rendered once when the figures table is built, the way refConfigText
+// is for the reference machines.
+type kernelText struct {
+	cfg  kernel.Config
+	text string
+}
+
+func newKernelText(machine kernel.Config) kernelText {
+	return kernelText{CanonicalKernelConfig(machine), canonicalKernelText(machine)}
+}
+
+// of returns the text of cfg's canonical config: the stored text when
+// cfg is the machine it was rendered from, which one struct compare
+// decides, else a fresh rendering, so a resolver that adjusts its
+// kernel can never be encoded with a stale text.
+func (k kernelText) of(cfg kernel.Config) string {
+	if CanonicalKernelConfig(cfg) == k.cfg {
+		return k.text
+	}
+	return canonicalKernelText(cfg)
+}
+
+// configText renders cfg, a figure config struct whose first field is
+// its Kernel, byte for byte as fmt's %+v does, with kernelText standing
+// for the Kernel field: only the scalar fields after it are formatted.
+func configText(cfg any, kernelText string) string {
+	v := reflect.ValueOf(cfg)
+	t := v.Type()
+	var b strings.Builder
+	b.Grow(len(kernelText) + 256)
+	b.WriteString("{Kernel:")
+	b.WriteString(kernelText)
+	for i := 1; i < t.NumField(); i++ {
+		fmt.Fprintf(&b, " %s:%+v", t.Field(i).Name, v.Field(i).Interface())
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // rcimCostMS is one RCIM period per sample.

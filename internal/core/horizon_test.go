@@ -65,3 +65,15 @@ func TestDeterminismPassEndsAtLastLoop(t *testing.T) {
 		t.Fatalf("last loop completed at %v, not before the horizon %v", end, p.horizon)
 	}
 }
+
+// TestFig5SlowReplicationFinishes: at scale 0.25 and seed 8 one fig5
+// replication needs 8.685 s of virtual time for its 12,500 samples,
+// past the old guard of Samples + Samples/4 + 2048 RTC periods
+// (8.629 s), which made FigureCSV panic. The guard must leave room for
+// every replication that finishes.
+func TestFig5SlowReplicationFinishes(t *testing.T) {
+	csv, err := FigureCSV("fig5", 0.25, 8, 0)
+	if err != nil || csv == "" {
+		t.Fatalf("fig5 scale 0.25 seed 8: %d CSV bytes, err %v", len(csv), err)
+	}
+}

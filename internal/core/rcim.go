@@ -110,7 +110,9 @@ func runRCIM(cfg RCIMConfig, buf *trace.Buffer) ResponseResult {
 				mustDo(s.K.SetIRQAffinity(s.RCIM.IRQ(), affinity))
 			}
 		},
-		horizon:   sim.Time(cfg.Samples+cfg.Samples/4+1000) * sim.Time(cfg.Period),
+		// Only the mustFinish guard, as in RunRealfeel: the stock
+		// attrib-causes machine has needed 1.28 periods per sample.
+		horizon:   sim.Time(2*cfg.Samples+1000) * sim.Time(cfg.Period),
 		trace:     buf,
 		attribute: cfg.Attribute,
 	}.run()

@@ -227,8 +227,11 @@ func RunRealfeelModes(cfg RealfeelConfig, shieldProcs, shieldIRQs, shieldLTimer,
 				mustDo(k.SetIRQAffinity(s.RTC.IRQ(), mask))
 			}
 		},
-		// Samples at Hz, generously padded for tail latencies.
-		horizon:   sim.Time(cfg.Samples+cfg.Samples/4+2048) * sim.Time(period),
+		// Samples at Hz, padded for tail latencies. The horizon is only
+		// the mustFinish guard (the run stops at its last sample), so it
+		// is wide: a fig5 replication under stress-kernel has needed
+		// 1.26 periods per sample.
+		horizon:   sim.Time(2*cfg.Samples+2048) * sim.Time(period),
 		attribute: cfg.Attribute,
 	}.run()
 

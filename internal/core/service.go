@@ -47,7 +47,7 @@ var refConfigText = func() map[ReferenceMachine]string {
 		if err != nil {
 			panic(err)
 		}
-		text[ref] = fmt.Sprintf("%+v", CanonicalKernelConfig(cfg))
+		text[ref] = canonicalKernelText(cfg)
 	}
 	return text
 }()

@@ -34,6 +34,53 @@ func TestCanonicalKernelConfigErasesNonSemanticKnobs(t *testing.T) {
 	}
 }
 
+// TestConfigTextMatchesReflection: a figure's encoding renders its
+// config with the kernel text rendered once per machine; the bytes must
+// equal fmt's %+v of the whole config, which is what the scenario keys
+// were first derived from, for every figure config type and with the
+// fields the served figures leave at zero set too.
+func TestConfigTextMatchesReflection(t *testing.T) {
+	machine := kernel.StandardLinux24(2, 0.933, false)
+	rf := DefaultRealfeel(machine)
+	rf.Seed, rf.Samples, rf.Replications = 0x9e3779b97f4a7c15, 12_345, 8
+	rf.ExtraLoads, rf.FixedAPI, rf.ResidencyCap, rf.Attribute = []string{"scp-flood", "x11"}, true, 3*sim.Millisecond, true
+	rc := DefaultRCIM(kernel.RedHawk14(2, 2.0))
+	rc.ForceBKL, rc.Attribute = true, true
+	det := DefaultDeterminism(kernel.StandardLinux24(2, 1.4, true))
+	det.Shield = true
+	for _, cfg := range []any{rf, DefaultRealfeel(machine), rc, det} {
+		var kc kernel.Config
+		reflected := cfg
+		switch c := cfg.(type) {
+		case RealfeelConfig:
+			kc, c.Kernel = c.Kernel, CanonicalKernelConfig(c.Kernel)
+			reflected = c
+		case RCIMConfig:
+			kc, c.Kernel = c.Kernel, CanonicalKernelConfig(c.Kernel)
+			reflected = c
+		case DeterminismConfig:
+			kc, c.Kernel = c.Kernel, CanonicalKernelConfig(c.Kernel)
+			reflected = c
+		}
+		if got, want := configText(cfg, canonicalKernelText(kc)), fmt.Sprintf("%+v", reflected); got != want {
+			t.Errorf("%T:\nconfigText %s\n%%+v       %s", cfg, got, want)
+		}
+	}
+
+	// The stored text serves its own machine, non-semantic knobs
+	// aside, and no other.
+	kt := newKernelText(machine)
+	salted, other := machine, machine
+	salted.TiebreakSalt = 5
+	other.LowLatency = !other.LowLatency
+	if kt.of(salted) != kt.text || kt.text != canonicalKernelText(machine) {
+		t.Error("a machine differing only in its tie-break salt missed its stored text")
+	}
+	if kt.of(other) != canonicalKernelText(other) || kt.of(other) == kt.text {
+		t.Error("a different machine was encoded with the stored text")
+	}
+}
+
 // TestScenarioKeys pins the content-address algebra: same request →
 // same key; any semantic change (figure, scale, seed, window) → a new
 // key; the continuation image key shares across windows but splits on

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +19,13 @@ import (
 // image. Seeds alternate between ref-stock and ref-shielded, every
 // request is unique, and each is answered with ?wait=1, so an iteration
 // covers HTTP, admission, resolve, boot or restore, the run and the
-// result store.
+// result store. retained-B/seed is the heap the server still holds per
+// seed once the run is over (live bytes, HeapAlloc after a GC, against
+// the same reading after two warm-up seeds): the stored results and boot
+// image, and nothing for the ?wait=1 jobs that produced them. HeapAlloc
+// rather than HeapInuse, whose span granularity can read negative over
+// a handful of seeds; even so, other heap activity moves one seed's
+// figure by tens of KB, so read it at -benchtime 20x or more.
 func BenchmarkServeContinuation(b *testing.B) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -45,11 +52,10 @@ func BenchmarkServeContinuation(b *testing.B) {
 		}
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// serveSeed sends seed index i's cold request and its four windows.
+	serveSeed := func(i int) {
 		fig := core.ScenarioRefStock
-		if i%2 == 1 {
+		if i%2 != 0 {
 			fig = core.ScenarioRefShielded
 		}
 		seed := uint64(1000 + i)
@@ -58,9 +64,28 @@ func BenchmarkServeContinuation(b *testing.B) {
 			serve(ScenarioRequest{Figure: fig, Seed: seed, RunForMS: window})
 		}
 	}
+	heapInuse := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	// One warm-up seed per machine keeps the first request's one-time
+	// heap (connection buffers, pool growth) out of the per-seed figure.
+	const warmup = 2
+	for i := -warmup; i < 0; i++ {
+		serveSeed(i)
+	}
+	before := heapInuse()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveSeed(i)
+	}
 	b.StopTimer()
-	if st := srv.Stats(); st.ColdBoots != int64(b.N) || st.WarmStarts != 4*int64(b.N) {
+	b.ReportMetric((heapInuse()-before)/float64(b.N), "retained-B/seed")
+	if st, seeds := srv.Stats(), int64(b.N+warmup); st.ColdBoots != seeds || st.WarmStarts != 4*seeds {
 		b.Fatalf("%d cold boots and %d warm starts over %d seeds, want one cold boot and four warm starts per seed",
-			st.ColdBoots, st.WarmStarts, b.N)
+			st.ColdBoots, st.WarmStarts, seeds)
 	}
 }

@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,19 +55,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// jobRetention is how long a finished job stays addressable by its id.
+// After it, the job's routes answer 410 Gone; its result bytes remain
+// in the result store under the scenario key while memory allows.
+const jobRetention = 10 * time.Minute
+
 // job is one admitted scenario run.
 type job struct {
-	id       string
 	scenario core.Scenario
 	cache    string // CacheMiss for the runner; joiners observe CacheJoin
 
 	// mutable under Server.mu
+	id     string // "" until the id leaves the server (register)
 	state  JobState
 	result []byte
 	err    error
 	subs   []chan JobStatus
 
 	done chan struct{} // closed after result/err are final
+}
+
+// expiry is one finished, addressable job and the instant it stops
+// being held.
+type expiry struct {
+	id string
+	at time.Time
 }
 
 // Server is the simulation service: admission queue, worker pool,
@@ -75,22 +90,29 @@ type Server struct {
 	results *snapshot.Store
 	images  *snapshot.Store
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// jobs holds the jobs a client can address: those whose id left
+	// the server in a 202. A ?wait=1 miss lives only in inflight, and
+	// its waiters hold the pointer.
 	jobs     map[string]*job
 	inflight map[string]*job // scenario key -> job, for request coalescing
+	expiring []expiry        // finished addressable jobs, in finish order
+	lastID   uint64          // ids issued are job-1 .. job-lastID
 	draining bool
 	queue    chan *job
 
 	cancel      context.CancelFunc
 	workersDone chan struct{}
 
-	nextID atomic.Uint64
 	hits, misses, joins, completed, failed,
 	rejQueue, rejBudget, warmStarts, coldBoots atomic.Int64
 
 	// execute runs one scenario on a worker. Tests substitute it to
 	// simulate slow or failing runs; the default is runScenario.
 	execute func(s core.Scenario, pool *sim.EventPool) ([]byte, error)
+	// now is the clock job retention reads. Tests substitute it to
+	// move finished jobs past jobRetention.
+	now func() time.Time
 }
 
 // New builds a Server and starts its worker pool. The pool is built on
@@ -128,6 +150,7 @@ func newServer(cfg Config) (*Server, error) {
 		workersDone: make(chan struct{}),
 	}
 	srv.execute = srv.runScenario
+	srv.now = time.Now
 	return srv, nil
 }
 
@@ -199,6 +222,9 @@ func (s *Server) run(j *job, pool *sim.EventPool) (poolOK bool) {
 		s.completed.Add(1)
 	}
 	delete(s.inflight, j.scenario.Key())
+	if j.id != "" {
+		s.expiring = append(s.expiring, expiry{id: j.id, at: s.now().Add(jobRetention)})
+	}
 	st := s.statusLocked(j)
 	subs := j.subs
 	j.subs = nil
@@ -380,6 +406,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining"})
 		return
 	}
+	s.expireLocked()
 	// Served already? The store is immutable and content-addressed, so
 	// this is exactly what a fresh run would return.
 	if body, ok := s.results.Get(key); ok {
@@ -398,19 +425,22 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	// Identical scenario already in flight? Join it instead of running
 	// the same pure function twice.
 	if jb, ok := s.inflight[key]; ok {
+		if wait {
+			s.mu.Unlock()
+			s.joins.Add(1)
+			s.waitAndWrite(w, r, jb, CacheJoin)
+			return
+		}
+		// The leader may be a ?wait=1 miss; its id leaves now.
+		s.registerLocked(jb)
 		st := s.statusLocked(jb)
 		s.mu.Unlock()
 		s.joins.Add(1)
 		st.Cache = CacheJoin
-		if wait {
-			s.waitAndWrite(w, r, jb, CacheJoin)
-			return
-		}
 		writeJSON2(w, http.StatusAccepted, CacheJoin, st)
 		return
 	}
 	j := &job{
-		id:       fmt.Sprintf("job-%d", s.nextID.Add(1)),
 		scenario: sc,
 		cache:    CacheMiss,
 		state:    StateQueued,
@@ -425,17 +455,49 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "admission queue full; retry"})
 		return
 	}
-	s.jobs[j.id] = j
 	s.inflight[key] = j
-	st := s.statusLocked(j)
-	s.mu.Unlock()
-	s.misses.Add(1)
-
 	if wait {
+		s.mu.Unlock()
+		s.misses.Add(1)
 		s.waitAndWrite(w, r, j, CacheMiss)
 		return
 	}
+	s.registerLocked(j)
+	st := s.statusLocked(j)
+	s.mu.Unlock()
+	s.misses.Add(1)
 	writeJSON2(w, http.StatusAccepted, CacheMiss, st)
+}
+
+// registerLocked makes j addressable: it issues j's id and holds j in
+// jobs until jobRetention after it finishes. Callers hold s.mu.
+func (s *Server) registerLocked(j *job) {
+	if j.id != "" {
+		return
+	}
+	s.lastID++
+	j.id = "job-" + strconv.FormatUint(s.lastID, 10)
+	s.jobs[j.id] = j
+}
+
+// expireLocked drops the finished jobs whose retention has passed from
+// the front of the finish-order FIFO. Callers hold s.mu.
+func (s *Server) expireLocked() {
+	if len(s.expiring) == 0 {
+		return
+	}
+	now := s.now()
+	n := 0
+	for n < len(s.expiring) && !now.Before(s.expiring[n].at) {
+		delete(s.jobs, s.expiring[n].id)
+		n++
+	}
+	clear(s.expiring[:n])
+	if n == len(s.expiring) {
+		s.expiring = s.expiring[:0]
+	} else {
+		s.expiring = s.expiring[n:]
+	}
 }
 
 // writeJSON2 is writeJSON plus the cache-disposition header, so even
@@ -463,17 +525,41 @@ func (s *Server) waitAndWrite(w http.ResponseWriter, r *http.Request, j *job, ca
 	s.writeResult(w, cache, body)
 }
 
-func (s *Server) lookup(id string) (*job, bool) {
+// lookup resolves the {id} path value to an addressable job. An id
+// never issued answers 404; an issued one whose job has expired
+// answers 410.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.expireLocked()
 	j, ok := s.jobs[id]
-	return j, ok
+	issued := s.issuedLocked(id)
+	s.mu.Unlock()
+	switch {
+	case ok:
+		return j, true
+	case issued:
+		writeJSON(w, http.StatusGone, errorBody{Error: "job expired"})
+	default:
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+	}
+	return nil, false
+}
+
+// issuedLocked reports whether id is one this server has handed out.
+// Callers hold s.mu.
+func (s *Server) issuedLocked(id string) bool {
+	num, ok := strings.CutPrefix(id, "job-")
+	if !ok || num == "" || num[0] == '0' {
+		return false
+	}
+	n, err := strconv.ParseUint(num, 10, 64)
+	return err == nil && n <= s.lastID
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
 		return
 	}
 	s.mu.Lock()
@@ -483,9 +569,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
 		return
 	}
 	s.mu.Lock()
@@ -505,9 +590,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams job state transitions as server-sent events
 // (event: state, data: JobStatus JSON), ending after the terminal one.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
 		return
 	}
 	fl, canFlush := w.(http.Flusher)
@@ -520,6 +604,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	terminal := j.state == StateDone || j.state == StateFailed
 	if !terminal {
 		j.subs = append(j.subs, ch)
+		defer s.unsubscribe(j, ch)
 	}
 	s.mu.Unlock()
 
@@ -552,6 +637,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// unsubscribe drops ch from j's subscribers, so a client that goes
+// away mid-job leaves no channel behind. A finished job has already
+// dropped them all.
+func (s *Server) unsubscribe(j *job, ch chan JobStatus) {
+	s.mu.Lock()
+	j.subs = slices.DeleteFunc(j.subs, func(c chan JobStatus) bool { return c == ch })
+	s.mu.Unlock()
 }
 
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {

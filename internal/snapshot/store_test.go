@@ -137,3 +137,114 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 	s.cleanupTemp()
 }
+
+// TestStoreMemoryBudget: the memory tier never holds more than its
+// budget; Put evicts by CLOCK, so a blob read since the hand last
+// passed survives the next eviction while an unread one goes first.
+func TestStoreMemoryBudget(t *testing.T) {
+	s, err := NewBoundedStore("", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := func(k int) []byte { return bytes.Repeat([]byte{byte(k)}, 100) }
+	key := func(k int) string { return fmt.Sprintf("%016x", k) }
+	for k := 0; k < 3; k++ {
+		if err := s.Put(key(k), blob(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != 3 || s.Bytes() != 300 {
+		t.Fatalf("Len = %d, Bytes = %d; want 3 blobs, 300 bytes", s.Len(), s.Bytes())
+	}
+	// Blob 0 is read, so the hand passes it and evicts blob 1.
+	if _, ok := s.Get(key(0)); !ok {
+		t.Fatal("blob 0 missing before eviction")
+	}
+	s.Put(key(3), blob(3))
+	if _, ok := s.Get(key(1)); ok {
+		t.Fatal("unread blob 1 survived the eviction")
+	}
+	for _, k := range []int{0, 2, 3} {
+		if got, ok := s.Get(key(k)); !ok || !bytes.Equal(got, blob(k)) {
+			t.Fatalf("blob %d lost or changed after eviction", k)
+		}
+	}
+	if s.Len() != 3 || s.Bytes() != 300 {
+		t.Fatalf("after eviction Len = %d, Bytes = %d; want 3 blobs, 300 bytes", s.Len(), s.Bytes())
+	}
+
+	// A blob larger than the whole budget is not kept in memory, and
+	// does not evict what is.
+	if err := s.Put(key(9), bytes.Repeat([]byte{9}, 301)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key(9)); ok || s.Len() != 3 {
+		t.Fatalf("oversized blob made resident: Len = %d", s.Len())
+	}
+
+	for k := 10; k < 100; k++ {
+		s.Put(key(k), blob(k))
+		if s.Bytes() > 300 {
+			t.Fatalf("after %d puts resident bytes %d exceed the 300-byte budget", k, s.Bytes())
+		}
+	}
+}
+
+// TestStoreEvictedBlobPromotesFromDisk: with a directory, an evicted
+// blob stays on disk and a later Get promotes it back into memory.
+func TestStoreEvictedBlobPromotesFromDisk(t *testing.T) {
+	s, err := NewBoundedStore(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bytes.Repeat([]byte{'a'}, 64), bytes.Repeat([]byte{'b'}, 64)
+	s.Put("aa", a)
+	s.Put("bb", b) // evicts aa from memory
+	if keys := s.Keys(); len(keys) != 1 || keys[0] != "bb" {
+		t.Fatalf("resident keys %v, want [bb]", keys)
+	}
+	got, ok := s.Get("aa")
+	if !ok || !bytes.Equal(got, a) {
+		t.Fatalf("evicted blob not served from disk: %q, %v", got, ok)
+	}
+	if keys := s.Keys(); len(keys) != 1 || keys[0] != "aa" {
+		t.Fatalf("resident keys after promotion %v, want [aa]", keys)
+	}
+}
+
+// TestStoreConcurrentUnderBudget is TestStoreConcurrent with a budget
+// that holds three of the eight blobs, so hits, evictions and disk
+// promotions interleave; under -race it proves the read-locked hit path
+// and the write-locked eviction safe together.
+func TestStoreConcurrentUnderBudget(t *testing.T) {
+	const budget = 3 * 128
+	s, err := NewBoundedStore(t.TempDir(), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobFor := func(k int) []byte { return bytes.Repeat([]byte{byte(k)}, 128) }
+	keyFor := func(k int) string { return fmt.Sprintf("%016x", 0xabc0+k) }
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % 8
+				if err := s.Put(keyFor(k), blobFor(k)); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				if got, ok := s.Get(keyFor(k)); !ok || !bytes.Equal(got, blobFor(k)) {
+					t.Errorf("Get(%s) = %d bytes, ok=%v; want blob %d", keyFor(k), len(got), ok, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.Bytes() > budget || s.Len() > 3 {
+		t.Fatalf("resident %d blobs, %d bytes; budget %d bytes", s.Len(), s.Bytes(), budget)
+	}
+	s.cleanupTemp()
+}
