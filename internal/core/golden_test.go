@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // Regenerate with: go test ./internal/core -run 'Golden' -update
@@ -88,8 +90,10 @@ func TestFigureGoldenHashes(t *testing.T) {
 // softirq-netcost sweeps) run RunDeterminism with their own loop sizes.
 // The trace-capture:* ids pin CaptureTrace's text and Chrome exports,
 // the scenario:* ids pin each served scenario's content address and
-// admission cost as "key/cost_virtual_ms" at two request sizes, and the
-// image:* ids pin each reference machine's boot-image key.
+// admission cost as "key/cost_virtual_ms" at two request sizes, the
+// image:* ids pin each reference machine's boot-image key, and the
+// bootimg:* and contimg:* ids pin its image bytes after boot and after
+// one continuation window.
 func TestExperimentGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -132,6 +136,25 @@ func TestExperimentGoldenHashes(t *testing.T) {
 		id := "image:" + fig
 		ids = append(ids, id)
 		got[id] = key
+
+		// The image bytes themselves, after boot and after one 20 ms
+		// continuation window: the snapshot codec's output, pinned.
+		sys, err := BootReference(s.Ref, goldenSeed, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", fig, err)
+		}
+		for _, pin := range []struct {
+			prefix string
+			runFor sim.Duration
+		}{{"bootimg:", 0}, {"contimg:", 20 * sim.Millisecond}} {
+			sys.K.Eng.Run(sys.K.Now().Add(pin.runFor))
+			img, err := sys.K.Snapshot()
+			if err != nil {
+				t.Fatalf("%s%s: %v", pin.prefix, fig, err)
+			}
+			ids = append(ids, pin.prefix+fig)
+			got[pin.prefix+fig] = HashBytes(img)
+		}
 	}
 	for _, s := range Sweeps() {
 		id := "sweep:" + s.ID
@@ -153,7 +176,8 @@ func TestExperimentGoldenHashes(t *testing.T) {
 	checkGoldenHashes(t, "experiment_hashes.txt",
 		"# FNV-1a hashes of Experiment.Run (report:id for figures, bare id otherwise), RunSweep (sweep:id) and CaptureTrace exports (trace-capture:format), scale=0.05, seed=7;\n"+
 			"# scenario:id/size lines are ResolveScenario(id, ..., seed=7)'s Key()/CostVirtualMS().\n"+
-			"# image:id lines are ResolveScenario(id, 0, seed=7, 0)'s ImageKey(), the boot-image cache address.\n"+
+			"# image:id lines are ResolveScenario(id, 0, seed=7, 0)'s ImageKey(), the boot-image cache address;\n"+
+			"# bootimg:id and contimg:id lines hash that machine's post-boot image and its image after one 20 ms window.\n"+
 			"# Regenerate: go test ./internal/core -run TestExperimentGoldenHashes -update\n",
 		ids, got)
 }

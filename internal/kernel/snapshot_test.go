@@ -61,6 +61,17 @@ func buildSnapMachine(seed uint64) *Kernel {
 	return k
 }
 
+// snapMachineT1Hash and snapMachineT2Hash pin the content hashes of
+// buildSnapMachine(42)'s images at T1 and T2. It is the one machine
+// whose images carry a trace.buffer section, in-flight syscalls and
+// contended locks, so these pins guard the codec's byte layout for all
+// of them: a tag renumbered on both the write and the read side would
+// still resume, but would move these hashes.
+const (
+	snapMachineT1Hash uint64 = 0xd970076a8684d2c5
+	snapMachineT2Hash uint64 = 0xa4a3d6c4becc446d
+)
+
 // TestSnapshotResumeEquivalence is the kernel-layer resume oracle:
 // run to T1, snapshot, keep running to T2 and snapshot again; then
 // restore the T1 image into a freshly built machine, run it to T2, and
@@ -87,10 +98,16 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if !bytes.Equal(img, img2) {
 		t.Fatal("two snapshots of the same machine state differ")
 	}
+	if got := snapshot.Hash(img); got != snapMachineT1Hash {
+		t.Errorf("T1 image hash %016x, want %016x (the image bytes moved)", got, snapMachineT1Hash)
+	}
 	a.Eng.Run(t2)
 	wantT2, err := a.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot at T2: %v", err)
+	}
+	if got := snapshot.Hash(wantT2); got != snapMachineT2Hash {
+		t.Errorf("T2 image hash %016x, want %016x (the image bytes moved)", got, snapMachineT2Hash)
 	}
 
 	b := buildSnapMachine(42)
