@@ -304,15 +304,31 @@ func (f *fxReplica) Engine() *sim.Engine { return f.eng }
 
 func (f *fxReplica) Snapshot() ([]byte, error) {
 	w := snapshot.NewWriter()
-	if err := f.eng.SnapshotTo(w); err != nil {
+	if _, err := f.visit(w.Codec()); err != nil {
 		return nil, err
 	}
-	w.Begin(fxSection)
-	w.Bool(1, f.tie)
-	w.U64(2, f.last)
-	w.U64(3, f.step)
-	w.End()
 	return w.Finish(), nil
+}
+
+// visit codes the fixture image: the engine, then the replica's own
+// section. Decoding returns the image's pending events.
+func (f *fxReplica) visit(c *snapshot.Codec) ([]sim.RestoredEvent, error) {
+	evs, err := f.eng.Visit(c)
+	if err != nil {
+		return nil, err
+	}
+	if !c.Section(fxSection) {
+		return nil, c.Err()
+	}
+	tie := f.tie
+	c.Bool(1, &tie)
+	if tie != f.tie {
+		c.Failf("core: fixture image tie=%v restored into tie=%v replica", tie, f.tie)
+	}
+	c.U64(2, &f.last)
+	c.U64(3, &f.step)
+	c.End()
+	return evs, c.Err()
 }
 
 func (f *fxReplica) Restore(img []byte) error {
@@ -320,23 +336,12 @@ func (f *fxReplica) Restore(img []byte) error {
 	if err != nil {
 		return err
 	}
-	evs, err := f.eng.RestoreState(r)
+	evs, err := f.visit(r.Codec())
 	if err != nil {
-		return err
-	}
-	r.Section(fxSection)
-	tie := r.Bool(1)
-	f.last = r.U64(2)
-	f.step = r.U64(3)
-	r.EndSection()
-	if err := r.Err(); err != nil {
 		return err
 	}
 	if !r.Exhausted() {
 		return fmt.Errorf("core: fixture image has trailing sections")
-	}
-	if tie != f.tie {
-		return fmt.Errorf("core: fixture image tie=%v restored into tie=%v replica", tie, f.tie)
 	}
 	for _, ev := range evs {
 		var id uint64

@@ -39,20 +39,13 @@ func (d *broadcastDrip) fire() {
 // SnapName implements kernel.SnapComponent.
 func (d *broadcastDrip) SnapName() string { return "core.drip" }
 
-// Snapshot implements kernel.SnapComponent.
-func (d *broadcastDrip) Snapshot(w *snapshot.Writer) error {
-	w.Begin(d.SnapName())
-	w.U64(1, d.rng.State())
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (d *broadcastDrip) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(d.SnapName())
-	d.rng.SetState(r.U64(1))
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (d *broadcastDrip) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(d.SnapName()) {
+		return
+	}
+	d.rng.Visit(c, 1)
+	c.End()
 }
 
 // detLoop is the §5.1 determinism measurement behavior: the mlocked
@@ -111,13 +104,7 @@ func (b *detLoop) SetBehaviorState(words []uint64) {
 }
 
 func init() {
-	kernel.RegisterEventRebuild("core.drip", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		d, err := kernel.RestoredComponent[*broadcastDrip](rc, a0, "core.drip")
-		if err != nil {
-			return nil, err
-		}
-		return d.fire, nil
-	})
+	kernel.RegisterComponentRebuild("core.drip", func(d *broadcastDrip, _ uint64) (func(), error) { return d.fire, nil })
 	snapshot.RegisterState(broadcastDrip{}, snapshot.Manifest{
 		"s":   "skip: construction back-pointer",
 		"rng": "codec",

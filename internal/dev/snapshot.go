@@ -26,37 +26,15 @@ var (
 )
 
 func init() {
-	kernel.RegisterEventRebuild("dev.disk-complete", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		d, err := kernel.RestoredComponent[*Disk](rc, a0, "dev.disk-complete")
-		if err != nil {
-			return nil, err
+	kernel.RegisterComponentRebuild("dev.disk-complete", func(d *Disk, wq uint64) (func(), error) {
+		if wq != 0 && d.k.WaitQueueByID(wq) == nil {
+			return nil, fmt.Errorf("dev: disk completion names unknown wait queue %d", wq)
 		}
-		if a1 != 0 && rc.K.WaitQueueByID(a1) == nil {
-			return nil, fmt.Errorf("dev: disk completion names unknown wait queue %d", a1)
-		}
-		return func() { d.complete(a1) }, nil
+		return func() { d.complete(wq) }, nil
 	})
-	kernel.RegisterEventRebuild("dev.gpu-irq", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		g, err := kernel.RestoredComponent[*GPU](rc, a0, "dev.gpu-irq")
-		if err != nil {
-			return nil, err
-		}
-		return g.onIRQ, nil
-	})
-	kernel.RegisterEventRebuild("dev.rtc-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		r, err := kernel.RestoredComponent[*RTC](rc, a0, "dev.rtc-fire")
-		if err != nil {
-			return nil, err
-		}
-		return r.onFire, nil
-	})
-	kernel.RegisterEventRebuild("dev.rcim-fire", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		r, err := kernel.RestoredComponent[*RCIM](rc, a0, "dev.rcim-fire")
-		if err != nil {
-			return nil, err
-		}
-		return r.onFire, nil
-	})
+	kernel.RegisterComponentRebuild("dev.gpu-irq", func(g *GPU, _ uint64) (func(), error) { return g.onIRQ, nil })
+	kernel.RegisterComponentRebuild("dev.rtc-fire", func(r *RTC, _ uint64) (func(), error) { return r.onFire, nil })
+	kernel.RegisterComponentRebuild("dev.rcim-fire", func(r *RCIM, _ uint64) (func(), error) { return r.onFire, nil })
 }
 
 // --- Disk ---
@@ -64,45 +42,32 @@ func init() {
 // SnapName implements kernel.SnapComponent.
 func (d *Disk) SnapName() string { return "dev.disk/" + d.name }
 
-// Snapshot implements kernel.SnapComponent.
-func (d *Disk) Snapshot(w *snapshot.Writer) error {
-	for _, wq := range d.completions {
-		if wq.ID() == 0 {
-			return fmt.Errorf("dev: disk %s has a pending completion for unregistered wait queue %q", d.name, wq.Name)
+// SnapVisit implements kernel.SnapComponent. A completion queued for an
+// unregistered wait queue cannot be named in an image, so encoding
+// refuses it before writing anything.
+func (d *Disk) SnapVisit(c *snapshot.Codec) {
+	if !c.Decoding() {
+		for _, wq := range d.completions {
+			if wq.ID() == 0 {
+				c.Failf("dev: disk %s has a pending completion for unregistered wait queue %q", d.name, wq.Name)
+			}
 		}
 	}
-	w.Begin(d.SnapName())
-	w.I64(1, int64(d.busyUntil))
-	w.U64(2, d.rng.State())
-	w.U64(3, d.Requests)
-	w.U64(4, d.BytesDone)
-	w.U64(5, uint64(len(d.completions)))
-	for _, wq := range d.completions {
-		w.U64(6, wq.ID())
+	if !c.Section(d.SnapName()) {
+		return
 	}
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (d *Disk) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(d.SnapName())
-	d.busyUntil = sim.Time(r.I64(1))
-	d.rng.SetState(r.U64(2))
-	d.Requests = r.U64(3)
-	d.BytesDone = r.U64(4)
-	n := int(r.U64(5))
-	d.completions = nil
-	for i := 0; i < n; i++ {
-		id := r.U64(6)
-		wq := rc.K.WaitQueueByID(id)
-		if wq == nil {
-			return fmt.Errorf("dev: disk %s restore names unknown wait queue %d", d.name, id)
+	snapshot.Int(c, 1, &d.busyUntil)
+	d.rng.Visit(c, 2)
+	c.U64(3, &d.Requests)
+	c.U64(4, &d.BytesDone)
+	snapshot.Slice(c, 5, &d.completions)
+	for i := range d.completions {
+		d.k.VisitWaitQueue(c, 6, &d.completions[i])
+		if d.completions[i] == nil {
+			c.Failf("dev: disk %s completion %d names no wait queue", d.name, i)
 		}
-		d.completions = append(d.completions, wq)
 	}
-	r.EndSection()
-	return r.Err()
+	c.End()
 }
 
 // --- NIC ---
@@ -110,30 +75,18 @@ func (d *Disk) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
 // SnapName implements kernel.SnapComponent.
 func (n *NIC) SnapName() string { return "dev.nic/" + n.name }
 
-// Snapshot implements kernel.SnapComponent.
-func (n *NIC) Snapshot(w *snapshot.Writer) error {
-	w.Begin(n.SnapName())
-	w.F64(1, n.pendingRxKB)
-	w.F64(2, n.pendingTxKB)
-	w.U64(3, n.RxBytes)
-	w.U64(4, n.TxBytes)
-	w.U64(5, n.RxIRQs)
-	w.U64(6, n.TxIRQs)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (n *NIC) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(n.SnapName())
-	n.pendingRxKB = r.F64(1)
-	n.pendingTxKB = r.F64(2)
-	n.RxBytes = r.U64(3)
-	n.TxBytes = r.U64(4)
-	n.RxIRQs = r.U64(5)
-	n.TxIRQs = r.U64(6)
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (n *NIC) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(n.SnapName()) {
+		return
+	}
+	c.F64(1, &n.pendingRxKB)
+	c.F64(2, &n.pendingTxKB)
+	c.U64(3, &n.RxBytes)
+	c.U64(4, &n.TxBytes)
+	c.U64(5, &n.RxIRQs)
+	c.U64(6, &n.TxIRQs)
+	c.End()
 }
 
 // --- GPU ---
@@ -141,20 +94,13 @@ func (n *NIC) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
 // SnapName implements kernel.SnapComponent.
 func (g *GPU) SnapName() string { return "dev.gpu/" + g.name }
 
-// Snapshot implements kernel.SnapComponent.
-func (g *GPU) Snapshot(w *snapshot.Writer) error {
-	w.Begin(g.SnapName())
-	w.U64(1, g.Batches)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (g *GPU) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(g.SnapName())
-	g.Batches = r.U64(1)
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (g *GPU) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(g.SnapName()) {
+		return
+	}
+	c.U64(1, &g.Batches)
+	c.End()
 }
 
 // --- RTC ---
@@ -162,24 +108,15 @@ func (g *GPU) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
 // SnapName implements kernel.SnapComponent.
 func (r *RTC) SnapName() string { return "dev.rtc" }
 
-// Snapshot implements kernel.SnapComponent.
-func (r *RTC) Snapshot(w *snapshot.Writer) error {
-	w.Begin(r.SnapName())
-	w.Bool(1, r.running)
-	w.I64(2, int64(r.lastFire))
-	w.U64(3, r.fires)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (r *RTC) Restore(rd *snapshot.Reader, rc *kernel.RestoreContext) error {
-	rd.Section(r.SnapName())
-	r.running = rd.Bool(1)
-	r.lastFire = sim.Time(rd.I64(2))
-	r.fires = rd.U64(3)
-	rd.EndSection()
-	return rd.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (r *RTC) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(r.SnapName()) {
+		return
+	}
+	c.Bool(1, &r.running)
+	snapshot.Int(c, 2, &r.lastFire)
+	c.U64(3, &r.fires)
+	c.End()
 }
 
 // --- RCIM ---
@@ -187,36 +124,20 @@ func (r *RTC) Restore(rd *snapshot.Reader, rc *kernel.RestoreContext) error {
 // SnapName implements kernel.SnapComponent.
 func (r *RCIM) SnapName() string { return "dev.rcim" }
 
-// Snapshot implements kernel.SnapComponent.
-func (r *RCIM) Snapshot(w *snapshot.Writer) error {
-	w.Begin(r.SnapName())
-	w.Bool(1, r.running)
-	w.I64(2, int64(r.lastFire))
-	w.U64(3, r.fires)
-	w.U64(4, uint64(len(r.exts)))
+// SnapVisit implements kernel.SnapComponent.
+func (r *RCIM) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(r.SnapName()) {
+		return
+	}
+	c.Bool(1, &r.running)
+	snapshot.Int(c, 2, &r.lastFire)
+	c.U64(3, &r.fires)
+	c.Expect(4, uint64(len(r.exts)), "dev: rcim image has %d external inputs, machine has %d")
 	for _, e := range r.exts {
-		w.U64(5, e.Edges)
-		w.I64(6, int64(e.LastEdge))
+		c.U64(5, &e.Edges)
+		snapshot.Int(c, 6, &e.LastEdge)
 	}
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (r *RCIM) Restore(rd *snapshot.Reader, rc *kernel.RestoreContext) error {
-	rd.Section(r.SnapName())
-	r.running = rd.Bool(1)
-	r.lastFire = sim.Time(rd.I64(2))
-	r.fires = rd.U64(3)
-	if n := int(rd.U64(4)); n != len(r.exts) {
-		return fmt.Errorf("dev: rcim image has %d external inputs, machine has %d", n, len(r.exts))
-	}
-	for _, e := range r.exts {
-		e.Edges = rd.U64(5)
-		e.LastEdge = sim.Time(rd.I64(6))
-	}
-	rd.EndSection()
-	return rd.Err()
+	c.End()
 }
 
 func init() {

@@ -282,7 +282,7 @@ func TestUnshieldLocalTimerRearmsPinnedTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := sim.NewEngine(0).RestoreState(r)
+	evs, err := sim.NewEngine(0).Visit(r.Codec())
 	if err != nil {
 		t.Fatal(err)
 	}

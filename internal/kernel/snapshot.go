@@ -2,7 +2,8 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync" //simlint:allow nondeterminism guards only the process-global rebuilder registry below; nothing on a simulation path locks
 
 	"repro/internal/sim"
@@ -45,27 +46,16 @@ var (
 type SnapComponent interface {
 	// SnapName is the component's unique section name ("dev.disk/sda").
 	SnapName() string
-	// Snapshot writes the component's section (Begin through End). It
-	// may refuse — without writing — when the component holds state
-	// that cannot cross the boundary.
-	Snapshot(w *snapshot.Writer) error
-	// Restore reads the component's section back.
-	Restore(r *snapshot.Reader, rc *RestoreContext) error
+	// SnapVisit codes the component's section through c, in either
+	// direction. Encoding may refuse, with c.Failf before the section
+	// opens, when the component holds state that cannot cross the
+	// boundary.
+	SnapVisit(c *snapshot.Codec)
 }
 
-// RestoreContext carries cross-section state through a restore.
-type RestoreContext struct {
-	K *Kernel
-	// spin[cpu] is the CPU's spin frame, if one is stacked, for
-	// rebuilding lock waiter callbacks.
-	spin []*frame
-	// hasTrace records the machine-section flag: whether the image
-	// carries a trace buffer section.
-	hasTrace bool
-}
-
-// EventRebuild reconstructs an event callback from its tag arguments.
-type EventRebuild func(rc *RestoreContext, a0, a1, a2 uint64) (func(), error)
+// EventRebuild reconstructs an event callback, on the restoring
+// machine k, from its tag arguments.
+type EventRebuild func(k *Kernel, a0, a1, a2 uint64) (func(), error)
 
 var (
 	rebuildMu sync.Mutex
@@ -88,6 +78,20 @@ func RegisterEventRebuild(kind string, f EventRebuild) {
 	rebuilds[kind] = f
 }
 
+// RegisterComponentRebuild registers the rebuilder for an event kind
+// whose A0 is the id of the owning component, of type T: the component
+// is resolved (an error when the image names a wrong one) and fn builds
+// the callback from it and A1.
+func RegisterComponentRebuild[T SnapComponent](kind string, fn func(comp T, a1 uint64) (func(), error)) {
+	RegisterEventRebuild(kind, func(k *Kernel, a0, a1, _ uint64) (func(), error) {
+		comp, err := RestoredComponent[T](k, a0, kind)
+		if err != nil {
+			return nil, err
+		}
+		return fn(comp, a1)
+	})
+}
+
 func lookupRebuild(kind string) EventRebuild {
 	rebuildMu.Lock()
 	defer rebuildMu.Unlock()
@@ -96,47 +100,20 @@ func lookupRebuild(kind string) EventRebuild {
 
 // --- snapshot ---
 
-// SnapshotTo serialises the whole machine into w: engine, machine
-// scalars, tasks, CPU stacks, locks, wait queues, scheduler, trace and
-// components. It fails loudly when any piece of state cannot cross the
-// boundary (a closure-state behavior, an untagged event or timer, an
-// unregistered wait queue or lock): machine state is checked before the
-// first byte is written, and a component refusal aborts the stream
-// (Snapshot discards the partial buffer).
-func (k *Kernel) SnapshotTo(w *snapshot.Writer) error {
-	if err := k.checkSnapshottable(); err != nil {
-		return err
-	}
-	if err := k.Eng.SnapshotTo(w); err != nil {
-		return err
-	}
-	k.writeMachine(w)
-	k.writeTasks(w)
-	k.writeCPUs(w)
-	k.writeLocks(w)
-	k.writeWaitqs(w)
-	k.writeSched(w)
-	if k.Trace != nil {
-		k.Trace.Snapshot(w)
-	}
-	seen := map[string]bool{}
-	for _, comp := range k.comps {
-		name := comp.SnapName()
-		if seen[name] {
-			return fmt.Errorf("kernel: snapshot: duplicate component section %q", name)
-		}
-		seen[name] = true
-		if err := comp.Snapshot(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Snapshot serialises the machine and returns the image bytes.
+// Snapshot serialises the whole machine and returns the image bytes:
+// engine, machine scalars, tasks, CPU stacks, locks, wait queues,
+// scheduler, trace and components. It fails loudly when any piece of
+// state cannot cross the boundary (a closure-state behavior, an untagged
+// event or timer, an unregistered wait queue or lock): machine state is
+// checked before the first byte is written, and a refusal while
+// encoding (an untagged event or wheel timer, a component's) discards
+// the partial image.
 func (k *Kernel) Snapshot() ([]byte, error) {
+	if err := k.checkSnapshottable(); err != nil {
+		return nil, err
+	}
 	w := snapshot.NewWriter()
-	if err := k.SnapshotTo(w); err != nil {
+	if _, err := k.visit(w.Codec()); err != nil {
 		return nil, err
 	}
 	return w.Finish(), nil
@@ -181,13 +158,15 @@ func (k *Kernel) checkSnapshottable() error {
 			}
 		}
 	}
-	var timerErr error
-	k.wheel.each(func(t *KTimer) {
-		if timerErr == nil && t.active && t.tag.Kind == 0 {
-			timerErr = fmt.Errorf("kernel: snapshot: untagged wheel timer expiring at jiffy %d (use AddTimerTagged)", t.expires)
+	seen := map[string]bool{}
+	for _, comp := range k.comps {
+		name := comp.SnapName()
+		if seen[name] {
+			return fmt.Errorf("kernel: snapshot: duplicate component section %q", name)
 		}
-	})
-	return timerErr
+		seen[name] = true
+	}
+	return nil
 }
 
 func (k *Kernel) checkSegs(t *Task, segs []Segment) error {
@@ -263,15 +242,6 @@ func (k *Kernel) lockNamed(name string) *SpinLock {
 	return k.namedLocks[name]
 }
 
-// restoreLock is the creating lookup used on restore: the fresh machine
-// may not yet have created locks the snapshotted one made on first use.
-func (k *Kernel) restoreLock(name []byte) *SpinLock {
-	if l := k.lockNamed(string(name)); l != nil {
-		return l
-	}
-	return k.NamedLock(string(name))
-}
-
 func (k *Kernel) irqIndex(l *IRQLine) int {
 	for i, x := range k.irqs {
 		if x == l {
@@ -290,23 +260,7 @@ func segIndex(call *syscallCall, seg *Segment) int {
 	return -1
 }
 
-// each visits every timer in every wheel bucket.
-func (w *timerWheel) each(fn func(*KTimer)) {
-	for i := range w.tv1 {
-		for _, t := range w.tv1[i] {
-			fn(t)
-		}
-	}
-	for l := range w.tv {
-		for i := range w.tv[l] {
-			for _, t := range w.tv[l][i] {
-				fn(t)
-			}
-		}
-	}
-}
-
-// --- section writers ---
+// --- sections ---
 
 const (
 	secMachine = "kernel.machine"
@@ -317,561 +271,657 @@ const (
 	secSched   = "kernel.sched"
 )
 
-func (k *Kernel) writeMachine(w *snapshot.Writer) {
-	w.Begin(secMachine)
-	w.Bool(1, k.Trace != nil)
-	w.I64(2, int64(k.next))
-	w.U64(3, k.rng.State())
-	w.U64(4, uint64(k.shieldProcs))
-	w.U64(5, uint64(k.shieldIRQs))
-	w.U64(6, uint64(k.shieldLTimer))
-	w.F64(7, k.load.one)
-	w.F64(8, k.load.five)
-	w.F64(9, k.load.fifteen)
+// visit codes the whole machine through c: the engine, the kernel
+// sections, the trace buffer when one is attached, and one section per
+// registered component. Decoding returns the image's pending events,
+// which restoreImage re-queues once every section is back.
+func (k *Kernel) visit(c *snapshot.Codec) ([]sim.RestoredEvent, error) {
+	evs, err := k.Eng.Visit(c)
+	if err != nil {
+		return nil, err
+	}
+	k.visitMachine(c)
+	k.visitTasks(c)
+	k.visitCPUs(c)
+	k.visitLocks(c)
+	k.visitWaitqs(c)
+	k.visitSched(c)
+	if k.Trace != nil {
+		k.Trace.Visit(c)
+	}
+	for _, comp := range k.comps {
+		comp.SnapVisit(c)
+	}
+	return evs, c.Err()
+}
 
-	// Timer wheel: explicit bucket coordinates, so a restore lands every
-	// timer back in the exact bucket it occupied — including timers a
-	// cascade has already migrated, mid-lap (the wrap-boundary tests
-	// depend on this being positional, not recomputed from expiry).
-	w.U64(10, k.wheel.jiffies)
-	w.U64(11, k.wheel.Added)
-	w.U64(12, k.wheel.Fired)
+func (k *Kernel) visitMachine(c *snapshot.Codec) {
+	if !c.Section(secMachine) {
+		return
+	}
+	hasTrace := k.Trace != nil
+	c.Bool(1, &hasTrace)
+	switch {
+	case hasTrace && k.Trace == nil:
+		c.Failf("kernel: restore: image has a trace buffer but the machine has none attached")
+	case !hasTrace && k.Trace != nil:
+		c.Failf("kernel: restore: machine has a trace buffer but the image has none")
+	}
+	snapshot.Int(c, 2, &k.next)
+	k.rng.Visit(c, 3)
+	snapshot.Uint(c, 4, &k.shieldProcs)
+	snapshot.Uint(c, 5, &k.shieldIRQs)
+	snapshot.Uint(c, 6, &k.shieldLTimer)
+	c.F64(7, &k.load.one)
+	c.F64(8, &k.load.five)
+	c.F64(9, &k.load.fifteen)
+	k.visitWheel(c)
+	c.Expect(21, uint64(len(k.irqs)), "kernel: restore: image has %d irq lines, machine has %d")
+	for i, l := range k.irqs {
+		snapshot.Uint(c, 22, &l.affinity)
+		l.rng.Visit(c, 23)
+		snapshot.Int(c, 24, &l.rr)
+		c.U64(25, &l.Raised)
+		c.U64(26, &l.Handled)
+		c.Expect(27, uint64(len(l.PerCPU)), "kernel: restore: irq %d per-cpu counter length %d != %d", i)
+		for j := range l.PerCPU {
+			c.U64(28, &l.PerCPU[j])
+		}
+	}
+	c.End()
+}
+
+// visitWheel codes the timer wheel with explicit bucket coordinates, so
+// a restore lands every timer back in the exact bucket it occupied —
+// including timers a cascade has already migrated, mid-lap (the
+// wrap-boundary tests depend on this being positional, not recomputed
+// from expiry). Encoding collects the active timers, refusing an
+// untagged one; decoding rebuilds each callback from its tag and files
+// the timer in its bucket.
+func (k *Kernel) visitWheel(c *snapshot.Codec) {
+	c.U64(10, &k.wheel.jiffies)
+	c.U64(11, &k.wheel.Added)
+	c.U64(12, &k.wheel.Fired)
 	type slot struct {
 		level, idx int
 		t          *KTimer
 	}
 	var timers []slot
-	for i := range k.wheel.tv1 {
-		for _, t := range k.wheel.tv1[i] {
-			if t.active {
-				timers = append(timers, slot{0, i, t})
-			}
-		}
-	}
-	for l := range k.wheel.tv {
-		for i := range k.wheel.tv[l] {
-			for _, t := range k.wheel.tv[l][i] {
-				if t.active {
-					timers = append(timers, slot{l + 1, i, t})
+	if !c.Decoding() {
+		collect := func(level, idx int, bucket []*KTimer) {
+			for _, t := range bucket {
+				switch {
+				case !t.active:
+				case t.tag.Kind == 0:
+					c.Failf("kernel: snapshot: untagged wheel timer expiring at jiffy %d (use AddTimerTagged)", t.expires)
+				default:
+					timers = append(timers, slot{level, idx, t})
 				}
 			}
 		}
-	}
-	w.U64(13, uint64(len(timers)))
-	for _, s := range timers {
-		w.U64(14, uint64(s.level))
-		w.U64(15, uint64(s.idx))
-		w.U64(16, s.t.expires)
-		w.Str(17, s.t.tag.Kind.String())
-		w.U64(18, s.t.tag.A0)
-		w.U64(19, s.t.tag.A1)
-		w.U64(20, s.t.tag.A2)
-	}
-
-	w.U64(21, uint64(len(k.irqs)))
-	for _, l := range k.irqs {
-		w.U64(22, uint64(l.affinity))
-		w.U64(23, l.rng.State())
-		w.I64(24, int64(l.rr))
-		w.U64(25, l.Raised)
-		w.U64(26, l.Handled)
-		w.U64(27, uint64(len(l.PerCPU)))
-		for _, n := range l.PerCPU {
-			w.U64(28, n)
+		for i := range k.wheel.tv1 {
+			collect(0, i, k.wheel.tv1[i])
 		}
-	}
-	w.End()
-}
-
-func (k *Kernel) writeTasks(w *snapshot.Writer) {
-	w.Begin(secTasks)
-	w.U64(1, uint64(len(k.tasks)))
-	for _, t := range k.tasks {
-		w.U64(2, uint64(t.PID))
-		w.Str(3, t.Name)
-		w.U64(4, uint64(t.state))
-		w.I64(5, cpuID(t.cpu))
-		w.U64(6, uint64(t.affinity))
-		w.Bool(7, t.MemLocked)
-		w.I64(8, int64(t.Nice))
-		w.U64(9, t.rng.State())
-		w.I64(10, int64(t.sliceLeft))
-		w.U64(11, t.Switches)
-		w.U64(12, t.Migrated)
-		w.I64(13, int64(t.RunTime))
-		w.I64(14, int64(t.lastQueue))
-		w.U64(15, waitID(t.waitOn))
-		if sb, ok := t.behavior.(SnapBehavior); ok {
-			w.Str(16, sb.BehaviorName())
-			words := sb.BehaviorState()
-			w.U64(17, uint64(len(words)))
-			for _, word := range words {
-				w.U64(18, word)
+		for l := range k.wheel.tv {
+			for i := range k.wheel.tv[l] {
+				collect(l+1, i, k.wheel.tv[l][i])
 			}
-		} else {
-			w.Str(16, "")
-			w.U64(17, 0)
-		}
-		w.Bool(19, t.call != nil)
-		if t.call != nil {
-			writeCall(w, t.call)
-		}
-		w.Bool(20, t.saved != nil)
-		if t.saved != nil {
-			k.writeFrame(w, t.saved)
 		}
 	}
-	w.End()
+	snapshot.Slice(c, 13, &timers)
+	for _, s := range timers {
+		if c.Decoding() {
+			s.t = &KTimer{active: true}
+		}
+		snapshot.Uint(c, 14, &s.level)
+		snapshot.Uint(c, 15, &s.idx)
+		c.U64(16, &s.t.expires)
+		s.t.tag.Visit(c, 17)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		fn, err := k.rebuildEvent(s.t.tag)
+		if err != nil {
+			c.Failf("%w", err)
+			return
+		}
+		s.t.fn = fn
+		switch {
+		case s.level == 0 && s.idx < 256:
+			k.wheel.tv1[s.idx] = append(k.wheel.tv1[s.idx], s.t)
+		case s.level >= 1 && s.level <= 4 && s.idx < 64:
+			k.wheel.tv[s.level-1][s.idx] = append(k.wheel.tv[s.level-1][s.idx], s.t)
+		default:
+			c.Failf("kernel: restore: wheel timer bucket (%d,%d) out of range", s.level, s.idx)
+		}
+	}
 }
 
-// writeCall serialises an in-flight syscall: definition metadata, the
-// post-split segment list, and the execution cursor. Tags 1..10 are a
+func (k *Kernel) visitTasks(c *snapshot.Codec) {
+	if !c.Section(secTasks) {
+		return
+	}
+	c.Expect(1, uint64(len(k.tasks)), "kernel: restore: image has %d tasks, machine has %d (construction mismatch)")
+	for _, t := range k.tasks {
+		c.Expect(2, uint64(t.PID), "kernel: restore: image task pid %[2]d where machine has %[1]v (construction mismatch)", t)
+		c.ExpectStr(3, t.Name, "kernel: restore: image task %[2]s where machine has %[1]v (construction mismatch)", t)
+		snapshot.Uint(c, 4, &t.state)
+		k.visitCPU(c, 5, &t.cpu)
+		snapshot.Uint(c, 6, &t.affinity)
+		c.Bool(7, &t.MemLocked)
+		snapshot.Int(c, 8, &t.Nice)
+		t.rng.Visit(c, 9)
+		snapshot.Int(c, 10, &t.sliceLeft)
+		c.U64(11, &t.Switches)
+		c.U64(12, &t.Migrated)
+		snapshot.Int(c, 13, &t.RunTime)
+		snapshot.Int(c, 14, &t.lastQueue)
+		k.VisitWaitQueue(c, 15, &t.waitOn)
+
+		// Behavior state words; a task whose behavior is not a
+		// SnapBehavior (an exited one) carries the empty name and none.
+		sb, ok := t.behavior.(SnapBehavior)
+		var name string
+		var words []uint64
+		if ok {
+			name = sb.BehaviorName()
+			if !c.Decoding() {
+				words = sb.BehaviorState()
+			}
+		}
+		c.ExpectStr(16, name, "kernel: restore: task %[1]v behavior %[3]q != image %[2]q (construction mismatch)", t)
+		snapshot.Slice(c, 17, &words)
+		for i := range words {
+			c.U64(18, &words[i])
+		}
+		if ok && c.Decoding() && c.Err() == nil {
+			sb.SetBehaviorState(words)
+		}
+
+		hasCall := t.call != nil
+		c.Bool(19, &hasCall)
+		if hasCall {
+			if c.Decoding() {
+				t.call = &t.callBuf
+			}
+			k.visitCall(c, t.call)
+		}
+		hasSaved := t.saved != nil
+		c.Bool(20, &hasSaved)
+		if hasSaved {
+			t.saved = k.visitFrame(c, nil, t.saved)
+			if t.saved.armed {
+				c.Failf("kernel: restore: saved frame for %v claims to be armed", t)
+			}
+		}
+		if c.Err() != nil {
+			return
+		}
+	}
+	c.End()
+}
+
+// visitCall codes an in-flight syscall: definition metadata, the
+// post-split segment list, and the execution cursor. Tags 1..12 are a
 // sub-record namespace (the codec checks sequence, not uniqueness).
-func writeCall(w *snapshot.Writer, call *syscallCall) {
-	w.Str(1, call.def.Name)
+// Decoding rebuilds the definition: def.Segments points at the restored
+// post-split segments, so the definition stays self-consistent for
+// inspection.
+func (k *Kernel) visitCall(c *snapshot.Codec, call *syscallCall) {
+	var name string
 	var flags uint64
-	if call.def.TakesBKL {
-		flags |= 1
+	if !c.Decoding() {
+		name = call.def.Name
+		flags = flagBit(call.def.TakesBKL, 1) | flagBit(call.def.DriverNoBKL, 2) | flagBit(call.def.ReacquireBKLOnBlock, 4) | flagBit(call.heldBKL, 8)
 	}
-	if call.def.DriverNoBKL {
-		flags |= 2
+	c.Str(1, &name)
+	c.U64(2, &flags)
+	snapshot.Uint(c, 3, &call.idx)
+	snapshot.Slice(c, 4, &call.segs)
+	if c.Decoding() {
+		//simlint:allow latbound restore-path reconstruction: segments come from the image, and every one was statically bounded at its original definition site; restore introduces no new lock-hold region
+		call.def = &SyscallCall{
+			Name:                name,
+			TakesBKL:            flags&1 != 0,
+			DriverNoBKL:         flags&2 != 0,
+			ReacquireBKLOnBlock: flags&4 != 0,
+			Segments:            call.segs,
+		}
+		call.heldBKL, call.split, call.onComplete = flags&8 != 0, call.segs, nil
 	}
-	if call.def.ReacquireBKLOnBlock {
-		flags |= 4
-	}
-	if call.heldBKL {
-		flags |= 8
-	}
-	w.U64(2, flags)
-	w.U64(3, uint64(call.idx))
-	w.U64(4, uint64(len(call.segs)))
 	for i := range call.segs {
 		seg := &call.segs[i]
-		var bits uint64
-		bits = uint64(seg.Kind)
-		if seg.IRQsOff {
-			bits |= 1 << 8
+		segBits := uint64(seg.Kind) | flagBit(seg.IRQsOff, 1<<8) | flagBit(seg.NonPreempt, 1<<9) | flagBit(seg.SchedPoint, 1<<10)
+		c.U64(5, &segBits)
+		snapshot.Int(c, 6, &seg.D)
+		k.visitLock(c, 7, &seg.Lock)
+		k.VisitWaitQueue(c, 8, &seg.Wait)
+		seg.DoneTag.Visit(c, 9)
+		if !c.Decoding() || c.Err() != nil {
+			continue
 		}
-		if seg.NonPreempt {
-			bits |= 1 << 9
-		}
-		if seg.SchedPoint {
-			bits |= 1 << 10
-		}
-		w.U64(5, bits)
-		w.I64(6, int64(seg.D))
-		w.Str(7, lockName(seg.Lock))
-		w.U64(8, waitID(seg.Wait))
-		w.Str(9, seg.DoneTag.Kind.String())
-		w.U64(10, seg.DoneTag.A0)
-		w.U64(11, seg.DoneTag.A1)
-		w.U64(12, seg.DoneTag.A2)
-	}
-}
-
-// readCall restores an in-flight syscall into call (the task's own
-// syscall state).
-func readCall(r *snapshot.Reader, rc *RestoreContext, call *syscallCall) error {
-	k := rc.K
-	name := r.Str(1)
-	flags := r.U64(2)
-	idx := int(r.U64(3))
-	n := int(r.U64(4))
-	//simlint:allow latbound restore-path reconstruction: segments come from the image, and every one was statically bounded at its original definition site; restore introduces no new lock-hold region
-	def := &SyscallCall{
-		Name:                name,
-		TakesBKL:            flags&1 != 0,
-		DriverNoBKL:         flags&2 != 0,
-		ReacquireBKLOnBlock: flags&4 != 0,
-	}
-	call.def, call.heldBKL, call.idx, call.onComplete = def, flags&8 != 0, idx, nil
-	call.split = make([]Segment, n)
-	call.segs = call.split
-	for i := 0; i < n; i++ {
-		bits := r.U64(5)
-		seg := Segment{
-			Kind:       SegmentKind(bits & 0xff),
-			IRQsOff:    bits&(1<<8) != 0,
-			NonPreempt: bits&(1<<9) != 0,
-			SchedPoint: bits&(1<<10) != 0,
-			D:          sim.Duration(r.I64(6)),
-		}
-		if ln := r.Bytes(7); len(ln) != 0 {
-			seg.Lock = k.restoreLock(ln)
-		}
-		if wid := r.U64(8); wid != 0 {
-			seg.Wait = k.WaitQueueByID(wid)
-			if seg.Wait == nil {
-				return fmt.Errorf("kernel: restore: syscall %q segment %d references unknown wait queue %d", name, i, wid)
-			}
-		}
-		doneKind := sim.EventKindNameOf(r.Bytes(9))
-		a0, a1, a2 := r.U64(10), r.U64(11), r.U64(12)
-		if doneKind != "" {
-			seg.DoneTag = sim.RegisterEventKind(doneKind).Tag(a0, a1, a2)
-			rb := lookupRebuild(doneKind)
-			if rb == nil {
-				return fmt.Errorf("kernel: restore: no rebuilder for segment OnDone kind %q", doneKind)
-			}
-			fn, err := rb(rc, a0, a1, a2)
+		seg.Kind = SegmentKind(segBits & 0xff)
+		seg.IRQsOff, seg.NonPreempt, seg.SchedPoint = segBits&(1<<8) != 0, segBits&(1<<9) != 0, segBits&(1<<10) != 0
+		if seg.DoneTag.Kind != 0 {
+			fn, err := k.rebuildEvent(seg.DoneTag)
 			if err != nil {
-				return err
+				c.Failf("%w", err)
+				return
 			}
 			seg.OnDone = fn
 		}
-		call.segs[i] = seg
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	// def.Segments is the pre-split list; the restored call only needs
-	// the post-split segs it executes, but keep def.Segments pointing at
-	// them so the definition stays self-consistent for inspection.
-	def.Segments = call.segs
-	return nil
 }
 
-// writeFrame serialises one execution frame (sub-record tags 1..16).
-func (k *Kernel) writeFrame(w *snapshot.Writer, f *frame) {
-	w.U64(1, uint64(f.kind))
-	pid := int64(-1)
-	if f.task != nil {
-		pid = int64(f.task.PID)
+// flagBit returns bit when b is set.
+func flagBit(b bool, bit uint64) uint64 {
+	if b {
+		return bit
 	}
-	w.I64(2, pid)
+	return 0
+}
+
+// visitFrame codes one execution frame (sub-record tags 1..16) and
+// returns it; decoding ignores f and returns a new frame. cpu is the
+// owning CPU for stack frames, nil for a task's saved frame. There is
+// no continuation to rebuild: frameCont picks it from the restored
+// kind, segment and spinWhy, exactly as for a live frame. A decoded
+// spin frame is still checked for a continuation it can run.
+func (k *Kernel) visitFrame(c *snapshot.Codec, cpu *CPU, f *frame) *frame {
+	if c.Decoding() {
+		f = &frame{}
+	}
+	snapshot.Uint(c, 1, &f.kind)
+	k.visitTask(c, 2, &f.task)
 	segIdx := int64(-1)
 	if f.seg != nil {
 		segIdx = int64(segIndex(f.task.call, f.seg))
 	}
-	w.I64(3, segIdx)
-	w.F64(4, f.workLeft)
-	w.I64(5, int64(f.lastAccrue))
-	w.Bool(6, f.armed)
-	w.U64(7, uint64(len(f.locks)))
-	for _, l := range f.locks {
-		w.Str(8, l.Name)
+	c.I64(3, &segIdx)
+	c.F64(4, &f.workLeft)
+	snapshot.Int(c, 5, &f.lastAccrue)
+	c.Bool(6, &f.armed)
+	snapshot.Slice(c, 7, &f.locks)
+	for i := range f.locks {
+		k.visitLock(c, 8, &f.locks[i])
 	}
-	w.Bool(9, f.irqsOff)
-	w.I64(10, int64(f.began))
-	irqIdx := int64(-2)
-	if f.irq != nil {
-		if f.irq.Num == -1 {
-			irqIdx = -1 // the owning CPU's local timer
-		} else {
-			irqIdx = int64(k.irqIndex(f.irq))
-		}
-	}
-	w.I64(11, irqIdx)
-	w.Str(12, lockName(f.spin))
-	w.Bool(13, f.acquired)
-	w.I64(14, int64(f.spinSince))
-	w.Bool(15, f.suspended)
-	w.U64(16, uint64(f.spinWhy))
-}
-
-// readFrame reconstructs one frame. c is the owning CPU for stack
-// frames (nil for a task's saved frame, which is always a task frame).
-// There is no continuation to rebuild: frameCont picks it from the
-// restored kind, segment and spinWhy, exactly as for a live frame. A
-// spin frame is still checked here for a continuation it can run.
-func (k *Kernel) readFrame(r *snapshot.Reader, c *CPU) (*frame, error) {
-	f := &frame{kind: frameKind(r.U64(1))}
-	pid := r.I64(2)
-	if pid >= 0 {
-		f.task = k.byPID[int(pid)]
-		if f.task == nil {
-			return nil, fmt.Errorf("kernel: restore: frame references unknown pid %d", pid)
-		}
-	}
-	segIdx := r.I64(3)
-	f.workLeft = r.F64(4)
-	f.lastAccrue = sim.Time(r.I64(5))
-	f.armed = r.Bool(6)
-	nlocks := int(r.U64(7))
-	for i := 0; i < nlocks; i++ {
-		f.locks = append(f.locks, k.restoreLock(r.Bytes(8)))
-	}
-	f.irqsOff = r.Bool(9)
-	f.began = sim.Time(r.I64(10))
-	irqIdx := r.I64(11)
-	spin := r.Bytes(12)
-	f.acquired = r.Bool(13)
-	f.spinSince = sim.Time(r.I64(14))
-	f.suspended = r.Bool(15)
-	f.spinWhy = uint8(r.U64(16))
-	if err := r.Err(); err != nil {
-		return nil, err
+	c.Bool(9, &f.irqsOff)
+	snapshot.Int(c, 10, &f.began)
+	k.visitIRQ(c, 11, cpu, &f.irq)
+	k.visitLock(c, 12, &f.spin)
+	c.Bool(13, &f.acquired)
+	snapshot.Int(c, 14, &f.spinSince)
+	c.Bool(15, &f.suspended)
+	snapshot.Uint(c, 16, &f.spinWhy)
+	if !c.Decoding() || c.Err() != nil {
+		return f
 	}
 	if segIdx >= 0 {
-		if f.task == nil || f.task.call == nil || int(segIdx) >= len(f.task.call.segs) {
-			return nil, fmt.Errorf("kernel: restore: frame segment index %d has no matching syscall", segIdx)
+		if f.task == nil || f.task.call == nil || segIdx >= int64(len(f.task.call.segs)) {
+			c.Failf("kernel: restore: frame segment index %d has no matching syscall", segIdx)
+			return f
 		}
 		f.seg = &f.task.call.segs[segIdx]
 	}
-	switch {
-	case irqIdx == -1:
-		if c == nil {
-			return nil, fmt.Errorf("kernel: restore: local-timer ISR frame without a CPU")
-		}
-		f.irq = c.localTimer
-	case irqIdx >= 0:
-		if int(irqIdx) >= len(k.irqs) {
-			return nil, fmt.Errorf("kernel: restore: frame references unknown irq %d", irqIdx)
-		}
-		f.irq = k.irqs[irqIdx]
+	if slices.Contains(f.locks, nil) {
+		c.Failf("kernel: restore: frame holds a lock with no name")
 	}
-	if len(spin) != 0 {
-		f.spin = k.restoreLock(spin)
-	}
-
-	if c == nil && f.kind != frameTask {
-		return nil, fmt.Errorf("kernel: restore: saved %s frame off-CPU (only task frames are saved)", f.kind)
+	if cpu == nil && f.kind != frameTask {
+		c.Failf("kernel: restore: saved %s frame off-CPU (only task frames are saved)", f.kind)
 	}
 	if f.kind == frameSpin {
-		call := f.task.call
-		if call == nil {
-			return nil, fmt.Errorf("kernel: restore: spin frame for %v without an in-flight syscall", f.task)
-		}
-		switch f.spinWhy {
-		case spinForBKL:
-		case spinForSeg:
-			if call.idx >= len(call.segs) {
-				return nil, fmt.Errorf("kernel: restore: spin frame for %v past its segment list", f.task)
-			}
-		default:
-			return nil, fmt.Errorf("kernel: restore: spin frame with unknown continuation %d", f.spinWhy)
+		switch {
+		case f.task == nil || f.task.call == nil:
+			c.Failf("kernel: restore: spin frame for %v without an in-flight syscall", f.task)
+		case f.spinWhy == spinForSeg && f.task.call.idx >= len(f.task.call.segs):
+			c.Failf("kernel: restore: spin frame for %v past its segment list", f.task)
+		case f.spinWhy != spinForBKL && f.spinWhy != spinForSeg:
+			c.Failf("kernel: restore: spin frame with unknown continuation %d", f.spinWhy)
 		}
 	}
-	return f, nil
+	return f
 }
 
-func (k *Kernel) writeCPUs(w *snapshot.Writer) {
-	w.Begin(secCPUs)
-	w.U64(17, uint64(len(k.cpus)))
-	for _, c := range k.cpus {
-		w.I64(18, cpuTaskID(c.cur))
-		w.I64(19, cpuTaskID(c.lastRan))
-		w.U64(20, uint64(len(c.pendingIRQ)))
-		for _, l := range c.pendingIRQ {
-			if l.Num == -1 {
-				w.I64(21, -1)
-			} else {
-				w.I64(21, int64(k.irqIndex(l)))
+func (k *Kernel) visitCPUs(c *snapshot.Codec) {
+	if !c.Section(secCPUs) {
+		return
+	}
+	c.Expect(17, uint64(len(k.cpus)), "kernel: restore: image has %d cpus, machine has %d")
+	for _, cpu := range k.cpus {
+		k.visitTask(c, 18, &cpu.cur)
+		k.visitTask(c, 19, &cpu.lastRan)
+		snapshot.Slice(c, 20, &cpu.pendingIRQ)
+		for i := range cpu.pendingIRQ {
+			k.visitIRQ(c, 21, cpu, &cpu.pendingIRQ[i])
+			if cpu.pendingIRQ[i] == nil {
+				c.Failf("kernel: restore: cpu%d pending irq %d names no line", cpu.ID, i)
 			}
 		}
-		for _, p := range c.softirqPend {
-			w.F64(22, p)
+		for i := range cpu.softirqPend {
+			c.F64(22, &cpu.softirqPend[i])
 		}
-		w.Bool(23, c.needResched)
-		w.Bool(24, c.sliceExpired)
-		w.Bool(25, c.forceResched)
-		w.F64(26, c.daemonBacklog)
-		w.U64(27, c.softirqHanded)
-		w.F64(28, c.busFactor)
-		w.U64(29, c.localTimer.rng.State())
-		w.U64(30, c.localTimer.Raised)
-		w.U64(31, c.localTimer.Handled)
-		writeTimes(w, &c.times)
-		writeTimes(w, &c.sampled)
-		w.U64(17, c.IRQsHandled)
-		w.U64(18, c.SoftirqRuns)
-		w.I64(19, int64(c.SoftirqTime))
-		w.U64(20, c.Preemptions)
-		w.U64(21, c.TicksHandled)
-		w.U64(22, uint64(len(c.stack)))
-		for _, f := range c.stack {
-			k.writeFrame(w, f)
-		}
-	}
-	w.End()
-}
-
-func writeTimes(w *snapshot.Writer, t *CPUTimes) {
-	w.I64(12, int64(t.User))
-	w.I64(13, int64(t.System))
-	w.I64(14, int64(t.IRQ))
-	w.I64(15, int64(t.Softirq))
-	w.I64(16, int64(t.Spin))
-}
-
-func readTimes(r *snapshot.Reader) CPUTimes {
-	return CPUTimes{
-		User:    sim.Duration(r.I64(12)),
-		System:  sim.Duration(r.I64(13)),
-		IRQ:     sim.Duration(r.I64(14)),
-		Softirq: sim.Duration(r.I64(15)),
-		Spin:    sim.Duration(r.I64(16)),
-	}
-}
-
-func (k *Kernel) writeLocks(w *snapshot.Writer) {
-	w.Begin(secLocks)
-	names := make([]string, 0, len(k.namedLocks))
-	for name := range k.namedLocks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	locks := []*SpinLock{k.BKL}
-	for _, name := range names {
-		locks = append(locks, k.namedLocks[name])
-	}
-	w.U64(1, uint64(len(locks)))
-	for _, l := range locks {
-		w.Str(2, l.Name)
-		w.I64(3, cpuID(l.holder))
-		w.I64(4, int64(l.heldAt))
-		w.Bool(5, l.heldOnce)
-		w.U64(6, l.Acquisitions)
-		w.U64(7, l.Contentions)
-		w.I64(8, int64(l.TotalSpin))
-		w.I64(9, int64(l.MaxHold))
-		w.U64(10, uint64(len(l.waiters)))
-		for _, lw := range l.waiters {
-			w.U64(11, uint64(lw.cpu.ID))
-			w.I64(12, int64(lw.since))
-		}
-	}
-	w.End()
-}
-
-func (k *Kernel) writeWaitqs(w *snapshot.Writer) {
-	w.Begin(secWaitqs)
-	w.U64(1, uint64(len(k.waitqs)))
-	for _, wq := range k.waitqs {
-		w.Str(2, wq.Name)
-		w.U64(3, uint64(len(wq.waiters)))
-		for _, t := range wq.waiters {
-			w.U64(4, uint64(t.PID))
-		}
-	}
-	w.End()
-}
-
-func (k *Kernel) writeSched(w *snapshot.Writer) {
-	w.Begin(secSched)
-	switch s := k.sched.(type) {
-	case *o1Scheduler:
-		w.Str(1, "o1")
-		for _, rq := range s.rqs {
-			var pids []uint64
-			for slot := 0; slot < numSlots; slot++ {
-				for _, t := range rq.queues[slot] {
-					pids = append(pids, uint64(t.PID))
+		c.Bool(23, &cpu.needResched)
+		c.Bool(24, &cpu.sliceExpired)
+		c.Bool(25, &cpu.forceResched)
+		c.F64(26, &cpu.daemonBacklog)
+		c.U64(27, &cpu.softirqHanded)
+		c.F64(28, &cpu.busFactor)
+		cpu.localTimer.rng.Visit(c, 29)
+		c.U64(30, &cpu.localTimer.Raised)
+		c.U64(31, &cpu.localTimer.Handled)
+		cpu.times.visit(c)
+		cpu.sampled.visit(c)
+		c.U64(17, &cpu.IRQsHandled)
+		c.U64(18, &cpu.SoftirqRuns)
+		snapshot.Int(c, 19, &cpu.SoftirqTime)
+		c.U64(20, &cpu.Preemptions)
+		c.U64(21, &cpu.TicksHandled)
+		snapshot.Slice(c, 22, &cpu.stack)
+		spins := 0
+		for i := range cpu.stack {
+			f := k.visitFrame(c, cpu, cpu.stack[i])
+			if c.Err() != nil {
+				return
+			}
+			cpu.stack[i] = f
+			if f.armed && i != len(cpu.stack)-1 {
+				c.Failf("kernel: restore: cpu%d buried frame %d claims to be armed", cpu.ID, i)
+			}
+			if f.kind == frameSpin {
+				if spins++; spins > 1 {
+					c.Failf("kernel: restore: cpu%d has two spin frames", cpu.ID)
 				}
 			}
-			w.U64(2, uint64(len(pids)))
-			for _, pid := range pids {
-				w.U64(3, pid)
+		}
+	}
+	c.End()
+}
+
+// visit codes the five buckets (tags 12..16).
+func (t *CPUTimes) visit(c *snapshot.Codec) {
+	snapshot.Int(c, 12, &t.User)
+	snapshot.Int(c, 13, &t.System)
+	snapshot.Int(c, 14, &t.IRQ)
+	snapshot.Int(c, 15, &t.Softirq)
+	snapshot.Int(c, 16, &t.Spin)
+}
+
+// visitLocks codes the BKL and every named lock, by name order.
+// Decoding creates a lock the fresh machine has not made yet, and
+// rebuilds each waiter's callbacks from its CPU's restored spin frame.
+func (k *Kernel) visitLocks(c *snapshot.Codec) {
+	if !c.Section(secLocks) {
+		return
+	}
+	var locks []*SpinLock
+	if !c.Decoding() {
+		locks = make([]*SpinLock, 0, 1+len(k.namedLocks))
+		for _, l := range k.namedLocks {
+			locks = append(locks, l)
+		}
+		slices.SortFunc(locks, func(a, b *SpinLock) int { return strings.Compare(a.Name, b.Name) })
+		locks = slices.Insert(locks, 0, k.BKL)
+	}
+	snapshot.Slice(c, 1, &locks)
+	for i := range locks {
+		k.visitLock(c, 2, &locks[i])
+		l := locks[i]
+		if l == nil {
+			c.Failf("kernel: restore: lock %d has no name", i)
+			return
+		}
+		k.visitCPU(c, 3, &l.holder)
+		snapshot.Int(c, 4, &l.heldAt)
+		c.Bool(5, &l.heldOnce)
+		c.U64(6, &l.Acquisitions)
+		c.U64(7, &l.Contentions)
+		snapshot.Int(c, 8, &l.TotalSpin)
+		snapshot.Int(c, 9, &l.MaxHold)
+		snapshot.Slice(c, 10, &l.waiters)
+		for j := range l.waiters {
+			lw := l.waiters[j]
+			if c.Decoding() {
+				lw = &lockWaiter{}
+			}
+			id := -1
+			if lw.cpu != nil {
+				id = lw.cpu.ID
+			}
+			snapshot.Uint(c, 11, &id)
+			snapshot.Int(c, 12, &lw.since)
+			if !c.Decoding() || c.Err() != nil {
+				continue
+			}
+			if id < 0 || id >= len(k.cpus) {
+				c.Failf("kernel: restore: lock %q waiter cpu %d out of range", l.Name, id)
+				return
+			}
+			lw.cpu = k.cpus[id]
+			si := slices.IndexFunc(lw.cpu.stack, func(f *frame) bool { return f.kind == frameSpin })
+			if si < 0 || lw.cpu.stack[si].spin != l {
+				c.Failf("kernel: restore: lock %q waiter cpu%d has no matching spin frame", l.Name, id)
+				return
+			}
+			f := lw.cpu.stack[si]
+			lw.active, lw.granted = lw.cpu.spinActiveFn(f), lw.cpu.spinGrantedFn(f)
+			l.waiters[j] = lw
+		}
+	}
+	c.End()
+}
+
+func (k *Kernel) visitWaitqs(c *snapshot.Codec) {
+	if !c.Section(secWaitqs) {
+		return
+	}
+	c.Expect(1, uint64(len(k.waitqs)), "kernel: restore: image has %d wait queues, machine has %d (construction mismatch)")
+	for _, wq := range k.waitqs {
+		c.ExpectStr(2, wq.Name, "kernel: restore: wait queue %q where machine has %q (construction mismatch)")
+		snapshot.Slice(c, 3, &wq.waiters)
+		for i := range wq.waiters {
+			k.visitPID(c, 4, &wq.waiters[i])
+		}
+	}
+	c.End()
+}
+
+// visitSched codes the run queues: per CPU for O(1), one list with each
+// task's CPU for the legacy scheduler. Decoding enqueues each task as it
+// is read.
+func (k *Kernel) visitSched(c *snapshot.Codec) {
+	if !c.Section(secSched) {
+		return
+	}
+	switch s := k.sched.(type) {
+	case *o1Scheduler:
+		c.ExpectStr(1, "o1", "kernel: restore: image scheduler %q, machine runs %s")
+		for i, rq := range s.rqs {
+			var queued []*Task
+			if !c.Decoding() {
+				for slot := 0; slot < numSlots; slot++ {
+					queued = append(queued, rq.queues[slot]...)
+				}
+			}
+			snapshot.Slice(c, 2, &queued)
+			for _, t := range queued {
+				k.visitPID(c, 3, &t)
+				if c.Decoding() && c.Err() == nil {
+					s.Enqueue(t, k.cpus[i])
+				}
 			}
 		}
 	case *legacyScheduler:
-		w.Str(1, "legacy")
-		w.U64(2, uint64(len(s.run)))
-		for _, t := range s.run {
-			w.U64(3, uint64(t.PID))
-			w.I64(4, cpuID(t.cpu))
+		c.ExpectStr(1, "legacy", "kernel: restore: image scheduler %q, machine runs %s")
+		queued := s.run
+		snapshot.Slice(c, 2, &queued)
+		for _, t := range queued {
+			k.visitPID(c, 3, &t)
+			var cpu *CPU
+			if t != nil {
+				cpu = t.cpu
+			}
+			k.visitCPU(c, 4, &cpu)
+			if c.Decoding() && c.Err() == nil {
+				s.Enqueue(t, cpu)
+			}
 		}
 	default:
-		panic(fmt.Sprintf("kernel: snapshot of unknown scheduler %T", k.sched))
+		c.Failf("kernel: snapshot of unknown scheduler %T", k.sched)
 	}
-	w.End()
+	c.End()
 }
 
-func cpuID(c *CPU) int64 {
-	if c == nil {
-		return -1
+// --- reference helpers: pointers cross the boundary as ids ---
+
+// visitTask codes an optional task reference by PID on the zigzag
+// wire, -1 for none.
+func (k *Kernel) visitTask(c *snapshot.Codec, tag uint8, t **Task) {
+	pid := int64(-1)
+	if *t != nil {
+		pid = int64((*t).PID)
 	}
-	return int64(c.ID)
+	c.I64(tag, &pid)
+	if c.Decoding() {
+		*t = nil
+		if pid >= 0 {
+			k.resolvePID(c, uint64(pid), t)
+		}
+	}
 }
 
-func cpuTaskID(t *Task) int64 {
-	if t == nil {
-		return -1
+// visitPID codes a required task reference by PID on the uvarint wire.
+func (k *Kernel) visitPID(c *snapshot.Codec, tag uint8, t **Task) {
+	var pid uint64
+	if *t != nil {
+		pid = uint64((*t).PID)
 	}
-	return int64(t.PID)
+	c.U64(tag, &pid)
+	if c.Decoding() {
+		k.resolvePID(c, pid, t)
+	}
 }
 
-func waitID(wq *WaitQueue) uint64 {
-	if wq == nil {
-		return 0
+func (k *Kernel) resolvePID(c *snapshot.Codec, pid uint64, t **Task) {
+	if *t = k.byPID[int(pid)]; *t == nil {
+		c.Failf("kernel: restore: image references unknown pid %d", pid)
 	}
-	return wq.id
 }
 
-func lockName(l *SpinLock) string {
-	if l == nil {
-		return ""
+// visitCPU codes an optional CPU reference by id on the zigzag wire,
+// -1 for none; decoding maps an id the machine lacks to none.
+func (k *Kernel) visitCPU(c *snapshot.Codec, tag uint8, cpu **CPU) {
+	id := int64(-1)
+	if *cpu != nil {
+		id = int64((*cpu).ID)
 	}
-	return l.Name
+	c.I64(tag, &id)
+	if c.Decoding() {
+		*cpu = nil
+		if id >= 0 && id < int64(len(k.cpus)) {
+			*cpu = k.cpus[id]
+		}
+	}
+}
+
+// visitLock codes an optional lock reference by name, "" for none.
+// Decoding creates the lock when the fresh machine has not made it yet:
+// the snapshotted one may have made it on first use.
+func (k *Kernel) visitLock(c *snapshot.Codec, tag uint8, l **SpinLock) {
+	name := ""
+	if *l != nil {
+		name = (*l).Name
+	}
+	if b := c.Name(tag, name); c.Decoding() {
+		*l = nil
+		if len(b) != 0 {
+			if *l = k.lockNamed(string(b)); *l == nil {
+				*l = k.NamedLock(string(b))
+			}
+		}
+	}
+}
+
+// VisitWaitQueue codes an optional wait-queue reference by its
+// registered id, 0 for none. Devices use it for the queues their
+// pending completions wake.
+func (k *Kernel) VisitWaitQueue(c *snapshot.Codec, tag uint8, wq **WaitQueue) {
+	var id uint64
+	if *wq != nil {
+		id = (*wq).id
+	}
+	c.U64(tag, &id)
+	if c.Decoding() {
+		*wq = nil
+		if id != 0 {
+			if *wq = k.WaitQueueByID(id); *wq == nil {
+				c.Failf("kernel: restore: image references unknown wait queue %d", id)
+			}
+		}
+	}
+}
+
+// visitIRQ codes an optional IRQ line by its index in the machine's
+// registration order: -1 is the owning CPU's local timer, -2 none.
+func (k *Kernel) visitIRQ(c *snapshot.Codec, tag uint8, cpu *CPU, l **IRQLine) {
+	idx := int64(-2)
+	if *l != nil {
+		idx = -1 // the owning CPU's local timer
+		if (*l).Num != -1 {
+			idx = int64(k.irqIndex(*l))
+		}
+	}
+	c.I64(tag, &idx)
+	if !c.Decoding() {
+		return
+	}
+	switch {
+	case idx == -2:
+		*l = nil
+	case idx == -1 && cpu != nil:
+		*l = cpu.localTimer
+	case idx == -1:
+		c.Failf("kernel: restore: local-timer ISR frame without a CPU")
+	case idx >= 0 && idx < int64(len(k.irqs)):
+		*l = k.irqs[idx]
+	default:
+		c.Failf("kernel: restore: image references unknown irq %d", idx)
+	}
 }
 
 // --- restore ---
 
-// Restore overwrites this freshly constructed, started machine with the
-// snapshot image read from r. The machine must have been built from the
+// RestoreImage overwrites this freshly constructed, started machine
+// with the snapshot image img. The machine must have been built from the
 // same configuration and seed (construction determinism is what lets
-// pointers be rebuilt from ids); Restore validates what it can and
+// pointers be rebuilt from ids); RestoreImage validates what it can and
 // fails loudly on any mismatch.
-func (k *Kernel) Restore(r *snapshot.Reader) error {
-	return k.restoreImage(r, nil)
+func (k *Kernel) RestoreImage(img []byte) error {
+	return k.restoreImage(img, nil)
 }
 
-// RestoreWarm is Restore with a different tie-break salt installed in
-// the legal window between draining the boot events and re-queueing the
-// snapshot's pending events. Warm-started sweep replicas use this to
-// explore schedule perturbations without replaying boot.
-func (k *Kernel) RestoreWarm(r *snapshot.Reader, salt uint64) error {
-	return k.restoreImage(r, &salt)
+// RestoreImageWarm is RestoreImage with a different tie-break salt
+// installed in the legal window between draining the boot events and
+// re-queueing the snapshot's pending events. Warm-started sweep replicas
+// use this to explore schedule perturbations without replaying boot.
+func (k *Kernel) RestoreImageWarm(img []byte, salt uint64) error {
+	return k.restoreImage(img, &salt)
 }
 
-func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
+func (k *Kernel) restoreImage(img []byte, warmSalt *uint64) error {
 	if !k.started {
 		return fmt.Errorf("kernel: restore into a machine that was not started")
 	}
-	evs, err := k.Eng.RestoreState(r)
+	r, err := snapshot.OpenReader(img)
+	if err != nil {
+		return err
+	}
+	k.resetForRestore()
+	evs, err := k.visit(r.Codec())
 	if err != nil {
 		return err
 	}
 	if warmSalt != nil {
 		k.Eng.PerturbTiebreaks(*warmSalt)
-	}
-	k.resetForRestore()
-	rc := &RestoreContext{
-		K:    k,
-		spin: make([]*frame, len(k.cpus)),
-	}
-	if err := k.readMachine(r, rc); err != nil {
-		return err
-	}
-	if err := k.readTasks(r, rc); err != nil {
-		return err
-	}
-	if err := k.readCPUs(r, rc); err != nil {
-		return err
-	}
-	if err := k.readLocks(r, rc); err != nil {
-		return err
-	}
-	if err := k.readWaitqs(r); err != nil {
-		return err
-	}
-	if err := k.readSched(r); err != nil {
-		return err
-	}
-	if rc.hasTrace {
-		if k.Trace == nil {
-			return fmt.Errorf("kernel: restore: image has a trace buffer but the machine has none attached")
-		}
-		if err := k.Trace.Restore(r); err != nil {
-			return err
-		}
-	} else if k.Trace != nil {
-		return fmt.Errorf("kernel: restore: machine has a trace buffer but the image has none")
-	}
-	for _, comp := range k.comps {
-		if err := comp.Restore(r, rc); err != nil {
-			return err
-		}
 	}
 	for _, rev := range evs {
 		t, err := k.ownedTimer(rev)
@@ -884,16 +934,13 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 			}
 			continue
 		}
-		fn, err := k.rebuildEvent(rc, rev.Kind, rev.A0, rev.A1, rev.A2)
+		fn, err := k.rebuildEvent(sim.RegisterEventKind(rev.Kind).Tag(rev.A0, rev.A1, rev.A2))
 		if err != nil {
 			return err
 		}
 		if err := k.Eng.RestoreEvent(rev, fn); err != nil {
 			return err
 		}
-	}
-	if err := r.Err(); err != nil {
-		return err
 	}
 	if !r.Exhausted() {
 		return fmt.Errorf("kernel: restore: image has trailing sections the machine did not consume")
@@ -904,49 +951,13 @@ func (k *Kernel) restoreImage(r *snapshot.Reader, warmSalt *uint64) error {
 	return nil
 }
 
-// RestoreImage is a convenience wrapper: open the image bytes and
-// restore, plain or warm.
-func (k *Kernel) RestoreImage(img []byte) error {
-	r, err := snapshot.OpenReader(img)
-	if err != nil {
-		return err
-	}
-	return k.Restore(r)
-}
-
-// RestoreImageWarm restores image bytes with a warm tie-break salt.
-func (k *Kernel) RestoreImageWarm(img []byte, salt uint64) error {
-	r, err := snapshot.OpenReader(img)
-	if err != nil {
-		return err
-	}
-	return k.RestoreWarm(r, salt)
-}
-
-// resetForRestore clears the freshly booted machine's mutable state so
-// the image overwrite starts from a blank slate. It must not use the
-// accounting paths (pop, account) — those would book phantom time.
+// resetForRestore clears the freshly booted machine's mutable state
+// that the image appends to or sets only when present, so the overwrite
+// starts from a blank slate. It must not use the accounting paths (pop,
+// account) — those would book phantom time.
 func (k *Kernel) resetForRestore() {
-	for _, c := range k.cpus {
-		c.stack = nil
-		c.cur = nil
-		c.lastRan = nil
-		c.pendingIRQ = nil
-		c.softirqPend = [numSoftirq]float64{}
-		c.needResched, c.sliceExpired, c.forceResched = false, false, false
-		c.daemonBacklog = 0
-		c.softirqHanded = 0
-		c.busFactor = 1.0
-		c.IRQsHandled, c.SoftirqRuns, c.Preemptions, c.TicksHandled = 0, 0, 0, 0
-		c.SoftirqTime = 0
-		c.times, c.sampled = CPUTimes{}, CPUTimes{}
-		c.localTimer.Raised, c.localTimer.Handled = 0, 0
-	}
 	for _, t := range k.tasks {
-		t.saved, t.call, t.waitOn = nil, nil, nil
-	}
-	for _, wq := range k.waitqs {
-		wq.waiters = nil
+		t.saved, t.call = nil, nil
 	}
 	reset := func(l *SpinLock) {
 		l.holder = nil
@@ -968,321 +979,9 @@ func (k *Kernel) resetForRestore() {
 	case *legacyScheduler:
 		s.run = nil
 	}
-	k.wheel.jiffies, k.wheel.Added, k.wheel.Fired = 0, 0, 0
 	k.wheel.tv1 = [256][]*KTimer{}
 	k.wheel.tv = [4][64][]*KTimer{}
 	k.wheel.pendingRun = nil
-	k.load = loadavg{}
-}
-
-func (k *Kernel) readMachine(r *snapshot.Reader, rc *RestoreContext) error {
-	r.Section(secMachine)
-	rc.hasTrace = r.Bool(1)
-	k.next = int(r.I64(2))
-	k.rng.SetState(r.U64(3))
-	k.shieldProcs = CPUMask(r.U64(4))
-	k.shieldIRQs = CPUMask(r.U64(5))
-	k.shieldLTimer = CPUMask(r.U64(6))
-	k.load.one = r.F64(7)
-	k.load.five = r.F64(8)
-	k.load.fifteen = r.F64(9)
-
-	k.wheel.jiffies = r.U64(10)
-	k.wheel.Added = r.U64(11)
-	k.wheel.Fired = r.U64(12)
-	nTimers := int(r.U64(13))
-	for i := 0; i < nTimers; i++ {
-		level := int(r.U64(14))
-		idx := int(r.U64(15))
-		expires := r.U64(16)
-		kind := sim.EventKindNameOf(r.Bytes(17))
-		a0, a1, a2 := r.U64(18), r.U64(19), r.U64(20)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		fn, err := k.rebuildEvent(rc, kind, a0, a1, a2)
-		if err != nil {
-			return err
-		}
-		t := &KTimer{expires: expires, fn: fn, active: true, tag: sim.RegisterEventKind(kind).Tag(a0, a1, a2)}
-		switch {
-		case level == 0 && idx < 256:
-			k.wheel.tv1[idx] = append(k.wheel.tv1[idx], t)
-		case level >= 1 && level <= 4 && idx < 64:
-			k.wheel.tv[level-1][idx] = append(k.wheel.tv[level-1][idx], t)
-		default:
-			return fmt.Errorf("kernel: restore: wheel timer bucket (%d,%d) out of range", level, idx)
-		}
-	}
-
-	nIRQ := int(r.U64(21))
-	if nIRQ != len(k.irqs) {
-		return fmt.Errorf("kernel: restore: image has %d irq lines, machine has %d", nIRQ, len(k.irqs))
-	}
-	for _, l := range k.irqs {
-		l.affinity = CPUMask(r.U64(22))
-		l.rng.SetState(r.U64(23))
-		l.rr = int(r.I64(24))
-		l.Raised = r.U64(25)
-		l.Handled = r.U64(26)
-		nPer := int(r.U64(27))
-		if nPer != len(l.PerCPU) {
-			return fmt.Errorf("kernel: restore: irq %q per-cpu counter length %d != %d", l.Name, nPer, len(l.PerCPU))
-		}
-		for i := range l.PerCPU {
-			l.PerCPU[i] = r.U64(28)
-		}
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) readTasks(r *snapshot.Reader, rc *RestoreContext) error {
-	r.Section(secTasks)
-	n := int(r.U64(1))
-	if n != len(k.tasks) {
-		return fmt.Errorf("kernel: restore: image has %d tasks, machine has %d (construction mismatch)", n, len(k.tasks))
-	}
-	for _, t := range k.tasks {
-		pid := int(r.U64(2))
-		name := r.Bytes(3)
-		if pid != t.PID || string(name) != t.Name {
-			return fmt.Errorf("kernel: restore: image task %s/%d where machine has %v (construction mismatch)", name, pid, t)
-		}
-		t.state = TaskState(r.U64(4))
-		t.cpu = k.cpuByID(r.I64(5))
-		t.affinity = CPUMask(r.U64(6))
-		t.MemLocked = r.Bool(7)
-		t.Nice = int(r.I64(8))
-		t.rng.SetState(r.U64(9))
-		t.sliceLeft = sim.Duration(r.I64(10))
-		t.Switches = r.U64(11)
-		t.Migrated = r.U64(12)
-		t.RunTime = sim.Duration(r.I64(13))
-		t.lastQueue = sim.Time(r.I64(14))
-		if wid := r.U64(15); wid != 0 {
-			t.waitOn = k.WaitQueueByID(wid)
-			if t.waitOn == nil {
-				return fmt.Errorf("kernel: restore: task %v waits on unknown queue %d", t, wid)
-			}
-		}
-		behName := r.Bytes(16)
-		words := make([]uint64, r.U64(17))
-		for i := range words {
-			words[i] = r.U64(18)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(behName) != 0 {
-			sb, ok := t.behavior.(SnapBehavior)
-			if !ok {
-				return fmt.Errorf("kernel: restore: image task %v has behavior %q but machine behavior %T is not restorable", t, behName, t.behavior)
-			}
-			if sb.BehaviorName() != string(behName) {
-				return fmt.Errorf("kernel: restore: task %v behavior %q != image %q (construction mismatch)", t, sb.BehaviorName(), behName)
-			}
-			sb.SetBehaviorState(words)
-		}
-		if r.Bool(19) {
-			if err := readCall(r, rc, &t.callBuf); err != nil {
-				return err
-			}
-			t.call = &t.callBuf
-		}
-		if r.Bool(20) {
-			f, err := k.readFrame(r, nil)
-			if err != nil {
-				return err
-			}
-			if f.armed {
-				return fmt.Errorf("kernel: restore: saved frame for %v claims to be armed", t)
-			}
-			t.saved = f
-		}
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) readCPUs(r *snapshot.Reader, rc *RestoreContext) error {
-	r.Section(secCPUs)
-	n := int(r.U64(17))
-	if n != len(k.cpus) {
-		return fmt.Errorf("kernel: restore: image has %d cpus, machine has %d", n, len(k.cpus))
-	}
-	for _, c := range k.cpus {
-		c.cur = k.taskByID(r.I64(18))
-		c.lastRan = k.taskByID(r.I64(19))
-		nPend := int(r.U64(20))
-		for i := 0; i < nPend; i++ {
-			idx := r.I64(21)
-			if idx == -1 {
-				c.pendingIRQ = append(c.pendingIRQ, c.localTimer)
-			} else if idx >= 0 && int(idx) < len(k.irqs) {
-				c.pendingIRQ = append(c.pendingIRQ, k.irqs[idx])
-			} else {
-				return fmt.Errorf("kernel: restore: cpu%d pending irq index %d out of range", c.ID, idx)
-			}
-		}
-		for i := range c.softirqPend {
-			c.softirqPend[i] = r.F64(22)
-		}
-		c.needResched = r.Bool(23)
-		c.sliceExpired = r.Bool(24)
-		c.forceResched = r.Bool(25)
-		c.daemonBacklog = r.F64(26)
-		c.softirqHanded = r.U64(27)
-		c.busFactor = r.F64(28)
-		c.localTimer.rng.SetState(r.U64(29))
-		c.localTimer.Raised = r.U64(30)
-		c.localTimer.Handled = r.U64(31)
-		c.times = readTimes(r)
-		c.sampled = readTimes(r)
-		c.IRQsHandled = r.U64(17)
-		c.SoftirqRuns = r.U64(18)
-		c.SoftirqTime = sim.Duration(r.I64(19))
-		c.Preemptions = r.U64(20)
-		c.TicksHandled = r.U64(21)
-		nStack := int(r.U64(22))
-		for i := 0; i < nStack; i++ {
-			f, err := k.readFrame(r, c)
-			if err != nil {
-				return fmt.Errorf("cpu%d frame %d: %w", c.ID, i, err)
-			}
-			c.stack = append(c.stack, f)
-			if f.armed && i != nStack-1 {
-				return fmt.Errorf("kernel: restore: cpu%d buried frame %d claims to be armed", c.ID, i)
-			}
-			if f.kind == frameSpin {
-				if rc.spin[c.ID] != nil {
-					return fmt.Errorf("kernel: restore: cpu%d has two spin frames", c.ID)
-				}
-				rc.spin[c.ID] = f
-			}
-		}
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) readLocks(r *snapshot.Reader, rc *RestoreContext) error {
-	r.Section(secLocks)
-	n := int(r.U64(1))
-	for i := 0; i < n; i++ {
-		name := r.Bytes(2)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		l := k.restoreLock(name)
-		l.holder = k.cpuByID(r.I64(3))
-		l.heldAt = sim.Time(r.I64(4))
-		l.heldOnce = r.Bool(5)
-		l.Acquisitions = r.U64(6)
-		l.Contentions = r.U64(7)
-		l.TotalSpin = sim.Duration(r.I64(8))
-		l.MaxHold = sim.Duration(r.I64(9))
-		nW := int(r.U64(10))
-		for j := 0; j < nW; j++ {
-			cpu := int(r.U64(11))
-			since := sim.Time(r.I64(12))
-			if cpu < 0 || cpu >= len(k.cpus) {
-				return fmt.Errorf("kernel: restore: lock %q waiter cpu %d out of range", name, cpu)
-			}
-			c := k.cpus[cpu]
-			f := rc.spin[cpu]
-			if f == nil || f.spin != l {
-				return fmt.Errorf("kernel: restore: lock %q waiter cpu%d has no matching spin frame", name, cpu)
-			}
-			l.waiters = append(l.waiters, &lockWaiter{
-				cpu:     c,
-				since:   since,
-				active:  c.spinActiveFn(f),
-				granted: c.spinGrantedFn(f),
-			})
-		}
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) readWaitqs(r *snapshot.Reader) error {
-	r.Section(secWaitqs)
-	n := int(r.U64(1))
-	if n != len(k.waitqs) {
-		return fmt.Errorf("kernel: restore: image has %d wait queues, machine has %d (construction mismatch)", n, len(k.waitqs))
-	}
-	for _, wq := range k.waitqs {
-		name := r.Bytes(2)
-		if string(name) != wq.Name {
-			return fmt.Errorf("kernel: restore: wait queue %q where machine has %q (construction mismatch)", name, wq.Name)
-		}
-		nW := int(r.U64(3))
-		for i := 0; i < nW; i++ {
-			pid := int(r.U64(4))
-			t := k.byPID[pid]
-			if t == nil {
-				return fmt.Errorf("kernel: restore: wait queue %q waiter pid %d unknown", name, pid)
-			}
-			wq.waiters = append(wq.waiters, t)
-		}
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) readSched(r *snapshot.Reader) error {
-	r.Section(secSched)
-	kind := r.Bytes(1)
-	switch s := k.sched.(type) {
-	case *o1Scheduler:
-		if string(kind) != "o1" {
-			return fmt.Errorf("kernel: restore: image scheduler %q, machine runs o1", kind)
-		}
-		for _, c := range k.cpus {
-			nQ := int(r.U64(2))
-			for i := 0; i < nQ; i++ {
-				pid := int(r.U64(3))
-				t := k.byPID[pid]
-				if t == nil {
-					return fmt.Errorf("kernel: restore: runqueue pid %d unknown", pid)
-				}
-				s.Enqueue(t, c)
-			}
-		}
-	case *legacyScheduler:
-		if string(kind) != "legacy" {
-			return fmt.Errorf("kernel: restore: image scheduler %q, machine runs legacy", kind)
-		}
-		nQ := int(r.U64(2))
-		for i := 0; i < nQ; i++ {
-			pid := int(r.U64(3))
-			cpu := r.I64(4)
-			t := k.byPID[pid]
-			if t == nil {
-				return fmt.Errorf("kernel: restore: runqueue pid %d unknown", pid)
-			}
-			s.Enqueue(t, k.cpuByID(cpu))
-		}
-	default:
-		return fmt.Errorf("kernel: restore of unknown scheduler %T", k.sched)
-	}
-	r.EndSection()
-	return r.Err()
-}
-
-func (k *Kernel) cpuByID(id int64) *CPU {
-	if id < 0 || int(id) >= len(k.cpus) {
-		return nil
-	}
-	return k.cpus[id]
-}
-
-func (k *Kernel) taskByID(pid int64) *Task {
-	if pid < 0 {
-		return nil
-	}
-	return k.byPID[int(pid)]
 }
 
 // ownedTimer returns the timer that owns a pending event of one of the
@@ -1313,41 +1012,41 @@ func (k *Kernel) ownedTimer(rev sim.RestoredEvent) (*sim.Timer, error) {
 	return &c.tickTimer, nil
 }
 
-// rebuildEvent reconstructs a pending event's callback from its kind
-// tag: kernel kinds inline, everything else through the registry.
-func (k *Kernel) rebuildEvent(rc *RestoreContext, kind string, a0, a1, a2 uint64) (func(), error) {
-	switch sim.RegisterEventKind(kind) {
+// rebuildEvent reconstructs a pending event's callback from its tag:
+// kernel kinds inline, everything else through the registry.
+func (k *Kernel) rebuildEvent(tag sim.EventTag) (func(), error) {
+	switch tag.Kind {
 	case evBusResample:
-		if a0 >= uint64(len(k.cpus)) {
-			return nil, fmt.Errorf("kernel: restore: event %q cpu %d out of range", kind, a0)
+		if tag.A0 >= uint64(len(k.cpus)) {
+			return nil, fmt.Errorf("kernel: restore: event %q cpu %d out of range", tag.Kind, tag.A0)
 		}
-		return k.cpus[a0].onBusResample, nil
+		return k.cpus[tag.A0].onBusResample, nil
 	case evSleepWake:
-		t := k.byPID[int(a0)]
+		t := k.byPID[int(tag.A0)]
 		if t == nil {
-			return nil, fmt.Errorf("kernel: restore: sleep-wake event for unknown pid %d", a0)
+			return nil, fmt.Errorf("kernel: restore: sleep-wake event for unknown pid %d", tag.A0)
 		}
 		return k.sleepWakeFn(t, nil), nil
 	case evInvSample:
-		period := sim.Duration(a0)
+		period := sim.Duration(tag.A0)
 		return func() { k.invSample(period) }, nil
 	}
-	rb := lookupRebuild(kind)
+	rb := lookupRebuild(tag.Kind.String())
 	if rb == nil {
-		return nil, fmt.Errorf("kernel: restore: no rebuilder registered for event kind %q", kind)
+		return nil, fmt.Errorf("kernel: restore: no rebuilder registered for event kind %q", tag.Kind)
 	}
-	return rb(rc, a0, a1, a2)
+	return rb(k, tag.A0, tag.A1, tag.A2)
 }
 
 // RestoredComponent returns the component of type T that a restored
 // event of the given kind names by id. Images arrive from outside the
 // process, so an id this kernel never registered, or one naming a
 // component of another type, is an error rather than a panic.
-func RestoredComponent[T SnapComponent](rc *RestoreContext, id uint64, kind string) (T, error) {
+func RestoredComponent[T SnapComponent](k *Kernel, id uint64, kind string) (T, error) {
 	var zero T
-	comp, ok := rc.K.Component(id)
+	comp, ok := k.Component(id)
 	if !ok {
-		return zero, fmt.Errorf("kernel: event %s names component %d, but only %d are registered", kind, id, len(rc.K.comps))
+		return zero, fmt.Errorf("kernel: event %s names component %d, but only %d are registered", kind, id, len(k.comps))
 	}
 	c, ok := comp.(T)
 	if !ok {

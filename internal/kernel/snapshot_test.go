@@ -147,6 +147,19 @@ func TestSnapshotRequiresSnapBehavior(t *testing.T) {
 
 const time100ms = 100 * sim.Millisecond
 
+// TestSnapshotRefusesUntaggedWheelTimer: a wheel timer armed with a
+// plain closure cannot be rebuilt on restore, so the snapshot fails
+// naming it instead of writing an image that cannot resume.
+func TestSnapshotRefusesUntaggedWheelTimer(t *testing.T) {
+	k := buildSnapMachine(42)
+	k.Start()
+	k.AddTimer(50*sim.Millisecond, func() {})
+	k.Eng.Run(sim.Time(5 * sim.Millisecond))
+	if img, err := k.Snapshot(); err == nil || !strings.Contains(err.Error(), "untagged wheel timer") {
+		t.Fatalf("snapshot = %d bytes, err %v; want an untagged wheel timer error", len(img), err)
+	}
+}
+
 // TestRestoreRejectsConstructionMismatch: restoring into a machine that
 // was not built identically must fail loudly, not corrupt state.
 func TestRestoreRejectsConstructionMismatch(t *testing.T) {
@@ -226,8 +239,7 @@ func probeLog(k *Kernel) []probeHit {
 }
 
 func init() {
-	RegisterEventRebuild("kt.wheel-probe", func(rc *RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		k := rc.K
+	RegisterEventRebuild("kt.wheel-probe", func(k *Kernel, a0, a1, a2 uint64) (func(), error) {
 		return func() { recordProbe(k, a0) }, nil
 	})
 }
@@ -327,9 +339,8 @@ func TestTimerWheelRestoreMidCascade(t *testing.T) {
 // for the lookup checks below.
 type stubComponent struct{ name string }
 
-func (c *stubComponent) SnapName() string                                { return c.name }
-func (c *stubComponent) Snapshot(*snapshot.Writer) error                 { return nil }
-func (c *stubComponent) Restore(*snapshot.Reader, *RestoreContext) error { return nil }
+func (c *stubComponent) SnapName() string          { return c.name }
+func (c *stubComponent) SnapVisit(*snapshot.Codec) {}
 
 type otherComponent struct{ stubComponent }
 
@@ -343,9 +354,8 @@ func TestRestoredComponentChecksIDAndType(t *testing.T) {
 	want := &stubComponent{name: "test.stub"}
 	id := k.RegisterComponent(want)
 	other := k.RegisterComponent(&otherComponent{stubComponent{name: "test.other"}})
-	rc := &RestoreContext{K: k}
 
-	got, err := RestoredComponent[*stubComponent](rc, id, "test.kind")
+	got, err := RestoredComponent[*stubComponent](k, id, "test.kind")
 	if err != nil || got != want {
 		t.Fatalf("RestoredComponent(%d) = %v, %v; want the registered stub", id, got, err)
 	}
@@ -353,7 +363,7 @@ func TestRestoredComponentChecksIDAndType(t *testing.T) {
 		name string
 		id   uint64
 	}{{"unknown id", other + 1}, {"huge id", ^uint64(0)}, {"wrong type", other}} {
-		_, err := RestoredComponent[*stubComponent](rc, tc.id, "test.kind")
+		_, err := RestoredComponent[*stubComponent](k, tc.id, "test.kind")
 		if err == nil || !strings.Contains(err.Error(), "test.kind") {
 			t.Errorf("%s: err = %v, want an error naming the event kind", tc.name, err)
 		}

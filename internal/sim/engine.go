@@ -119,7 +119,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 
 // ScheduleTagged is Schedule with a registered event kind and its
 // constructor arguments attached. Tagged events survive
-// snapshot/restore: SnapshotTo serialises (kind name, args) and the
+// snapshot/restore: Engine.Visit serialises (kind name, args) and the
 // restore side rebuilds the callback through the kind's registered
 // constructor. Production schedule sites that can be live at a
 // checkpoint must use the tagged variants; anonymous closures are for

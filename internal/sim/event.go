@@ -46,7 +46,7 @@ type eventNode struct {
 	// tag is the event's registered kind plus its constructor arguments
 	// (ScheduleTagged and friends). A tagged event can be serialised and
 	// rebuilt across a snapshot/restore boundary; an untagged one (zero
-	// tag) cannot, and Engine.SnapshotTo refuses it loudly. The tag is
+	// tag) cannot, and Engine.Visit refuses it loudly. The tag is
 	// never part of eventOrder.
 	tag EventTag
 }

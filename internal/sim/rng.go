@@ -21,14 +21,6 @@ func (r *RNG) Fork() *RNG {
 	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
-// State returns the generator's internal state, for snapshots. The
-// state fully determines the remaining stream: SetState(State()) on any
-// RNG makes it produce the identical continuation.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state, for restore.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
 // DeriveSeed derives the seed for sub-stream idx of a run with the given
 // base seed: the splitmix64 output function applied to the idx-th state
 // after base. Replications, experiments and shards must use this instead

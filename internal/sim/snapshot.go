@@ -99,83 +99,138 @@ type RestoredEvent struct {
 	A0, A1, A2 uint64
 }
 
+// Visit codes the tag as four fields from tag on: the kind's name, then
+// A0..A2. The empty name is the untagged zero kind.
+func (t *EventTag) Visit(c *snapshot.Codec, tag uint8) {
+	name := c.Name(tag, t.Kind.String())
+	if c.Decoding() {
+		t.Kind = 0
+		if len(name) != 0 {
+			t.Kind = RegisterEventKind(EventKindNameOf(name))
+		}
+	}
+	c.U64(tag+1, &t.A0)
+	c.U64(tag+2, &t.A1)
+	c.U64(tag+3, &t.A2)
+}
+
+// Visit codes the generator's state as one snapshot field: restoring it
+// makes the RNG produce the identical continuation.
+func (r *RNG) Visit(c *snapshot.Codec, tag uint8) { c.U64(tag, &r.state) }
+
 // engineSection is the engine's section name in a snapshot image.
 const engineSection = "sim.engine"
 
-// SnapshotTo serialises the engine — clock, sequence counter, dispatch
-// statistics, tie-break salt, RNG stream, and every pending event — into
+// Visit codes the engine — clock, sequence counter, dispatch
+// statistics, tie-break salt, RNG stream, and every pending event — as
 // one "sim.engine" section.
 //
-// Pending events are written sorted by the eventOrder dispatch order,
-// which makes the bytes canonical: heap layout is never serialised —
-// restore re-pushes the events, and any layout realises the same total
-// order. Armed timers are pending events like any other: an image does
-// not record whether an occurrence was a timer or a plain event.
+// Encoding writes pending events sorted by the eventOrder dispatch
+// order, which makes the bytes canonical: heap layout is never
+// serialised — restore re-pushes the events, and any layout realises
+// the same total order. Armed timers are pending events like any other:
+// an image does not record whether an occurrence was a timer or a plain
+// event. Every pending event must carry a tag (ScheduleTagged and
+// friends); an anonymous closure in flight is an error naming the
+// offending instant, because no process can rebuild it.
 //
-// Every pending event must carry a tag (ScheduleTagged and friends);
-// an anonymous closure in flight is an error naming the offending
-// instant, because no process can rebuild it.
-func (e *Engine) SnapshotTo(w *snapshot.Writer) error {
-	pending := make([]*eventNode, 0, e.Pending())
-	for _, it := range e.q.items {
-		pending = append(pending, it.n)
-	}
-	for _, it := range e.timers.items {
-		if it.n != e.firing {
+// Decoding first disarms every timer and recycles everything queued
+// (the boot events of a freshly reconstructed machine), then overwrites
+// the engine's state from the image. The image's pending events are
+// returned, not queued: the caller rebuilds each callback from its kind
+// and pushes it back with RestoreEvent, or re-arms the owning timer with
+// RestoreTimer. Until then the queue is empty, so a warm-start caller
+// may install a different tie-break salt with PerturbTiebreaks.
+func (e *Engine) Visit(c *snapshot.Codec) ([]RestoredEvent, error) {
+	var pending []*eventNode
+	var names []string
+	var kindIdx map[EventKind]uint64
+	if c.Decoding() {
+		e.resetForRestore()
+	} else {
+		pending = make([]*eventNode, 0, e.Pending())
+		for _, it := range e.q.items {
 			pending = append(pending, it.n)
 		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return e.ord.less(pending[i], pending[j]) })
-
-	// Intern kind names in first-appearance order (deterministic: the
-	// event list is sorted).
-	var names []string
-	idx := make(map[EventKind]uint64)
-	for _, n := range pending {
-		if n.tag.Kind == 0 {
-			return fmt.Errorf("sim: snapshot: untagged event in flight at %v (seq %d): scheduled by a plain closure, not a registered kind", n.At, n.seq)
+		for _, it := range e.timers.items {
+			if it.n != e.firing {
+				pending = append(pending, it.n)
+			}
 		}
-		if _, ok := idx[n.tag.Kind]; !ok {
-			idx[n.tag.Kind] = uint64(len(names))
-			names = append(names, n.tag.Kind.String())
+		sort.Slice(pending, func(i, j int) bool { return e.ord.less(pending[i], pending[j]) })
+		// Intern kind names in first-appearance order (deterministic: the
+		// event list is sorted).
+		kindIdx = make(map[EventKind]uint64)
+		for _, n := range pending {
+			if n.tag.Kind == 0 {
+				return nil, fmt.Errorf("sim: snapshot: untagged event in flight at %v (seq %d): scheduled by a plain closure, not a registered kind", n.At, n.seq)
+			}
+			if _, ok := kindIdx[n.tag.Kind]; !ok {
+				kindIdx[n.tag.Kind] = uint64(len(names))
+				names = append(names, n.tag.Kind.String())
+			}
 		}
 	}
 
-	w.Begin(engineSection)
-	w.I64(1, int64(e.now))
-	w.U64(2, e.nextSeq)
-	w.U64(3, e.fired)
-	w.U64(4, e.ord.salt)
-	w.U64(6, e.rng.State())
-	w.U64(7, uint64(len(names)))
-	for _, name := range names {
-		w.Str(8, name)
+	if !c.Section(engineSection) {
+		return nil, c.Err()
 	}
-	w.U64(9, uint64(len(pending)))
-	for _, n := range pending {
-		w.I64(10, int64(n.At))
-		w.U64(11, n.seq)
-		w.Bool(12, n.pinned)
-		w.U64(14, idx[n.tag.Kind])
-		w.U64(15, n.tag.A0)
-		w.U64(16, n.tag.A1)
-		w.U64(17, n.tag.A2)
+	snapshot.Int(c, 1, &e.now)
+	c.U64(2, &e.nextSeq)
+	c.U64(3, &e.fired)
+	c.U64(4, &e.ord.salt)
+	e.rng.Visit(c, 6)
+	snapshot.Slice(c, 7, &names)
+	for i := range names {
+		if b := c.Name(8, names[i]); c.Decoding() {
+			names[i] = EventKindNameOf(b)
+		}
 	}
-	w.End()
-	return nil
+	n := len(pending)
+	c.Len(9, &n)
+	var evs []RestoredEvent
+	if c.Decoding() && n > 0 {
+		evs = make([]RestoredEvent, n)
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var ev RestoredEvent
+		var ki uint64
+		if !c.Decoding() {
+			p := pending[i]
+			ev = RestoredEvent{At: p.At, Seq: p.seq, Pinned: p.pinned, A0: p.tag.A0, A1: p.tag.A1, A2: p.tag.A2}
+			ki = kindIdx[p.tag.Kind]
+		}
+		snapshot.Int(c, 10, &ev.At)
+		c.U64(11, &ev.Seq)
+		c.Bool(12, &ev.Pinned)
+		c.U64(14, &ki)
+		c.U64(15, &ev.A0)
+		c.U64(16, &ev.A1)
+		c.U64(17, &ev.A2)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		switch {
+		case ki >= uint64(len(names)):
+			c.Failf("sim: restore: event kind index %d out of range (%d names)", ki, len(names))
+		case names[ki] == "":
+			c.Failf("sim: restore: event %d has an empty kind name", i)
+		case ev.At < e.now:
+			c.Failf("sim: restore: event %q at %v before snapshot clock %v", names[ki], ev.At, e.now)
+		case ev.Seq >= e.nextSeq:
+			c.Failf("sim: restore: event %q seq %d not below next sequence %d", names[ki], ev.Seq, e.nextSeq)
+		default:
+			ev.Kind = names[ki]
+			evs[i] = ev
+		}
+	}
+	c.End()
+	return evs, c.Err()
 }
 
-// RestoreState rewrites the engine to a snapshot's state: it disarms
-// every timer, recycles everything currently queued (the boot events
-// of a freshly reconstructed machine), then overwrites the clock,
-// sequence counter, salt and RNG stream from the image. The snapshot's
-// pending events are returned, not queued — the caller rebuilds each
-// callback from its kind and pushes it back with RestoreEvent, or
-// re-arms the owning timer with RestoreTimer. Between RestoreState and
-// the first RestoreEvent or RestoreTimer the queue is empty, so a
-// warm-start caller may install a different tie-break salt with
-// PerturbTiebreaks.
-func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
+// resetForRestore disarms every timer and recycles every queued event,
+// leaving an empty engine for Visit to overwrite.
+func (e *Engine) resetForRestore() {
 	for _, it := range e.timers.items {
 		it.n.state = nodeFree
 	}
@@ -189,46 +244,6 @@ func (e *Engine) RestoreState(r *snapshot.Reader) ([]RestoredEvent, error) {
 	e.q.items = e.q.items[:0]
 	e.sanOnRestore()
 	e.stopped = false
-
-	r.Section(engineSection)
-	e.now = Time(r.I64(1))
-	e.nextSeq = r.U64(2)
-	e.fired = r.U64(3)
-	e.ord.salt = r.U64(4)
-	e.rng.SetState(r.U64(6))
-	names := make([]string, r.U64(7))
-	for i := range names {
-		names[i] = EventKindNameOf(r.Bytes(8))
-	}
-	evs := make([]RestoredEvent, 0, r.U64(9))
-	for i := 0; i < cap(evs); i++ {
-		ev := RestoredEvent{
-			At:     Time(r.I64(10)),
-			Seq:    r.U64(11),
-			Pinned: r.Bool(12),
-		}
-		ki := r.U64(14)
-		ev.A0, ev.A1, ev.A2 = r.U64(15), r.U64(16), r.U64(17)
-		if r.Err() != nil {
-			break
-		}
-		if ki >= uint64(len(names)) {
-			return nil, fmt.Errorf("sim: restore: event kind index %d out of range (%d names)", ki, len(names))
-		}
-		ev.Kind = names[ki]
-		if ev.At < e.now {
-			return nil, fmt.Errorf("sim: restore: event %q at %v before snapshot clock %v", ev.Kind, ev.At, e.now)
-		}
-		if ev.Seq >= e.nextSeq {
-			return nil, fmt.Errorf("sim: restore: event %q seq %d not below next sequence %d", ev.Kind, ev.Seq, e.nextSeq)
-		}
-		evs = append(evs, ev)
-	}
-	r.EndSection()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return evs, nil
 }
 
 // RestoreEvent re-queues one snapshot event with its rebuilt callback.
@@ -277,8 +292,8 @@ func (e *Engine) NextEventInfo() (at Time, seq uint64, kind string, ok bool) {
 func init() {
 	snapshot.RegisterState(Engine{}, snapshot.Manifest{
 		"now":     "codec",
-		"firing":  "skip: set only while a timer body runs, and a snapshot is taken between events; RestoreState clears it",
-		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; RestoreState disarms every timer and owners re-arm theirs with RestoreTimer",
+		"firing":  "skip: set only while a timer body runs, and a snapshot is taken between events; a decoding Visit clears it",
+		"timers":  "skip: armed timers are serialised as pending events in the sorted event list; a decoding Visit disarms every timer and owners re-arm theirs with RestoreTimer",
 		"q":       "skip: heap layout is never serialised — pending events are written in eventOrder and restore re-pushes them, so any layout realises the same total order",
 		"pool":    "skip: free-list contents and traffic stats never enter eventOrder; pooled vs fresh nodes are proven result-identical by the workers-pool golden tests",
 		"ord":     "codec",

@@ -176,7 +176,7 @@ func (h *snapHarness) snapshot() []byte {
 	w.Begin(harnessSection)
 	w.U64(1, h.counter)
 	w.End()
-	if err := h.eng.SnapshotTo(w); err != nil {
+	if _, err := h.eng.Visit(w.Codec()); err != nil {
 		panic(err)
 	}
 	return w.Finish()
@@ -205,9 +205,9 @@ func restoreHarnessPlain(t *testing.T, img []byte, mkEngine func() *Engine, plai
 	r.Section(harnessSection)
 	h.counter = r.U64(1)
 	r.EndSection()
-	evs, err := eng.RestoreState(r)
+	evs, err := eng.Visit(r.Codec())
 	if err != nil {
-		t.Fatalf("RestoreState: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	for _, rev := range evs {
 		if err := h.restore(rev); err != nil {
@@ -275,7 +275,7 @@ func runSnapshotResume(t *testing.T, salt uint64, stopAt Time) {
 	if b.counter != ref.counter {
 		t.Errorf("counter: resumed %d, reference %d", b.counter, ref.counter)
 	}
-	if b.eng.RNG().State() != ref.eng.RNG().State() {
+	if b.eng.RNG().state != ref.eng.RNG().state {
 		t.Errorf("rng state diverged")
 	}
 	if !slices.Equal(b.log, ref.log) {
@@ -335,7 +335,7 @@ func TestSnapshotUntaggedEventErrors(t *testing.T) {
 	eng := NewEngine(1)
 	eng.Schedule(10, func() {})
 	w := snapshot.NewWriter()
-	if err := eng.SnapshotTo(w); err == nil {
+	if _, err := eng.Visit(w.Codec()); err == nil {
 		t.Fatalf("snapshot of untagged event succeeded")
 	}
 }
@@ -364,7 +364,7 @@ func TestSnapshotSkipsCancelled(t *testing.T) {
 }
 
 // TestRestoreAfterFarBootNoise: a restoring engine whose boot noise
-// reaches far past the checkpoint — drained by RestoreState — resumes
+// reaches far past the checkpoint — drained by the decoding Visit — resumes
 // the snapshot's near- and far-future events exactly as an engine with
 // no boot noise does.
 func TestRestoreAfterFarBootNoise(t *testing.T) {
@@ -420,7 +420,7 @@ func TestRestoreWarmSaltOverride(t *testing.T) {
 	img := base.snapshot()
 
 	// Restore by hand so the salt can be swapped in the legal window:
-	// after RestoreState (queue empty) and before the first RestoreEvent.
+	// after the decoding Visit (queue empty) and before the first RestoreEvent.
 	warm := newSnapHarness(NewEngine(0))
 	r, err := snapshot.OpenReader(img)
 	if err != nil {
@@ -429,9 +429,9 @@ func TestRestoreWarmSaltOverride(t *testing.T) {
 	r.Section(harnessSection)
 	warm.counter = r.U64(1)
 	r.EndSection()
-	evs, err := warm.eng.RestoreState(r)
+	evs, err := warm.eng.Visit(r.Codec())
 	if err != nil {
-		t.Fatalf("RestoreState: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	warm.eng.PerturbTiebreaks(salt)
 	for _, rev := range evs {
@@ -483,7 +483,7 @@ func TestRestoreEventRejectsPinned(t *testing.T) {
 	h.armTimer(0, 100) // timer 0 is pinned
 	img := h.snapshot()
 	eng := NewEngine(0)
-	evs, err := eng.RestoreState(harnessReader(t, img))
+	evs, err := eng.Visit(harnessReader(t, img).Codec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestRestoredHandleLifecycle(t *testing.T) {
 	}
 	// The moved timer kept its tag: snapshotting again must succeed.
 	w := snapshot.NewWriter()
-	if err := b.eng.SnapshotTo(w); err != nil {
+	if _, err := b.eng.Visit(w.Codec()); err != nil {
 		t.Fatalf("snapshot after re-arm: %v", err)
 	}
 	b.eng.RunAll()
@@ -590,7 +590,7 @@ func FuzzSnapshotResume(f *testing.F) {
 		b.eng.Run(horizon)
 
 		if b.eng.Now() != ref.eng.Now() || b.eng.Fired() != ref.eng.Fired() ||
-			b.counter != ref.counter || b.eng.RNG().State() != ref.eng.RNG().State() {
+			b.counter != ref.counter || b.eng.RNG().state != ref.eng.RNG().state {
 			t.Fatalf("resume state diverged: now %v/%v fired %d/%d counter %d/%d",
 				b.eng.Now(), ref.eng.Now(), b.eng.Fired(), ref.eng.Fired(), b.counter, ref.counter)
 		}

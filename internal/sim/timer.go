@@ -123,7 +123,7 @@ func (e *Engine) fireTimer(n *eventNode) {
 // RestoreTimer re-arms a timer from a snapshot's pending event, keeping
 // the occurrence's original fire time and sequence number, like
 // RestoreEvent. The event must be the timer's own: same kind, arguments
-// and arbitration class, and the timer must be disarmed (RestoreState
+// and arbitration class, and the timer must be disarmed (a decoding Visit
 // disarms every timer); a mismatch is an error naming both.
 func (e *Engine) RestoreTimer(t *Timer, rev RestoredEvent) error {
 	if t.n.fn == nil {

@@ -164,7 +164,7 @@ func TestRestoreTimerValidation(t *testing.T) {
 
 	eng := NewEngine(0)
 	h2 := newSnapHarness(eng)
-	evs, err := eng.RestoreState(harnessReader(t, img))
+	evs, err := eng.Visit(harnessReader(t, img).Codec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,12 @@ func TestRestoreTimerValidation(t *testing.T) {
 	if at, ok := eng.NextEventTime(); eng.Pending() != 1 || !ok || at != 100 {
 		t.Fatalf("pending %d, next at %v; want 1 pending at 100", eng.Pending(), at)
 	}
-	// RestoreState disarms every timer, including this one.
-	if _, err := eng.RestoreState(harnessReader(t, img)); err != nil {
+	// The decoding Visit disarms every timer, including this one.
+	if _, err := eng.Visit(harnessReader(t, img).Codec()); err != nil {
 		t.Fatal(err)
 	}
 	if h2.timers[0].Armed() || eng.Pending() != 0 {
-		t.Fatalf("RestoreState left timer 0 armed (pending %d)", eng.Pending())
+		t.Fatalf("restore left timer 0 armed (pending %d)", eng.Pending())
 	}
 }
 
@@ -325,7 +325,7 @@ func TestFireInPlaceSiftAbove(t *testing.T) {
 }
 
 // TestFireInPlaceInvisible: while a body runs, its timer is not
-// pending: Pending, NextEventTime and SnapshotTo all leave it out, until
+// pending: Pending, NextEventTime and Visit all leave it out, until
 // the body re-arms it.
 func TestFireInPlaceInvisible(t *testing.T) {
 	e := NewEngine(1)
@@ -333,14 +333,14 @@ func TestFireInPlaceInvisible(t *testing.T) {
 	var inBody, afterRearm []RestoredEvent
 	restored := func() []RestoredEvent {
 		w := snapshot.NewWriter()
-		if err := e.SnapshotTo(w); err != nil {
+		if _, err := e.Visit(w.Codec()); err != nil {
 			t.Fatal(err)
 		}
 		r, err := snapshot.OpenReader(w.Finish())
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs, err := NewEngine(0).RestoreState(r)
+		evs, err := NewEngine(0).Visit(r.Codec())
 		if err != nil {
 			t.Fatal(err)
 		}

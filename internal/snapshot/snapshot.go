@@ -7,11 +7,14 @@
 //
 // The format is deliberately boring: no reflection, no interface
 // registry, no compression — just uvarints, zigzag, fixed64 bits and
-// length-prefixed byte strings, written and read in matching order.
-// Readers are strict and sticky-error: the first mismatch (wrong
-// section name, wrong tag, wrong wire type, truncated payload) poisons
-// the reader and every later getter returns zero values, so restore
-// code can run a whole section and check Err() once at the end.
+// length-prefixed byte strings. Each section is coded by one visit
+// function over a Codec, which writes the fields when snapshotting and
+// reads them back when restoring, so the two directions cannot disagree
+// on tags, wire types or order. Readers are strict and sticky-error: the
+// first mismatch (wrong section name, wrong tag, wrong wire type,
+// truncated payload, a count larger than the payload left) poisons the
+// reader and every later getter returns zero values, so a visit
+// function can run a whole section and check Err() once at the end.
 //
 // Versioning policy: the header carries a format version; OpenReader
 // refuses images from any other version. Snapshots are a debugging and
@@ -83,6 +86,7 @@ type Writer struct {
 	sec     []byte
 	open    bool
 	secName string
+	codec   Codec
 }
 
 // imageSizeHint and sectionSizeHint presize a Writer's buffers. They
@@ -169,13 +173,6 @@ func (w *Writer) Str(tag uint8, s string) {
 	w.sec = append(w.sec, s...)
 }
 
-// Bytes writes a raw byte-string field.
-func (w *Writer) Bytes(tag uint8, b []byte) {
-	w.field(tag, wireBytes)
-	w.sec = binary.AppendUvarint(w.sec, uint64(len(b)))
-	w.sec = append(w.sec, b...)
-}
-
 // Finish seals the image: it appends the FNV-1a 64 trailer over
 // everything written so far and returns the complete snapshot bytes.
 // The Writer must not be used afterwards.
@@ -194,10 +191,11 @@ func (w *Writer) Finish() []byte {
 // first failure every getter returns the zero value and Err() reports
 // the original cause.
 type Reader struct {
-	data []byte // remaining section stream (header and trailer stripped)
-	sec  []byte // remaining payload of the current section; nil between sections
-	name string // current section name
-	err  error
+	data  []byte // remaining section stream (header and trailer stripped)
+	sec   []byte // remaining payload of the current section; nil between sections
+	name  string // current section name
+	err   error
+	codec Codec
 }
 
 // OpenReader validates the header, the version and the content-hash

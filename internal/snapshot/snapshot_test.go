@@ -20,7 +20,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(7, true)
 	w.Bool(8, false)
 	w.Str(9, "hello, snapshot")
-	w.Bytes(10, []byte{0, 1, 2, 0xff})
+	w.Str(10, "\x00\x01\x02\xff")
 	w.Str(11, "")
 	w.End()
 	w.Begin("beta")

@@ -163,14 +163,14 @@ func TestRestoreRejectsMisorderedRing(t *testing.T) {
 		b.TimerTick(sim.Time(i), i%2)
 	}
 	w := snapshot.NewWriter()
-	b.Snapshot(w)
+	b.Visit(w.Codec())
 	r, err := snapshot.OpenReader(w.Finish())
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored := NewBuffer(4)
-	if err := restored.Restore(r); err != nil {
-		t.Fatalf("restore of a wrapped buffer: %v", err)
+	if restored.Visit(r.Codec()); r.Err() != nil {
+		t.Fatalf("restore of a wrapped buffer: %v", r.Err())
 	}
 	if !reflect.DeepEqual(restored.Records(), b.Records()) {
 		t.Fatalf("restored records %v, want %v", seqs(restored.Records()), seqs(b.Records()))
@@ -203,7 +203,7 @@ func TestRestoreRejectsMisorderedRing(t *testing.T) {
 	if r, err = snapshot.OpenReader(w.Finish()); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewBuffer(4).Restore(r); err == nil {
+	if NewBuffer(4).Visit(r.Codec()); r.Err() == nil {
 		t.Fatal("restore accepted a partly filled ring with a non-zero write position")
 	}
 }

@@ -294,7 +294,7 @@ func TestInternAfterRestore(t *testing.T) {
 		src.Intern(n)
 	}
 	w := snapshot.NewWriter()
-	src.Snapshot(w)
+	src.Visit(w.Codec())
 	r, err := snapshot.OpenReader(w.Finish())
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +303,8 @@ func TestInternAfterRestore(t *testing.T) {
 	for _, n := range []string{"dcache", "rcim", "eth0"} { // other ids, cached
 		dst.Intern(n)
 	}
-	if err := dst.Restore(r); err != nil {
-		t.Fatal(err)
+	if dst.Visit(r.Codec()); r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	for _, n := range []string{"dcache", "rcim", "BKL", "eth0"} {
 		if got, want := dst.Intern(n), src.Intern(n); got != want {

@@ -20,35 +20,12 @@ var (
 )
 
 func init() {
-	kernel.RegisterEventRebuild("wl.scp-start", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		s, err := kernel.RestoredComponent[*ScpFlood](rc, a0, "wl.scp-start")
-		if err != nil {
-			return nil, err
-		}
-		return s.onStart, nil
+	kernel.RegisterComponentRebuild("wl.scp-start", func(s *ScpFlood, _ uint64) (func(), error) { return s.onStart, nil })
+	kernel.RegisterComponentRebuild("wl.scp-deliver", func(s *ScpFlood, _ uint64) (func(), error) { return s.onDeliver, nil })
+	kernel.RegisterComponentRebuild("wl.disknoise-flush", func(d *DiskNoise, bytes uint64) (func(), error) {
+		return func() { d.flush(int(bytes)) }, nil
 	})
-	kernel.RegisterEventRebuild("wl.scp-deliver", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		s, err := kernel.RestoredComponent[*ScpFlood](rc, a0, "wl.scp-deliver")
-		if err != nil {
-			return nil, err
-		}
-		return s.onDeliver, nil
-	})
-	kernel.RegisterEventRebuild("wl.disknoise-flush", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		d, err := kernel.RestoredComponent[*DiskNoise](rc, a0, "wl.disknoise-flush")
-		if err != nil {
-			return nil, err
-		}
-		bytes := int(a1)
-		return func() { d.flush(bytes) }, nil
-	})
-	kernel.RegisterEventRebuild("wl.ttcp-pump", func(rc *kernel.RestoreContext, a0, a1, a2 uint64) (func(), error) {
-		t, err := kernel.RestoredComponent[*TTCPNet](rc, a0, "wl.ttcp-pump")
-		if err != nil {
-			return nil, err
-		}
-		return t.onPump, nil
-	})
+	kernel.RegisterComponentRebuild("wl.ttcp-pump", func(t *TTCPNet, _ uint64) (func(), error) { return t.onPump, nil })
 }
 
 // --- ScpFlood ---
@@ -56,26 +33,16 @@ func init() {
 // SnapName implements kernel.SnapComponent.
 func (s *ScpFlood) SnapName() string { return "wl.scp-flood" }
 
-// Snapshot implements kernel.SnapComponent.
-func (s *ScpFlood) Snapshot(w *snapshot.Writer) error {
-	w.Begin(s.SnapName())
-	w.U64(1, s.rng.State())
-	w.I64(2, int64(s.pendingBytes))
-	w.I64(3, int64(s.remaining))
-	w.U64(4, s.Transfers)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (s *ScpFlood) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(s.SnapName())
-	s.rng.SetState(r.U64(1))
-	s.pendingBytes = int(r.I64(2))
-	s.remaining = int(r.I64(3))
-	s.Transfers = r.U64(4)
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (s *ScpFlood) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(s.SnapName()) {
+		return
+	}
+	s.rng.Visit(c, 1)
+	snapshot.Int(c, 2, &s.pendingBytes)
+	snapshot.Int(c, 3, &s.remaining)
+	c.U64(4, &s.Transfers)
+	c.End()
 }
 
 // --- DiskNoise ---
@@ -83,26 +50,16 @@ func (s *ScpFlood) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error 
 // SnapName implements kernel.SnapComponent.
 func (d *DiskNoise) SnapName() string { return "wl.disknoise" }
 
-// Snapshot implements kernel.SnapComponent.
-func (d *DiskNoise) Snapshot(w *snapshot.Writer) error {
-	w.Begin(d.SnapName())
-	w.I64(1, int64(d.size))
-	w.I64(2, int64(d.step))
-	w.I64(3, int64(d.dirty))
-	w.U64(4, d.Iterations)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (d *DiskNoise) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(d.SnapName())
-	d.size = int(r.I64(1))
-	d.step = int(r.I64(2))
-	d.dirty = int(r.I64(3))
-	d.Iterations = r.U64(4)
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (d *DiskNoise) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(d.SnapName()) {
+		return
+	}
+	snapshot.Int(c, 1, &d.size)
+	snapshot.Int(c, 2, &d.step)
+	snapshot.Int(c, 3, &d.dirty)
+	c.U64(4, &d.Iterations)
+	c.End()
 }
 
 func init() {

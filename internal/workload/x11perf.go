@@ -159,20 +159,12 @@ func (t *TTCPNet) pump() {
 // SnapName implements kernel.SnapComponent.
 func (t *TTCPNet) SnapName() string { return "wl.ttcp-net" }
 
-// Snapshot implements kernel.SnapComponent.
-func (t *TTCPNet) Snapshot(w *snapshot.Writer) error {
-	w.Begin(t.SnapName())
-	w.U64(1, t.rng.State())
-	w.U64(2, t.dir)
-	w.End()
-	return nil
-}
-
-// Restore implements kernel.SnapComponent.
-func (t *TTCPNet) Restore(r *snapshot.Reader, rc *kernel.RestoreContext) error {
-	r.Section(t.SnapName())
-	t.rng.SetState(r.U64(1))
-	t.dir = r.U64(2)
-	r.EndSection()
-	return r.Err()
+// SnapVisit implements kernel.SnapComponent.
+func (t *TTCPNet) SnapVisit(c *snapshot.Codec) {
+	if !c.Section(t.SnapName()) {
+		return
+	}
+	t.rng.Visit(c, 1)
+	c.U64(2, &t.dir)
+	c.End()
 }
